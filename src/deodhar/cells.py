@@ -172,7 +172,6 @@ class CellDescriptor:
     chosen: tuple[int, ...]
     descents: tuple[int, ...]
     distinguished: bool
-    nonempty: bool
     affine_rank: int
     torus_rank: int
     dimension: int
@@ -199,13 +198,11 @@ def cell(sub: Subexpression) -> CellDescriptor:
         image = sub.partials[i].act_on_root(sub.word.simple_root(i))
         if image.is_positive:
             phi.append(PhiEntry(index=i, root=-image, free=i not in chosen))
-    chosen_set = set(chosen)
     return CellDescriptor(
         sub=sub,
         chosen=chosen,
         descents=descents,
         distinguished=is_distinguished(sub),
-        nonempty=set(descents) <= chosen_set,
         affine_rank=len(chosen) - len(descents),
         torus_rank=length - len(chosen),
         dimension=length - len(descents),

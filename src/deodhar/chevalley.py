@@ -29,8 +29,14 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .cells import root_sequence
 from .laurent import LaurentPoly, Monomial
+from .linalg import Matrix, mat_identity, mat_is_zero, mat_mul
 from .roots import Root, root_system
 from .search import CLOSURE_OBSTRUCTION, catalog
+
+
+# Largest rank of the closure witness: n = 10 takes about 3 s, and the cost
+# grows about fourfold per rank.
+WITNESS_BOUND = 10
 
 
 class VerificationError(Exception):
@@ -101,9 +107,12 @@ class UnipotentWord:
     def from_obj(ctx, obj: Iterable[dict]) -> "UnipotentWord":
         system = root_system(ctx.family, ctx.rank)
         factors = []
-        for item in obj:
-            root = system.root(tuple(int(c) for c in item["root"]))
-            factors.append(Factor(root, LaurentPoly.from_obj(item["coeff"])))
+        try:
+            for item in obj:
+                root = system.root(tuple(int(c) for c in item["root"]))
+                factors.append(Factor(root, LaurentPoly.from_obj(item["coeff"])))
+        except (KeyError, TypeError):
+            raise ValueError('each factor needs a "root" list and a "coeff"') from None
         return UnipotentWord(tuple(factors))
 
 
@@ -206,29 +215,6 @@ def limit_at_infinity(word: UnipotentWord, var: str) -> UnipotentWord:
 # -- exact adjoint representation ---------------------------------------------
 
 
-Matrix = tuple[tuple, ...]
-
-
-def mat_identity(dim: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
-
-
-def mat_mul(a: Matrix, b: Matrix, prime: int | None = None) -> Matrix:
-    cols = tuple(zip(*b))
-    if prime is None:
-        return tuple(
-            tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-        )
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % prime for col in cols)
-        for row in a
-    )
-
-
-def _mat_is_zero(a: Matrix) -> bool:
-    return all(all(v == 0 for v in row) for row in a)
-
-
 class AdjointRep:
     """ad matrices on the Chevalley basis (h_1..h_n, then the root vectors)."""
 
@@ -289,7 +275,7 @@ class AdjointRep:
             powers = [mat_identity(self.dim)]
             current = self.ad(root)
             k = 1
-            while not _mat_is_zero(current):
+            while not mat_is_zero(current):
                 if k > self.MAX_NILPOTENCY:
                     raise AssertionError(f"ad e_{root} is not nilpotent of index <= 5")
                 powers.append(current)
@@ -426,6 +412,8 @@ def build_closure_witness_words(n: int):
     shallower one.  Returns (u_y, u_z, psi)."""
     if n < 3:
         raise ValueError("the witness construction needs rank n >= 3")
+    if n > WITNESS_BOUND:
+        raise ValueError(f"witness rank {n} exceeds {WITNESS_BOUND}")
     entry = catalog(CLOSURE_OBSTRUCTION, n)
     gamma, delta = entry.first, entry.second
     phi_delta = root_sequence(delta)

@@ -4,16 +4,13 @@ Subcommands: cells, distinguished, phi, order, hasse, count, collect, verify.
 Masks are written with the leftmost character as position 1, '1' meaning the
 letter is taken.  Windows are comma-separated signed integers, words are
 comma-separated generator indices, and "e" names the identity.  All output
-is byte-deterministic for fixed inputs.  The environment variable
-DEODHAR_THREADS is accepted as a parallelism cap; the current implementation
-runs sequentially, which trivially honors any cap.
+is byte-deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import cells as cells_mod
@@ -56,16 +53,6 @@ def _parse_mask(text: str) -> str:
                 f"mask character {ch!r} at position {pos} (expected 0 or 1)"
             )
     return text
-
-
-def _threads() -> int:
-    raw = os.environ.get("DEODHAR_THREADS", "")
-    if not raw:
-        return os.cpu_count() or 1
-    value = int(raw)
-    if value < 1:
-        raise SystemExit("DEODHAR_THREADS must be a positive integer")
-    return value
 
 
 def _cmd_cells(args) -> int:
@@ -149,8 +136,7 @@ def _cmd_hasse(args) -> int:
 
 def _cmd_count(args) -> int:
     if args.family != "A" or (args.rank not in (None, 2)):
-        raise SystemExit("matrix counting is implemented for --family A --rank 2")
-    _threads()
+        raise ValueError("matrix counting is implemented for --family A --rank 2")
     sys.stdout.write(matrixgrp.count_cells_csv(args.q))
     return 0
 
@@ -164,15 +150,22 @@ def _cmd_collect(args) -> int:
     if isinstance(payload, dict):
         family = payload.get("family", args.family)
         rank = payload.get("rank", args.rank)
-        factors = payload["factors"]
+        factors = payload.get("factors")
     else:
         family = args.family
         rank = args.rank
         factors = payload
+    if not isinstance(factors, list):
+        raise ValueError('input must be a list of factors or an object with a "factors" list')
     if rank is None:
-        if not factors:
-            raise SystemExit("empty input and no --rank given")
-        rank = len(factors[0]["root"])
+        first = factors[0] if factors else None
+        if not isinstance(first, dict) or not isinstance(first.get("root"), list):
+            raise ValueError('no --rank given and no first factor with a "root" list')
+        rank = len(first["root"])
+    if family not in ("A", "B"):
+        raise ValueError(f"unknown family {family!r}")
+    if type(rank) is not int:
+        raise ValueError(f"rank {rank!r} is not an integer")
     ctx = context(family, rank)
     word = chevalley.UnipotentWord.from_obj(ctx, factors)
     print(json.dumps(chevalley.collect(word).to_obj(), sort_keys=True))
@@ -193,22 +186,20 @@ def _cmd_verify(args) -> int:
             print(line)
         print("PASS")
         return 0
-    if args.check == "disjoint":
-        name = search.DISJOINTNESS if args.n == 3 else search.DISJOINTNESS_EXTENDED
-        entry = search.catalog(name, args.n)
-        certificate = search.disjointness_certificate(entry.first, entry.second)
-        if certificate is None:
-            print("FAIL: no disjointness certificate found")
-            return 1
-        dim = cells_mod.cell(entry.first).dimension
-        print(f"catalog {entry.name} n={entry.n} dimension={dim}")
-        print(
-            f"certificate root={certificate.root.serialize()} "
-            f"witness_index={certificate.witness_index}"
-        )
-        print("PASS")
-        return 0
-    raise SystemExit(f"unknown verify check {args.check!r}")
+    name = search.DISJOINTNESS if args.n == 3 else search.DISJOINTNESS_EXTENDED
+    entry = search.catalog(name, args.n)
+    certificate = search.disjointness_certificate(entry.first, entry.second)
+    if certificate is None:
+        print("FAIL: no disjointness certificate found")
+        return 1
+    dim = cells_mod.cell(entry.first).dimension
+    print(f"catalog {entry.name} n={entry.n} dimension={dim}")
+    print(
+        f"certificate root={certificate.root.serialize()} "
+        f"witness_index={certificate.witness_index}"
+    )
+    print("PASS")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -234,10 +234,15 @@ class LaurentPoly:
     @staticmethod
     def from_obj(obj: Iterable[dict]) -> "LaurentPoly":
         terms: dict[Monomial, Fraction] = {}
-        for item in obj:
-            mono = Monomial.from_mapping({str(k): int(v) for k, v in item["mono"].items()})
-            coeff = Fraction(int(item["num"]), int(item.get("den", 1)))
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
+        try:
+            for item in obj:
+                mono = Monomial.from_mapping({str(k): int(v) for k, v in item["mono"].items()})
+                coeff = Fraction(int(item["num"]), int(item.get("den", 1)))
+                terms[mono] = terms.get(mono, Fraction(0)) + coeff
+        except (AttributeError, KeyError, TypeError, ZeroDivisionError):
+            raise ValueError(
+                'a coefficient is a list of {"mono": {...}, "num": n, "den": d != 0}'
+            ) from None
         return LaurentPoly(terms)
 
     def __str__(self) -> str:

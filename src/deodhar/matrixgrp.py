@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from itertools import product
 
+from .linalg import Matrix, rank_mod
 from .weyl import WeylElement, context
 
 MAX_PRIME = 64
-
-Matrix = tuple[tuple[int, ...], ...]
 
 
 def _ctx():
@@ -32,30 +31,11 @@ def unipotent_lower(a: int, b: int, c: int, q: int) -> Matrix:
     return ((1, 0, 0), (a % q, 1, 0), (c % q, b % q, 1))
 
 
-def _rank(rows: list[list[int]], q: int) -> int:
-    m = [row[:] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] % q), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], -1, q)
-        m[rank] = [v * inv % q for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] % q:
-                factor = m[r][col]
-                m[r] = [(v - factor * w) % q for v, w in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
 def _lower_left_rank(g: Matrix, i: int, j: int, q: int) -> int:
     """Rank of rows i..3, columns 1..j (1-based), over F_q."""
     if i > 3 or j < 1:
         return 0
-    return _rank([list(row[:j]) for row in g[i - 1 :]], q)
+    return rank_mod([row[:j] for row in g[i - 1 :]], q)
 
 
 def bruhat_word(g: Matrix, q: int) -> WeylElement:
@@ -72,21 +52,11 @@ def bruhat_word(g: Matrix, q: int) -> WeylElement:
     return _ctx().from_window(tuple(window))
 
 
-_W0_MATRIX: Matrix = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
-
-
-def _matmul(a: Matrix, b: Matrix, q: int) -> Matrix:
-    cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % q for col in cols) for row in a
-    )
-
-
 def opposite_coset(g: Matrix, q: int) -> WeylElement:
-    """The v with g in B*vB, where B* = w_0 B w_0."""
-    ctx = _ctx()
-    w0 = ctx.longest_element()
-    return w0 * bruhat_word(_matmul(_W0_MATRIX, g, q), q)
+    """The v with g in B*vB, where B* = w_0 B w_0.  The permutation matrix
+    of w_0 is antidiagonal, so w_0 g is g with its rows reversed."""
+    w0 = _ctx().longest_element()
+    return w0 * bruhat_word(g[::-1], q)
 
 
 def minors_criterion(g: Matrix, q: int) -> bool:

@@ -34,6 +34,10 @@ from typing import Mapping, Sequence
 FAMILY_A = "A"
 FAMILY_B = "B"
 
+# Largest rank of a root system; B_16 builds its structure-constant table in
+# about 3.5 s, and every rank the command line accepts goes through here.
+RANK_BOUND = 16
+
 # -- sparse integer matrices (dict of (row, col) -> value) -------------------
 
 
@@ -145,6 +149,8 @@ class RootSystem:
             raise ValueError("type A needs rank >= 1")
         if family == FAMILY_B and rank < 2:
             raise ValueError("type B needs rank >= 2")
+        if rank > RANK_BOUND:
+            raise ValueError(f"rank {rank} exceeds {RANK_BOUND}")
         self.family = family
         self.rank = rank
         self._pos_tuples = self._generate_positive()
@@ -345,6 +351,10 @@ class _StructureConstants:
 
     def __init__(self, system: RootSystem):
         self.system = system
+        # Carter's total order on the positive roots (height, then lex) is the
+        # order in which the system generated them.
+        self.order = {t: k for k, t in enumerate(system._pos_tuples)}
+        self.extraspecial = self._extraspecial_pairs()
         vectors = self._basis_matrices()
         raw, coroots = self._brackets(vectors)
         eps = self._normalizing_signs(raw)
@@ -352,7 +362,6 @@ class _StructureConstants:
             (a, b): eps[a] * eps[b] * eps[_tadd(a, b)] * c for (a, b), c in raw.items()
         }
         self.coroot_coords = coroots
-        self.extraspecial = self._extraspecial_pairs()
         self._validate()
 
     # The defining matrices.  Type A: sl(n+1) with e_{pos->neg} elementary.
@@ -414,35 +423,33 @@ class _StructureConstants:
                         raise AssertionError(f"bracket [{a},{b}] not a multiple of e_{total}")
                     raw[(a, b)] = c
                 elif all(v == 0 for v in total):
-                    coords = self._solve_coroot(br, simple_coroot_mats)
-                    coroots[a] = coords
+                    coroots[a] = self._coroot(a, br, simple_coroot_mats)
                 elif br:
                     raise AssertionError(f"bracket [{a},{b}] should vanish")
         return raw, coroots
 
-    def _solve_coroot(self, target, simple_coroot_mats) -> tuple[int, ...]:
-        # All matrices involved are diagonal; solve on the diagonal entries.
-        n = self.system.rank
-        size = n + 1 if self.system.family == FAMILY_A else 2 * n + 1
-        rows = []
-        rhs = []
-        for d in range(size):
-            rows.append([Fraction(m.get((d, d), 0)) for m in simple_coroot_mats])
-            rhs.append(Fraction(target.get((d, d), 0)))
-        coords = _solve_exact(rows, rhs)
-        out = []
-        for c in coords:
-            if c.denominator != 1:
-                raise AssertionError("non-integral coroot coordinates")
-            out.append(int(c))
-        return tuple(out)
-
-    def _total_order(self) -> dict[tuple, int]:
-        ordered = sorted(self.system._pos_tuples, key=lambda t: (sum(t), t))
-        return {t: k for k, t in enumerate(ordered)}
+    def _coroot(self, alpha, bracket, simple_coroot_mats) -> tuple[int, ...]:
+        """Coordinates of alpha-check over the simple coroots, from the closed
+        form alpha-check = sum_i a_i |beta_i|^2 / |alpha|^2 beta_i-check, and
+        the full realized bracket [e_alpha, e_-alpha] checked against them."""
+        system = self.system
+        norm = system.norm_sq(alpha)
+        coords = []
+        for i, a in enumerate(alpha, start=1):
+            c, rem = divmod(a * system.norm_sq(system.simple_tuple(i)), norm)
+            if rem:
+                raise AssertionError(f"non-integral coroot coordinates for {alpha}")
+            coords.append(c)
+        expected: dict = {}
+        for c, h in zip(coords, simple_coroot_mats):
+            for key, val in h.items():
+                expected[key] = expected.get(key, 0) + c * val
+        if bracket != {k: v for k, v in expected.items() if v}:
+            raise AssertionError(f"[e_{alpha}, e_-{alpha}] is not the coroot {coords}")
+        return tuple(coords)
 
     def _extraspecial_pairs(self) -> dict[tuple, tuple[tuple, tuple]]:
-        order = self._total_order()
+        order = self.order
         out = {}
         for total in self.system._pos_tuples:
             candidates = []
@@ -456,15 +463,13 @@ class _StructureConstants:
         return out
 
     def _normalizing_signs(self, raw) -> dict[tuple, int]:
-        order = self._total_order()
-        extraspecial = self._extraspecial_pairs()
         eps: dict[tuple, int] = {}
-        for total in sorted(order, key=order.get):
+        for total in self.system._pos_tuples:
             neg = tuple(-c for c in total)
-            if total not in extraspecial:
+            if total not in self.extraspecial:
                 eps[total] = eps[neg] = 1
                 continue
-            r, s = extraspecial[total]
+            r, s = self.extraspecial[total]
             c = raw[(r, s)]
             sign = eps[r] * eps[s] * (1 if c > 0 else -1)
             eps[total] = eps[neg] = sign
@@ -485,34 +490,6 @@ class _StructureConstants:
 
 def _tadd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve an overdetermined consistent exact linear system by elimination."""
-    m = [row[:] + [r] for row, r in zip(rows, rhs)]
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        m[r] = [v / m[r][col] for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                factor = m[i][col]
-                m[i] = [v - factor * w for v, w in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    if len(pivots) != ncols:
-        raise AssertionError("singular system for coroot coordinates")
-    if any(row[-1] and not any(row[:-1]) for row in m[r:]):
-        raise AssertionError("inconsistent system for coroot coordinates")
-    solution = [Fraction(0)] * ncols
-    for k, col in enumerate(pivots):
-        solution[col] = m[k][-1]
-    return solution
 
 
 _SYSTEMS: dict[tuple[str, int], RootSystem] = {}

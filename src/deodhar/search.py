@@ -112,8 +112,6 @@ class ObstructionReport:
 
     first: CellDescriptor
     second: CellDescriptor
-    strictly_preceq: bool
-    dim_violation: bool
 
     def to_obj(self) -> dict:
         return {
@@ -121,8 +119,6 @@ class ObstructionReport:
             "second_mask": self.second.mask_string,
             "first_dim": self.first.dimension,
             "second_dim": self.second.dimension,
-            "strictly_preceq": self.strictly_preceq,
-            "dim_violation": self.dim_violation,
         }
 
 
@@ -144,14 +140,7 @@ def find_obstructions(word: ReducedWord) -> list[ObstructionReport]:
             if gamma.sub == delta.sub or delta.dimension < gamma.dimension:
                 continue
             if preceq(delta.sub, gamma.sub):
-                out.append(
-                    ObstructionReport(
-                        first=gamma,
-                        second=delta,
-                        strictly_preceq=True,
-                        dim_violation=True,
-                    )
-                )
+                out.append(ObstructionReport(first=gamma, second=delta))
     out.sort(key=lambda rep: (rep.first.sub.mask_int, rep.second.sub.mask_int))
     return out
 
@@ -170,18 +159,9 @@ class DisjointnessCertificate:
 
     root: Root
     witness_index: int
-    absent_in_first: bool
-    unique_in_second: bool
-    witness_free: bool
 
     def to_obj(self) -> dict:
-        return {
-            "root": list(self.root.coeffs),
-            "witness_index": self.witness_index,
-            "absent_in_first": self.absent_in_first,
-            "unique_in_second": self.unique_in_second,
-            "witness_free": self.witness_free,
-        }
+        return {"root": list(self.root.coeffs), "witness_index": self.witness_index}
 
 
 def disjointness_certificate(
@@ -203,13 +183,7 @@ def disjointness_certificate(
             continue
         occurrences = [entry for entry in phi_second if entry.root == target]
         if len(occurrences) == 1 and occurrences[0].free:
-            return DisjointnessCertificate(
-                root=target,
-                witness_index=occurrences[0].index,
-                absent_in_first=True,
-                unique_in_second=True,
-                witness_free=True,
-            )
+            return DisjointnessCertificate(root=target, witness_index=occurrences[0].index)
     return None
 
 

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from deodhar.chevalley import WITNESS_BOUND
 from deodhar.cli import main
+from deodhar.roots import RANK_BOUND
 
 
 def run(capsys, *argv):
@@ -151,3 +153,26 @@ def test_deterministic_output(capsys):
     first = run(capsys, *args)
     second = run(capsys, *args)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv,payload",
+    [
+        (["count", "--family", "B", "--q", "2"], None),
+        (["collect", "--input", "PATH"], []),
+        (["collect", "--input", "PATH"], [{"coeff": []}]),
+        (["collect", "--input", "PATH"], {"factors": [{"root": [0, -1, 0], "coeff": []}, {"coeff": []}]}),
+        (["collect", "--input", "PATH"], [{"root": [0, -1, 0], "coeff": [{"mono": {}, "num": 1, "den": 0}]}]),
+        (["collect", "--input", "PATH"], {"factors": 5}),
+        (["cells", "--family", "B", "--rank", str(RANK_BOUND + 1), "--word", "1"], None),
+        (["verify", "disjoint", "--n", str(RANK_BOUND + 1)], None),
+        (["verify", "closure", "--n", str(WITNESS_BOUND + 1)], None),
+    ],
+)
+def test_input_errors_exit_2(tmp_path, capsys, argv, payload):
+    source = tmp_path / "word.json"
+    source.write_text(json.dumps(payload))
+    code = main([str(source) if a == "PATH" else a for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err

@@ -1,6 +1,6 @@
 import pytest
 
-from deodhar.roots import Root, commutator_terms, root_system
+from deodhar.roots import Root, RootSystem, _StructureConstants, commutator_terms, root_system
 from deodhar.weyl import context
 
 
@@ -133,6 +133,22 @@ def test_extraspecial_pairs_positive():
     system = root_system("B", 3)
     for total, (r, s) in system.structure.extraspecial.items():
         assert system.structure_constant(system.root(r), system.root(s)) > 0
+
+
+def test_corrupted_realization_is_rejected(monkeypatch):
+    # Negating e_{-beta_2} keeps every bracket a multiple of a root vector,
+    # but for alpha = beta_1 + beta_2 the bracket [e_alpha, e_-alpha] is no
+    # longer h_1 + 2 h_2, the closed-form coroot.
+    realization = _StructureConstants._basis_matrices
+
+    def corrupted(self):
+        vectors = realization(self)
+        vectors[(0, -1, 0)] = {k: -v for k, v in vectors[(0, -1, 0)].items()}
+        return vectors
+
+    monkeypatch.setattr(_StructureConstants, "_basis_matrices", corrupted)
+    with pytest.raises(AssertionError):
+        RootSystem("B", 3).structure
 
 
 def test_commutator_terms_empty_when_sum_not_root():
