@@ -37,16 +37,7 @@ from .chevalley import (
     verify_closure_witness,
 )
 from .laurent import LaurentPoly, Monomial
-from .roots import (
-    CommutatorTerm,
-    Root,
-    commutator_terms,
-    is_root,
-    positive_roots,
-    root_string,
-    root_system,
-    structure_constant,
-)
+from .roots import CommutatorTerm, Root, root_system
 from .search import (
     CLOSURE_OBSTRUCTION,
     DISJOINTNESS,

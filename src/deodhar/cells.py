@@ -35,7 +35,11 @@ from .roots import Root
 from .weyl import ReducedWord, WeylElement, bruhat_leq
 
 ENUMERATION_BOUND = 24
-HASSE_BOUND = 16
+# hasse_dot compares every pair of distinguished masks, at most 2^l of them
+# for l letters: the 12-letter rank-4 catalog word (1,253 masks) takes about
+# 21 s, a 12-letter word of commuting letters (4,096 masks) about 164 s, and
+# the 16-letter rank-5 catalog word (13,066 masks) about 40 min, extrapolated.
+HASSE_BOUND = 12
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,7 @@ class UnipotentWord:
             if not f.root.is_negative:
                 raise ValueError(f"factor root {f.root} is not negative")
             kept.append(f)
-        if len({(f.root.family, f.root.rank) for f in kept}) > 1:
+        if len({f.root.system for f in kept}) > 1:
             raise ValueError("factors from different root systems")
         object.__setattr__(self, "factors", tuple(kept))
 
@@ -109,8 +109,10 @@ class UnipotentWord:
         factors = []
         try:
             for item in obj:
-                root = system.root(tuple(int(c) for c in item["root"]))
-                factors.append(Factor(root, LaurentPoly.from_obj(item["coeff"])))
+                coeffs = item["root"]
+                if any(type(c) is not int for c in coeffs):
+                    raise ValueError(f"root {coeffs!r} has a non-integer coefficient")
+                factors.append(Factor(system.root(coeffs), LaurentPoly.from_obj(item["coeff"])))
         except (KeyError, TypeError):
             raise ValueError('each factor needs a "root" list and a "coeff"') from None
         return UnipotentWord(tuple(factors))
@@ -140,10 +142,9 @@ def _merge_adjacent(factors: Sequence[Factor]) -> tuple[Factor, ...]:
 
 
 def _commutator_factors(left: Factor, right: Factor) -> list[Factor]:
-    system = root_system(left.root.family, left.root.rank)
     x, y = left.coeff, right.coeff
     out = []
-    for term in system.commutator_terms(left.root, right.root):
+    for term in left.root.system.commutator_terms(left.root, right.root):
         coeff = ((-y) ** term.i) * (x ** term.j) * term.constant
         if not coeff.is_zero():
             out.append(Factor(term.root, coeff))
@@ -216,7 +217,8 @@ def limit_at_infinity(word: UnipotentWord, var: str) -> UnipotentWord:
 
 
 class AdjointRep:
-    """ad matrices on the Chevalley basis (h_1..h_n, then the root vectors)."""
+    """ad matrices on the Chevalley basis: h_1..h_n, then the root vectors in
+    the order of ``system.roots``, so e_r is basis vector n + r.index."""
 
     MAX_NILPOTENCY = 5
 
@@ -224,54 +226,41 @@ class AdjointRep:
         system = root_system(ctx.family, ctx.rank)
         self.ctx = ctx
         self.system = system
-        pos = [r.coeffs for r in system.positive_roots]
-        neg = [tuple(-c for c in t) for t in pos]
-        self.basis: list = [("h", i) for i in range(1, ctx.rank + 1)]
-        self.basis += [("e", t) for t in pos + neg]
-        self.index = {label: k for k, label in enumerate(self.basis)}
-        self.dim = len(self.basis)
-        self._ad: dict[tuple, Matrix] = {}
-        self._divided: dict[tuple, list[Matrix]] = {}
-        for t in pos + neg:
-            self._ad[t] = self._build_ad(t)
+        self.dim = ctx.rank + len(system.roots)
+        self._ad = [self._build_ad(r) for r in system.roots]
+        self._divided: dict[Root, list[Matrix]] = {}
 
-    def _build_ad(self, alpha: tuple[int, ...]) -> Matrix:
+    def _build_ad(self, alpha: Root) -> Matrix:
         system = self.system
         n = self.ctx.rank
         rows = [[0] * self.dim for _ in range(self.dim)]
-        arow = self.index[("e", alpha)]
-        root_a = system.root(alpha)
         for j in range(1, n + 1):
-            rows[arow][self.index[("h", j)]] = -system.cartan_pairing(alpha, j)
-        for label in self.basis:
-            if label[0] != "e":
-                continue
-            beta = label[1]
-            col = self.index[label]
-            total = tuple(a + b for a, b in zip(alpha, beta))
-            if all(v == 0 for v in total):
-                for j, c in enumerate(system.coroot_coords(root_a), start=1):
-                    rows[self.index[("h", j)]][col] = c
-            elif total in system.root_tuples:
-                value = system.structure_constant(root_a, system.root(beta))
-                rows[self.index[("e", total)]][col] = value
+            rows[n + alpha.index][j - 1] = -system.cartan_pairing(alpha.coeffs, j)
+        for beta in system.roots:
+            col = n + beta.index
+            total = alpha.try_add(beta)
+            if beta is -alpha:
+                for j, c in enumerate(system.coroot_coords(alpha), start=1):
+                    rows[j - 1][col] = c
+            elif total is not None:
+                rows[n + total.index][col] = system.structure_constant(alpha, beta)
         return tuple(tuple(row) for row in rows)
 
     def ad(self, root: Root) -> Matrix:
-        return self._ad[root.coeffs]
+        if root.system is not self.system:
+            raise ValueError(f"root {root} is not in {self.ctx}")
+        return self._ad[root.index]
 
     def ad_cartan(self, j: int) -> Matrix:
+        n = self.ctx.rank
         rows = [[0] * self.dim for _ in range(self.dim)]
-        for label in self.basis:
-            if label[0] == "e":
-                k = self.index[label]
-                rows[k][k] = self.system.cartan_pairing(label[1], j)
+        for r in self.system.roots:
+            rows[n + r.index][n + r.index] = self.system.cartan_pairing(r.coeffs, j)
         return tuple(tuple(row) for row in rows)
 
     def divided_powers(self, root: Root) -> list[Matrix]:
         """[I, ad, ad^2/2!, ...] until zero; all entries are integers."""
-        key = root.coeffs
-        if key not in self._divided:
+        if root not in self._divided:
             powers = [mat_identity(self.dim)]
             current = self.ad(root)
             k = 1
@@ -291,8 +280,8 @@ class AdjointRep:
                     scaled.append(tuple(out_row))
                 current = tuple(scaled)
                 k += 1
-            self._divided[key] = powers
-        return self._divided[key]
+            self._divided[root] = powers
+        return self._divided[root]
 
     def exp_factor(self, root: Root, value, prime: int | None = None) -> Matrix:
         value = Fraction(value)

@@ -236,12 +236,13 @@ class LaurentPoly:
         terms: dict[Monomial, Fraction] = {}
         try:
             for item in obj:
-                mono = Monomial.from_mapping({str(k): int(v) for k, v in item["mono"].items()})
-                coeff = Fraction(int(item["num"]), int(item.get("den", 1)))
+                exponents = {str(k): _strict_int(v) for k, v in item["mono"].items()}
+                coeff = Fraction(_strict_int(item["num"]), _strict_int(item.get("den", 1)))
+                mono = Monomial.from_mapping(exponents)
                 terms[mono] = terms.get(mono, Fraction(0)) + coeff
         except (AttributeError, KeyError, TypeError, ZeroDivisionError):
             raise ValueError(
-                'a coefficient is a list of {"mono": {...}, "num": n, "den": d != 0}'
+                'a coefficient is a list of {"mono": {var: int}, "num": int, "den": int != 0}'
             ) from None
         return LaurentPoly(terms)
 
@@ -263,3 +264,10 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
+
+
+def _strict_int(value) -> int:
+    # JSON input: a float or a string is an error, not something to truncate
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value

@@ -1,7 +1,8 @@
 """Root systems of types A_n and B_n with Chevalley structure constants.
 
-Roots are stored as integer coefficient vectors over the simple basis
-``beta_1 .. beta_n``.  The type B realization follows the labeling with the
+Each :class:`RootSystem` builds its :class:`Root` objects once; a root is an
+integer coefficient vector over the simple basis ``beta_1 .. beta_n`` and an
+index into the system's table, and every root of the package is one of them.  The type B realization follows the labeling with the
 double bond between the first two nodes: ``beta_1`` is the short simple root,
 
     beta_1 = e_1,   beta_i = e_i - e_{i-1}  (i >= 2),
@@ -73,22 +74,31 @@ def _sscale(a: Mapping, c: int) -> dict:
 # -- roots -------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
 class Root:
-    """A root, as an integer coefficient vector over the simple roots."""
+    """A root of one :class:`RootSystem`: its integer coefficient vector over
+    the simple roots and its index in ``system.roots``.
 
-    family: str
-    rank: int
-    coeffs: tuple[int, ...]
+    Every root is built once, by its system, so equality is identity and the
+    hash is the index: sets and dicts of roots iterate in the same order in
+    every interpreter.
+    """
 
-    def __post_init__(self):
-        system = root_system(self.family, self.rank)
-        if self.coeffs not in system.root_tuples:
-            raise ValueError(f"{self.coeffs} is not a root of {self.family}_{self.rank}")
+    __slots__ = ("system", "coeffs", "index")
+
+    def __init__(self, system: "RootSystem", coeffs: tuple[int, ...], index: int):
+        self.system = system
+        self.coeffs = coeffs
+        self.index = index
+
+    def __hash__(self) -> int:
+        return self.index
+
+    def __repr__(self) -> str:
+        return f"Root({self.system.family}{self.system.rank}: {self})"
 
     @property
     def is_positive(self) -> bool:
-        return any(c > 0 for c in self.coeffs)
+        return self.index < len(self.system.positive_roots)
 
     @property
     def is_negative(self) -> bool:
@@ -105,22 +115,20 @@ class Root:
 
     @property
     def is_short(self) -> bool:
-        system = root_system(self.family, self.rank)
-        return system.norm_sq(self.coeffs) == system.min_norm_sq
+        return self.system.norm_sq(self.coeffs) == self.system.min_norm_sq
 
     @property
     def is_long(self) -> bool:
         return not self.is_short
 
     def __neg__(self) -> "Root":
-        return Root(self.family, self.rank, tuple(-c for c in self.coeffs))
+        # the negatives follow the positives in the same order
+        roots = self.system.roots
+        return roots[self.index - len(roots) // 2]
 
     def try_add(self, other: "Root") -> "Root | None":
         total = tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        system = root_system(self.family, self.rank)
-        if total in system.root_tuples:
-            return Root(self.family, self.rank, total)
-        return None
+        return self.system._by_coeffs.get(total)
 
     def serialize(self) -> str:
         return ",".join(str(c) for c in self.coeffs)
@@ -140,7 +148,11 @@ class CommutatorTerm:
 
 
 class RootSystem:
-    """Root data for one (family, rank), built once and shared."""
+    """Root data for one (family, rank), built once and shared.
+
+    ``roots`` holds every root once: the positive roots by height, then lex
+    (Carter's total order), followed by their negatives in the same order.
+    """
 
     def __init__(self, family: str, rank: int):
         if family not in (FAMILY_A, FAMILY_B):
@@ -153,12 +165,12 @@ class RootSystem:
             raise ValueError(f"rank {rank} exceeds {RANK_BOUND}")
         self.family = family
         self.rank = rank
-        self._pos_tuples = self._generate_positive()
-        self.root_tuples = frozenset(self._pos_tuples) | frozenset(
-            tuple(-c for c in t) for t in self._pos_tuples
-        )
-        self.min_norm_sq = min(self.norm_sq(t) for t in self._pos_tuples)
-        self._positive_roots: list[Root] | None = None
+        positive = self._generate_positive()
+        coeffs = positive + [tuple(-c for c in t) for t in positive]
+        self.roots = tuple(Root(self, t, k) for k, t in enumerate(coeffs))
+        self.positive_roots = self.roots[: len(positive)]
+        self._by_coeffs = {r.coeffs: r for r in self.roots}
+        self.min_norm_sq = min(self.norm_sq(t) for t in positive)
         self._structure: _StructureConstants | None = None
         self._self_test()
 
@@ -189,19 +201,23 @@ class RootSystem:
         # The realization must be closed under the simple reflections, and in
         # type B must reproduce s_1(beta_2) = 2 beta_1 + beta_2 and
         # s_2(beta_1) = beta_1 + beta_2.
-        for t in self.root_tuples:
+        for r in self.roots:
             for i in range(1, self.rank + 1):
-                if self.reflect_tuple(t, i) not in self.root_tuples:
-                    raise AssertionError(f"reflection t_{i} breaks root {t}")
-        if self.family == FAMILY_B and self.rank >= 2:
-            beta1 = self.simple_tuple(1)
-            beta2 = self.simple_tuple(2)
-            expected12 = tuple(a + b for a, b in zip(beta1, beta2))
-            if self.reflect_tuple(beta1, 2) != expected12:
+                if self._reflect(r, i) is None:
+                    raise AssertionError(f"reflection t_{i} breaks root {r}")
+        if self.family == FAMILY_B:
+            beta1, beta2 = self.simple(1), self.simple(2)
+            sum12 = beta1.try_add(beta2)
+            if self._reflect(beta1, 2) is not sum12:
                 raise AssertionError("s_2(beta_1) != beta_1 + beta_2")
-            expected21 = tuple(2 * a + b for a, b in zip(beta1, beta2))
-            if self.reflect_tuple(beta2, 1) != expected21:
+            if self._reflect(beta2, 1) is not beta1.try_add(sum12):
                 raise AssertionError("s_1(beta_2) != 2 beta_1 + beta_2")
+
+    def _reflect(self, root: Root, i: int) -> Root | None:
+        """t_i(root), or None if the image is missing from the table."""
+        pairing = self.cartan_pairing(root.coeffs, i)
+        beta = self.simple(i).coeffs
+        return self._by_coeffs.get(tuple(c - pairing * b for c, b in zip(root.coeffs, beta)))
 
     # -- ambient coordinates --------------------------------------------------
 
@@ -230,63 +246,43 @@ class RootSystem:
 
     def cartan_pairing(self, coeffs: Sequence[int], i: int) -> int:
         """<alpha, beta_i-check> = 2 (alpha, beta_i) / (beta_i, beta_i)."""
-        beta = self.simple_tuple(i)
+        beta = self.simple(i).coeffs
         value = Fraction(2 * self.dot(coeffs, beta), self.norm_sq(beta))
         if value.denominator != 1:
             raise AssertionError("non-integral Cartan pairing")
         return int(value)
 
-    def reflect_tuple(self, coeffs: Sequence[int], i: int) -> tuple[int, ...]:
-        pairing = self.cartan_pairing(coeffs, i)
-        beta = self.simple_tuple(i)
-        return tuple(c - pairing * b for c, b in zip(coeffs, beta))
-
-    def simple_tuple(self, i: int) -> tuple[int, ...]:
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"simple root index {i} out of range")
-        return tuple(1 if k == i - 1 else 0 for k in range(self.rank))
-
-    # -- public root lists -----------------------------------------------------
-
-    @property
-    def positive_roots(self) -> list[Root]:
-        if self._positive_roots is None:
-            self._positive_roots = [
-                Root(self.family, self.rank, t) for t in self._pos_tuples
-            ]
-        return list(self._positive_roots)
+    # -- root lookup -------------------------------------------------------------
 
     def all_roots(self) -> list[Root]:
-        pos = self.positive_roots
-        return pos + [-r for r in pos]
+        return list(self.roots)
 
     def simple(self, i: int) -> Root:
-        return Root(self.family, self.rank, self.simple_tuple(i))
+        if not 1 <= i <= self.rank:
+            raise ValueError(f"simple root index {i} out of range")
+        # the roots of height one come first, lex ascending: beta_n, ..., beta_1
+        return self.roots[self.rank - i]
 
     def root(self, coeffs: Sequence[int]) -> Root:
-        return Root(self.family, self.rank, tuple(int(c) for c in coeffs))
+        try:
+            return self._by_coeffs[tuple(coeffs)]
+        except KeyError:
+            raise ValueError(
+                f"{tuple(coeffs)} is not a root of {self.family}_{self.rank}"
+            ) from None
 
     def is_root(self, coeffs: Sequence[int]) -> bool:
-        return tuple(coeffs) in self.root_tuples
+        return tuple(coeffs) in self._by_coeffs
 
     # -- root strings -----------------------------------------------------------
 
     def root_string(self, alpha: Root, beta: Root) -> tuple[int, int]:
         """(p, q) with p = max{k : beta - k alpha is a root}, q likewise for +."""
         self._check_independent(alpha, beta)
-        p = 0
-        while self._shift(beta, alpha, -(p + 1)) in self.root_tuples:
-            p += 1
-        q = 0
-        while self._shift(beta, alpha, q + 1) in self.root_tuples:
-            q += 1
-        return p, q
-
-    def _shift(self, beta: Root, alpha: Root, k: int) -> tuple[int, ...]:
-        return tuple(b + k * a for a, b in zip(alpha.coeffs, beta.coeffs))
+        return _steps(beta, -alpha), _steps(beta, alpha)
 
     def _check_independent(self, alpha: Root, beta: Root):
-        if alpha.coeffs == beta.coeffs or alpha.coeffs == (-beta).coeffs:
+        if beta is alpha or beta is -alpha:
             raise ValueError("roots are proportional")
 
     # -- structure constants ------------------------------------------------------
@@ -298,13 +294,13 @@ class RootSystem:
         return self._structure
 
     def structure_constant(self, alpha: Root, beta: Root) -> int:
-        total = tuple(a + b for a, b in zip(alpha.coeffs, beta.coeffs))
-        if total not in self.root_tuples:
-            raise ValueError(f"{alpha} + {beta} is not a root")
-        return self.structure.n_table[(alpha.coeffs, beta.coeffs)]
+        try:
+            return self.structure.n_table[(alpha, beta)]
+        except KeyError:
+            raise ValueError(f"{alpha} + {beta} is not a root") from None
 
     def coroot_coords(self, alpha: Root) -> tuple[int, ...]:
-        return self.structure.coroot_coords[alpha.coeffs]
+        return self.structure.coroot_coords[alpha]
 
     def commutator_terms(self, alpha: Root, beta: Root) -> list[CommutatorTerm]:
         """Terms of [u_alpha(x); u_beta(y)] = prod u_{i beta + j alpha}(C_ij (-y)^i x^j).
@@ -315,35 +311,39 @@ class RootSystem:
         can occur.
         """
         self._check_independent(alpha, beta)
-        pairs = []
-        for i in range(1, 4):
-            for j in range(1, 4):
-                combo = tuple(
-                    i * b + j * a for a, b in zip(alpha.coeffs, beta.coeffs)
-                )
-                if combo in self.root_tuples:
-                    pairs.append((i, j))
-        pairs.sort(key=lambda ij: (ij[0] + ij[1], ij))
-        supported = {(), ((1, 1),), ((1, 1), (1, 2)), ((1, 1), (2, 1))}
-        if tuple(pairs) not in supported:
-            raise AssertionError(f"unexpected commutator support {pairs}")
-        if not pairs:
+        ab = alpha.try_add(beta)
+        if ab is None:
             return []
-        n = self.structure_constant
-        ab = self.root(tuple(a + b for a, b in zip(alpha.coeffs, beta.coeffs)))
-        constants = {(1, 1): Fraction(-n(alpha, beta))}
-        if (1, 2) in pairs:
-            constants[(1, 2)] = Fraction(-n(alpha, beta) * n(alpha, ab), 2)
-        if (2, 1) in pairs:
-            constants[(2, 1)] = Fraction(n(alpha, beta) * n(beta, ab), 2)
-        out = []
-        for i, j in pairs:
-            combo = self.root(tuple(i * b + j * a for a, b in zip(alpha.coeffs, beta.coeffs)))
-            c = constants[(i, j)]
-            if c.denominator != 1:
-                raise AssertionError(f"non-integral commutator constant for {(i, j)}")
-            out.append(CommutatorTerm(i, j, combo, int(c)))
+        aab, abb = ab.try_add(alpha), ab.try_add(beta)
+        heavy = [r for r in (aab, abb) if r is not None]
+        # alpha-strings are unbroken and, in types A and B, hold at most three
+        # roots: nothing lies beyond a missing alpha + beta, and otherwise at
+        # most one term of weight three and none of weight four can occur
+        if len(heavy) > 1 or any(r.try_add(alpha) or r.try_add(beta) for r in heavy):
+            raise AssertionError(f"unexpected commutator support for {alpha}, {beta}")
+        n = self.structure.n_table
+        n_ab = n[(alpha, beta)]
+        out = [CommutatorTerm(1, 1, ab, -n_ab)]
+        if aab is not None:
+            out.append(_halved(1, 2, aab, -n_ab * n[(alpha, ab)]))
+        if abb is not None:
+            out.append(_halved(2, 1, abb, n_ab * n[(beta, ab)]))
         return out
+
+
+def _halved(i: int, j: int, root: Root, twice: int) -> CommutatorTerm:
+    c, rem = divmod(twice, 2)
+    if rem:
+        raise AssertionError(f"non-integral commutator constant for {(i, j)}")
+    return CommutatorTerm(i, j, root, c)
+
+
+def _steps(start: Root, step: Root) -> int:
+    """How many times ``step`` can be added to ``start`` staying a root."""
+    k = 0
+    while (start := start.try_add(step)) is not None:
+        k += 1
+    return k
 
 
 class _StructureConstants:
@@ -351,15 +351,12 @@ class _StructureConstants:
 
     def __init__(self, system: RootSystem):
         self.system = system
-        # Carter's total order on the positive roots (height, then lex) is the
-        # order in which the system generated them.
-        self.order = {t: k for k, t in enumerate(system._pos_tuples)}
         self.extraspecial = self._extraspecial_pairs()
         vectors = self._basis_matrices()
         raw, coroots = self._brackets(vectors)
         eps = self._normalizing_signs(raw)
         self.n_table = {
-            (a, b): eps[a] * eps[b] * eps[_tadd(a, b)] * c for (a, b), c in raw.items()
+            (a, b): eps[a] * eps[b] * eps[a.try_add(b)] * c for (a, b), c in raw.items()
         }
         self.coroot_coords = coroots
         self._validate()
@@ -367,76 +364,76 @@ class _StructureConstants:
     # The defining matrices.  Type A: sl(n+1) with e_{pos->neg} elementary.
     # Type B: so(2n+1) for the antidiagonal form, conjugated so that the short
     # root vectors are integral (2 E_{i,mid} - E_{mid,bar i} and its mate).
-    def _basis_matrices(self) -> dict[tuple[int, ...], dict]:
+    def _basis_matrices(self) -> dict[Root, dict]:
         system = self.system
         n = system.rank
-        out: dict[tuple[int, ...], dict] = {}
+        out: dict[Root, dict] = {}
         if system.family == FAMILY_A:
-            for t in system.root_tuples:
-                ambient = system.to_ambient(t)
+            for r in system.roots:
+                ambient = system.to_ambient(r.coeffs)
                 a = ambient.index(1)
                 b = ambient.index(-1)
-                out[t] = {(a, b): 1}
+                out[r] = {(a, b): 1}
             return out
         mid = n
         bar = lambda i: 2 * n + 1 - i  # 0-based mate of 1-based index i
-        for t in system.root_tuples:
-            ambient = system.to_ambient(t)
+        for r in system.roots:
+            ambient = system.to_ambient(r.coeffs)
             support = [(k + 1, v) for k, v in enumerate(ambient) if v]
             if len(support) == 1:
                 (i, v) = support[0]
                 if v == 1:
-                    out[t] = {(i - 1, mid): 2, (mid, bar(i)): -1}
+                    out[r] = {(i - 1, mid): 2, (mid, bar(i)): -1}
                 else:
-                    out[t] = {(mid, i - 1): 1, (bar(i), mid): -2}
+                    out[r] = {(mid, i - 1): 1, (bar(i), mid): -2}
             else:
                 (i, vi), (j, vj) = support
                 if vi == 1 and vj == -1:
-                    out[t] = {(i - 1, j - 1): 1, (bar(j), bar(i)): -1}
+                    out[r] = {(i - 1, j - 1): 1, (bar(j), bar(i)): -1}
                 elif vi == -1 and vj == 1:
-                    out[t] = {(j - 1, i - 1): 1, (bar(i), bar(j)): -1}
+                    out[r] = {(j - 1, i - 1): 1, (bar(i), bar(j)): -1}
                 elif vi == 1 and vj == 1:
-                    out[t] = {(i - 1, bar(j)): 1, (j - 1, bar(i)): -1}
+                    out[r] = {(i - 1, bar(j)): 1, (j - 1, bar(i)): -1}
                 else:
-                    out[t] = {(bar(j), i - 1): 1, (bar(i), j - 1): -1}
+                    out[r] = {(bar(j), i - 1): 1, (bar(i), j - 1): -1}
         return out
 
     def _brackets(self, vectors):
         system = self.system
-        raw: dict[tuple, int] = {}
-        coroots: dict[tuple, tuple[int, ...]] = {}
-        simple_coroot_mats = [
-            _sbracket(vectors[system.simple_tuple(i)], vectors[tuple(-c for c in system.simple_tuple(i))])
-            for i in range(1, system.rank + 1)
-        ]
-        for a in system.root_tuples:
-            for b in system.root_tuples:
-                if a == b:
+        raw: dict[tuple[Root, Root], int] = {}
+        coroots: dict[Root, tuple[int, ...]] = {}
+        simple_coroot_mats = []
+        for i in range(1, system.rank + 1):
+            beta = system.simple(i)
+            simple_coroot_mats.append(_sbracket(vectors[beta], vectors[-beta]))
+        for a in system.roots:
+            for b in system.roots:
+                if a is b:
                     continue
                 br = _sbracket(vectors[a], vectors[b])
-                total = _tadd(a, b)
-                if total in system.root_tuples:
+                total = a.try_add(b)
+                if total is not None:
                     target = vectors[total]
                     key = next(iter(target))
                     c, rem = divmod(br[key], target[key])
                     if rem or br != _sscale(target, c):
-                        raise AssertionError(f"bracket [{a},{b}] not a multiple of e_{total}")
+                        raise AssertionError(f"bracket [{a}; {b}] not a multiple of e_{total}")
                     raw[(a, b)] = c
-                elif all(v == 0 for v in total):
+                elif b is -a:
                     coroots[a] = self._coroot(a, br, simple_coroot_mats)
                 elif br:
-                    raise AssertionError(f"bracket [{a},{b}] should vanish")
+                    raise AssertionError(f"bracket [{a}; {b}] should vanish")
         return raw, coroots
 
-    def _coroot(self, alpha, bracket, simple_coroot_mats) -> tuple[int, ...]:
+    def _coroot(self, alpha: Root, bracket, simple_coroot_mats) -> tuple[int, ...]:
         """Coordinates of alpha-check over the simple coroots, from the closed
         form alpha-check = sum_i a_i |beta_i|^2 / |alpha|^2 beta_i-check, and
         the full realized bracket [e_alpha, e_-alpha] checked against them."""
         system = self.system
-        norm = system.norm_sq(alpha)
+        norm = system.norm_sq(alpha.coeffs)
         coords = []
-        for i, a in enumerate(alpha, start=1):
-            c, rem = divmod(a * system.norm_sq(system.simple_tuple(i)), norm)
+        for i, a in enumerate(alpha.coeffs, start=1):
+            c, rem = divmod(a * system.norm_sq(system.simple(i).coeffs), norm)
             if rem:
                 raise AssertionError(f"non-integral coroot coordinates for {alpha}")
             coords.append(c)
@@ -448,31 +445,27 @@ class _StructureConstants:
             raise AssertionError(f"[e_{alpha}, e_-{alpha}] is not the coroot {coords}")
         return tuple(coords)
 
-    def _extraspecial_pairs(self) -> dict[tuple, tuple[tuple, tuple]]:
-        order = self.order
+    def _extraspecial_pairs(self) -> dict[Root, tuple[Root, Root]]:
+        # For each positive sum, the pair (r, s) with r + s = total and r
+        # earliest in Carter's total order, which is the index.
+        positive = self.system.positive_roots
         out = {}
-        for total in self.system._pos_tuples:
-            candidates = []
-            for r in self.system._pos_tuples:
-                s = tuple(t - x for t, x in zip(total, r))
-                if s in order and order[r] < order[s]:
-                    candidates.append((order[r], r, s))
-            if candidates:
-                _, r, s = min(candidates)
-                out[total] = (r, s)
+        for total in positive:
+            for r in positive:
+                s = total.try_add(-r)
+                if s is not None and s.is_positive and r.index < s.index:
+                    out[total] = (r, s)
+                    break
         return out
 
-    def _normalizing_signs(self, raw) -> dict[tuple, int]:
-        eps: dict[tuple, int] = {}
-        for total in self.system._pos_tuples:
-            neg = tuple(-c for c in total)
-            if total not in self.extraspecial:
-                eps[total] = eps[neg] = 1
-                continue
-            r, s = self.extraspecial[total]
-            c = raw[(r, s)]
-            sign = eps[r] * eps[s] * (1 if c > 0 else -1)
-            eps[total] = eps[neg] = sign
+    def _normalizing_signs(self, raw) -> dict[Root, int]:
+        eps: dict[Root, int] = {}
+        for total in self.system.positive_roots:
+            sign = 1
+            if total in self.extraspecial:
+                r, s = self.extraspecial[total]
+                sign = eps[r] * eps[s] * (1 if raw[(r, s)] > 0 else -1)
+            eps[total] = eps[-total] = sign
         return eps
 
     def _validate(self):
@@ -480,16 +473,12 @@ class _StructureConstants:
         for (a, b), c in self.n_table.items():
             if self.n_table[(b, a)] != -c:
                 raise AssertionError("antisymmetry failure in structure constants")
-            p, _ = system.root_string(system.root(a), system.root(b))
+            p, _ = system.root_string(a, b)
             if abs(c) != p + 1:
-                raise AssertionError(f"|N{(a, b)}| = {abs(c)} != p+1 = {p + 1}")
-        for total, (r, s) in self.extraspecial.items():
+                raise AssertionError(f"|N({a}; {b})| = {abs(c)} != p+1 = {p + 1}")
+        for r, s in self.extraspecial.values():
             if self.n_table[(r, s)] <= 0:
-                raise AssertionError(f"extraspecial pair {(r, s)} got a negative sign")
-
-
-def _tadd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+                raise AssertionError(f"extraspecial pair ({r}; {s}) got a negative sign")
 
 
 _SYSTEMS: dict[tuple[str, int], RootSystem] = {}
@@ -500,30 +489,6 @@ def root_system(family: str, rank: int) -> RootSystem:
     if key not in _SYSTEMS:
         _SYSTEMS[key] = RootSystem(family, rank)
     return _SYSTEMS[key]
-
-
-# -- module-level operation surface -------------------------------------------
-
-
-def positive_roots(ctx) -> list[Root]:
-    """Positive roots of the context's root system, by height then lex."""
-    return root_system(ctx.family, ctx.rank).positive_roots
-
-
-def is_root(ctx, coeffs: Sequence[int]) -> bool:
-    return root_system(ctx.family, ctx.rank).is_root(tuple(coeffs))
-
-
-def root_string(alpha: Root, beta: Root) -> tuple[int, int]:
-    return root_system(alpha.family, alpha.rank).root_string(alpha, beta)
-
-
-def structure_constant(alpha: Root, beta: Root) -> int:
-    return root_system(alpha.family, alpha.rank).structure_constant(alpha, beta)
-
-
-def commutator_terms(alpha: Root, beta: Root) -> list[CommutatorTerm]:
-    return root_system(alpha.family, alpha.rank).commutator_terms(alpha, beta)
 
 
 def parse_root(ctx, text: str) -> Root:

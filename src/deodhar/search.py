@@ -33,7 +33,7 @@ from .cells import (
     root_sequence,
     subexpression,
 )
-from .roots import Root
+from .roots import Root, root_system
 from .weyl import ReducedWord, WeylElement, context
 
 CLOSURE_OBSTRUCTION = "closure-obstruction"
@@ -176,21 +176,16 @@ def disjointness_certificate(
         raise ValueError("certificate needs equal endpoints")
     phi_first = root_sequence(first)
     phi_second = root_sequence(second)
-    rank = first.word.ctx.rank
-    for b in range(1, rank + 1):
-        target = -_simple(first.word.ctx, b)
+    ctx = first.word.ctx
+    system = root_system(ctx.family, ctx.rank)
+    for b in range(1, ctx.rank + 1):
+        target = -system.simple(b)
         if any(entry.root == target for entry in phi_first):
             continue
         occurrences = [entry for entry in phi_second if entry.root == target]
         if len(occurrences) == 1 and occurrences[0].free:
             return DisjointnessCertificate(root=target, witness_index=occurrences[0].index)
     return None
-
-
-def _simple(ctx, i: int) -> Root:
-    from .roots import root_system
-
-    return root_system(ctx.family, ctx.rank).simple(i)
 
 
 @dataclass(frozen=True)

@@ -184,8 +184,8 @@ class WeylElement:
 
     def act_on_root(self, root: Root) -> Root:
         """Image of a root under the linear action on ambient coordinates."""
-        system = root_system(self.ctx.family, self.ctx.rank)
-        if (root.family, root.rank) != (self.ctx.family, self.ctx.rank):
+        system = root.system
+        if (system.family, system.rank) != (self.ctx.family, self.ctx.rank):
             raise ValueError("root does not belong to this context")
         ambient = system.to_ambient(root.coeffs)
         moved = [0] * len(ambient)

@@ -1,10 +1,15 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from deodhar.chevalley import WITNESS_BOUND
 from deodhar.cli import main
 from deodhar.roots import RANK_BOUND
+
+
+GOLDEN = Path(__file__).parent / "golden"
+B3_WORD = "3,2,1,2,3,2,1,2,1"
 
 
 def run(capsys, *argv):
@@ -167,6 +172,13 @@ def test_deterministic_output(capsys):
         (["cells", "--family", "B", "--rank", str(RANK_BOUND + 1), "--word", "1"], None),
         (["verify", "disjoint", "--n", str(RANK_BOUND + 1)], None),
         (["verify", "closure", "--n", str(WITNESS_BOUND + 1)], None),
+        (["collect", "--input", "PATH"], [{"root": [0, -1, 0], "coeff": [{"mono": {"x": 1.5}, "num": 1}]}]),
+        (["collect", "--input", "PATH"], [{"root": [0, -1, 0], "coeff": [{"mono": {"x": 1}, "num": 2.5}]}]),
+        (["collect", "--input", "PATH"], [{"root": [-1.9, 0, 0], "coeff": [{"mono": {}, "num": 1}]}]),
+        (["collect", "--input", "PATH"], [{"root": [0, -1, 0], "coeff": [{"mono": {}, "num": "7"}]}]),
+        (["collect", "--input", "PATH"], [{"root": [0, -1, False], "coeff": [{"mono": {}, "num": 1}]}]),
+        (["hasse", "--family", "B", "--rank", "5", "--word", "5,4,3,2,1,2,3,4,5,4,3,2,1,2,3,4",
+          "--dot", "-"], None),
     ],
 )
 def test_input_errors_exit_2(tmp_path, capsys, argv, payload):
@@ -176,3 +188,29 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, payload):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# The README commands, plus a type B JSON listing and a collection with
+# commutator terms; tests/golden/<name>.out holds the recorded stdout.
+GOLDEN_COMMANDS = {
+    "cells_end_e": ["cells", "--family", "A", "--rank", "2", "--word", "1,2,1", "--end", "e"],
+    "distinguished": ["distinguished", "--word", "1,2,1", "--mask", "100"],
+    "phi": ["phi", "--family", "B", "--rank", "3", "--word", B3_WORD, "--mask", "011001011"],
+    "order": [
+        "order", "--family", "B", "--rank", "3", "--word", B3_WORD,
+        "--mask", "011001011", "--mask2", "010101101",
+    ],
+    "hasse": ["hasse", "--family", "A", "--rank", "2", "--word", "1,2,1", "--dot", "-"],
+    "count_q7": ["count", "--q", "7"],
+    "collect": ["collect", "--input", str(GOLDEN / "word.json")],
+    "verify_closure_4": ["verify", "closure", "--n", "4"],
+    "verify_disjoint_5": ["verify", "disjoint", "--n", "5"],
+    "cells_b3_json": ["cells", "--family", "B", "--rank", "3", "--word", B3_WORD, "--json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_golden_stdout(capsys, name):
+    code, out = run(capsys, *GOLDEN_COMMANDS[name])
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from deodhar.roots import Root, RootSystem, _StructureConstants, commutator_terms, root_system
+import deodhar
+from deodhar.roots import RootSystem, _StructureConstants, root_system
 from deodhar.weyl import context
 
 
@@ -50,12 +56,43 @@ def test_is_root_examples():
 def test_root_validation_and_classification():
     system = root_system("B", 3)
     with pytest.raises(ValueError):
-        Root("B", 3, (1, 2, 0))
+        system.root((1, 2, 0))
     short = system.root((1, 1, 1))  # e_3
     long_ = system.root((0, 1, 1))  # e_3 - e_1
     assert short.is_short and not short.is_long
     assert long_.is_long
     assert short.height == 3 and (-short).depth == 3
+
+
+def test_roots_are_interned():
+    system = root_system("B", 4)
+    roots = system.all_roots()
+    for r in roots:
+        assert system.root(r.coeffs) is system.root(r.coeffs) is r
+        assert -(-r) is r
+    for a in roots:
+        for b in roots:
+            total = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+            expected = system.root(total) if system.is_root(total) else None
+            assert a.try_add(b) is expected
+
+
+def test_root_hashes_stable_across_interpreters():
+    code = (
+        "from deodhar.roots import root_system\n"
+        "roots = root_system('B', 3).all_roots()\n"
+        "print([hash(r) for r in roots], [str(r) for r in set(roots)])\n"
+    )
+    src = str(Path(deodhar.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.add(result.stdout)
+    assert len(outputs) == 1
 
 
 def test_roots_closed_under_weyl_action():
@@ -132,7 +169,7 @@ def test_structure_constant_table_properties(family, rank):
 def test_extraspecial_pairs_positive():
     system = root_system("B", 3)
     for total, (r, s) in system.structure.extraspecial.items():
-        assert system.structure_constant(system.root(r), system.root(s)) > 0
+        assert system.structure_constant(r, s) > 0
 
 
 def test_corrupted_realization_is_rejected(monkeypatch):
@@ -143,7 +180,8 @@ def test_corrupted_realization_is_rejected(monkeypatch):
 
     def corrupted(self):
         vectors = realization(self)
-        vectors[(0, -1, 0)] = {k: -v for k, v in vectors[(0, -1, 0)].items()}
+        e_minus_b2 = self.system.root((0, -1, 0))
+        vectors[e_minus_b2] = {k: -v for k, v in vectors[e_minus_b2].items()}
         return vectors
 
     monkeypatch.setattr(_StructureConstants, "_basis_matrices", corrupted)
@@ -154,7 +192,7 @@ def test_corrupted_realization_is_rejected(monkeypatch):
 def test_commutator_terms_empty_when_sum_not_root():
     system = root_system("B", 3)
     alpha, beta = -system.simple(1), -system.simple(3)
-    assert commutator_terms(alpha, beta) == []
+    assert system.commutator_terms(alpha, beta) == []
 
 
 def test_commutator_terms_single_case():
