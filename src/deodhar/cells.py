@@ -28,6 +28,7 @@ Closures satisfy ``closure(D_gamma) subset union of D_delta`` over
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator
 
 from .laurent import LaurentPoly
@@ -35,11 +36,11 @@ from .roots import Root
 from .weyl import ReducedWord, WeylElement, bruhat_leq
 
 ENUMERATION_BOUND = 24
-# hasse_dot compares every pair of distinguished masks, at most 2^l of them
-# for l letters: the 12-letter rank-4 catalog word (1,253 masks) takes about
-# 21 s, a 12-letter word of commuting letters (4,096 masks) about 164 s, and
-# the 16-letter rank-5 catalog word (13,066 masks) about 40 min, extrapolated.
-HASSE_BOUND = 12
+# Most distinguished masks hasse_dot accepts.  It compares every pair of them,
+# so the cost grows with the square of their number: 927 masks take about
+# 10 s, the rank-4 catalog word (1,253 masks) about 20 s, 1,588 masks 31 s,
+# 2,048 masks 46 s and 4,096 masks 164 s.
+HASSE_BOUND = 1300
 
 
 @dataclass(frozen=True)
@@ -61,14 +62,6 @@ class Subexpression:
                 prev = partials[-1]
                 partials.append(prev.right_mult_generator(letter) if bit else prev)
             object.__setattr__(self, "partials", tuple(partials))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subexpression):
-            return NotImplemented
-        return self.word == other.word and self.mask == other.mask
-
-    def __hash__(self) -> int:
-        return hash((self.word, self.mask))
 
     def __len__(self) -> int:
         return len(self.mask)
@@ -271,9 +264,10 @@ def hasse_dot(word: ReducedWord) -> str:
     Edges point from the preceq-smaller mask to the larger one; node labels
     carry the mask and the cell dimension.
     """
-    if len(word) > HASSE_BOUND:
-        raise ValueError(f"word length {len(word)} exceeds {HASSE_BOUND}")
-    subs = list(enumerate_subexpressions(word, distinguished_only=True))
+    masks = enumerate_subexpressions(word, distinguished_only=True)
+    subs = list(islice(masks, HASSE_BOUND + 1))
+    if len(subs) > HASSE_BOUND:
+        raise ValueError(f"word has more than {HASSE_BOUND} distinguished masks")
     above: dict[int, set[int]] = {}
     for a, da in enumerate(subs):
         above[a] = {

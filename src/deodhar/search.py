@@ -127,7 +127,8 @@ def find_obstructions(word: ReducedWord) -> list[ObstructionReport]:
     below gamma in the closure order and dim(delta) >= dim(gamma).
 
     Equal dimensions already qualify: two distinct cells of equal dimension
-    cannot be contained in one another's closures either.
+    cannot be contained in one another's closures either.  Pairs come in
+    increasing (gamma, delta) mask order, the order of the two nested loops.
     """
     if len(word) > SCAN_BOUND:
         raise ValueError(f"word length {len(word)} exceeds {SCAN_BOUND}")
@@ -141,7 +142,6 @@ def find_obstructions(word: ReducedWord) -> list[ObstructionReport]:
                 continue
             if preceq(delta.sub, gamma.sub):
                 out.append(ObstructionReport(first=gamma, second=delta))
-    out.sort(key=lambda rep: (rep.first.sub.mask_int, rep.second.sub.mask_int))
     return out
 
 
@@ -198,7 +198,8 @@ class CertifiedPair:
 def scan_disjointness(word: ReducedWord, v: WeylElement) -> list[CertifiedPair]:
     """All ordered pairs in one double cell with second preceq first and a
     disjointness certificate; every certified pair is a proven negative
-    instance of the closure-intersection question."""
+    instance of the closure-intersection question.  Pairs come in increasing
+    (first, second) mask order."""
     if len(word) > SCAN_BOUND:
         raise ValueError(f"word length {len(word)} exceeds {SCAN_BOUND}")
     descriptors = cells_with_endpoint(word, v)
@@ -212,5 +213,4 @@ def scan_disjointness(word: ReducedWord, v: WeylElement) -> list[CertifiedPair]:
             certificate = disjointness_certificate(first.sub, second.sub)
             if certificate is not None:
                 out.append(CertifiedPair(first, second, certificate))
-    out.sort(key=lambda pair: (pair.first.sub.mask_int, pair.second.sub.mask_int))
     return out

@@ -24,6 +24,10 @@ from typing import Iterable, Iterator, Sequence
 
 from .roots import FAMILY_A, FAMILY_B, Root, root_system
 
+# Longest element whose reduced words are listed; their number grows
+# exponentially with the length.
+REDUCED_WORDS_BOUND = 12
+
 
 class CoxeterContext:
     """One Weyl group W(A_n) or W(B_n); use :func:`context` to obtain one."""
@@ -278,10 +282,10 @@ def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
     return result
 
 
-def all_reduced_words(w: WeylElement, max_length: int = 12) -> list[ReducedWord]:
+def all_reduced_words(w: WeylElement) -> list[ReducedWord]:
     """Every reduced word for ``w``, in lexicographic order."""
-    if w.length > max_length:
-        raise ValueError(f"length {w.length} exceeds the bound {max_length}")
+    if w.length > REDUCED_WORDS_BOUND:
+        raise ValueError(f"length {w.length} exceeds the bound {REDUCED_WORDS_BOUND}")
     cache = w.ctx._reduced_word_cache
 
     def rec(u: WeylElement) -> tuple[tuple[int, ...], ...]:

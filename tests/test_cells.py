@@ -188,7 +188,7 @@ def test_hasse_dot_bound():
     from deodhar.search import catalog
 
     with pytest.raises(ValueError):
-        hasse_dot(catalog(CLOSURE_OBSTRUCTION, 6).word)  # 20 letters
+        hasse_dot(catalog(CLOSURE_OBSTRUCTION, 6).word)  # 136,563 masks
 
 
 def test_hasse_dot_shapes():

@@ -12,7 +12,6 @@ from deodhar.chevalley import (
     VerificationError,
     adjoint_rep,
     build_closure_witness_words,
-    canonical_key,
     collect,
     evaluate_adjoint,
     is_canonical,
@@ -144,16 +143,14 @@ def test_collect_symbolic_then_specialize(rng):
         assert lhs == rhs
 
 
-def test_collect_order_independence(rng):
-    def reversed_key(root):
-        depth, lex = canonical_key(root)
-        return (-depth, tuple(-v for v in lex))
-
-    for _ in range(15):
-        w = random_unipotent_word(B3, rng)
-        m1 = evaluate_adjoint(B3, collect(w))
-        m2 = evaluate_adjoint(B3, collect(w, key=reversed_key))
-        assert m1 == m2
+def test_collection_order_is_root_index_order():
+    # collect and is_canonical order factors by root.index; that is depth,
+    # then the coefficients of the opposite positive root, lex ascending
+    systems = [("A", r) for r in range(1, 8)] + [("B", r) for r in range(2, 10)]
+    for family, rank in systems:
+        negatives = [r for r in root_system(family, rank).roots if r.is_negative]
+        by_depth_lex = sorted(negatives, key=lambda r: (r.depth, (-r).coeffs))
+        assert by_depth_lex == negatives
 
 
 def test_limit_examples():

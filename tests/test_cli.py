@@ -179,6 +179,8 @@ def test_deterministic_output(capsys):
         (["collect", "--input", "PATH"], [{"root": [0, -1, False], "coeff": [{"mono": {}, "num": 1}]}]),
         (["hasse", "--family", "B", "--rank", "5", "--word", "5,4,3,2,1,2,3,4,5,4,3,2,1,2,3,4",
           "--dot", "-"], None),
+        (["hasse", "--family", "B", "--rank", "16", "--word", "1,3,5,7,9,11,13,15,2,4,6,8",
+          "--dot", "-"], None),
     ],
 )
 def test_input_errors_exit_2(tmp_path, capsys, argv, payload):

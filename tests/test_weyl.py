@@ -158,7 +158,7 @@ def test_all_reduced_words():
 
 def test_all_reduced_words_bound():
     with pytest.raises(ValueError):
-        all_reduced_words(B3.longest_element(), max_length=5)
+        all_reduced_words(context("B", 4).longest_element())  # length 16
 
 
 def test_serialization():
