@@ -41,6 +41,10 @@ ENUMERATION_BOUND = 24
 # 10 s, the rank-4 catalog word (1,253 masks) about 20 s, 1,588 masks 31 s,
 # 2,048 masks 46 s and 4,096 masks 164 s.
 HASSE_BOUND = 1300
+# Most distinguished masks the cells command lists.  Its cost is about linear
+# in their number: 13,066 masks of the rank-5 catalog word take 2.5 s, 15,000
+# masks of a 24-letter word in B_16 take 9-10 s with --json.
+CELLS_BOUND = 15000
 
 
 @dataclass(frozen=True)
@@ -140,6 +144,16 @@ def enumerate_subexpressions(
         partials.pop()
 
     yield from rec(0)
+
+
+def distinguished_masks(word: ReducedWord, bound: int) -> list[Subexpression]:
+    """The distinguished masks in increasing mask order; ``ValueError`` if
+    there are more than ``bound`` of them (only bound + 1 are enumerated)."""
+    masks = enumerate_subexpressions(word, distinguished_only=True)
+    subs = list(islice(masks, bound + 1))
+    if len(subs) > bound:
+        raise ValueError(f"word has more than {bound} distinguished masks")
+    return subs
 
 
 def is_distinguished(sub: Subexpression) -> bool:
@@ -264,10 +278,7 @@ def hasse_dot(word: ReducedWord) -> str:
     Edges point from the preceq-smaller mask to the larger one; node labels
     carry the mask and the cell dimension.
     """
-    masks = enumerate_subexpressions(word, distinguished_only=True)
-    subs = list(islice(masks, HASSE_BOUND + 1))
-    if len(subs) > HASSE_BOUND:
-        raise ValueError(f"word has more than {HASSE_BOUND} distinguished masks")
+    subs = distinguished_masks(word, HASSE_BOUND)
     above: dict[int, set[int]] = {}
     for a, da in enumerate(subs):
         above[a] = {
@@ -296,8 +307,10 @@ def cell_to_obj(desc: CellDescriptor) -> dict:
         "dim": desc.dimension,
         "affine": desc.affine_rank,
         "torus": desc.torus_rank,
-        "phi": [
-            {"i": entry.index, "root": list(entry.root.coeffs), "free": entry.free}
-            for entry in desc.phi
-        ],
+        "phi": [phi_entry_to_obj(entry) for entry in desc.phi],
     }
+
+
+def phi_entry_to_obj(entry: PhiEntry) -> dict:
+    """JSON-ready form of one coordinate of the root sequence."""
+    return {"i": entry.index, "root": list(entry.root.coeffs), "free": entry.free}

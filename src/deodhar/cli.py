@@ -15,7 +15,7 @@ import sys
 
 from . import cells as cells_mod
 from . import chevalley, matrixgrp, search
-from .weyl import context, parse_word
+from .weyl import ReducedWord, context
 
 
 def _add_context_flags(parser, default_family="B"):
@@ -23,13 +23,16 @@ def _add_context_flags(parser, default_family="B"):
     parser.add_argument("--rank", type=int, default=None)
 
 
-def _resolve_context(args, letters=()):
+def _word(args) -> ReducedWord:
+    """The reduced word ``--word`` of ``--family``; without ``--rank``, the
+    rank is the largest letter (at least 2 in type B)."""
+    letters = _parse_letters(args.word)
     rank = args.rank
     if rank is None:
         rank = max(letters) if letters else 1
         if args.family == "B":
             rank = max(rank, 2)
-    return context(args.family, rank)
+    return ReducedWord(context(args.family, rank), letters)
 
 
 def _parse_letters(text: str) -> tuple[int, ...]:
@@ -56,16 +59,12 @@ def _parse_mask(text: str) -> str:
 
 
 def _cmd_cells(args) -> int:
-    letters = _parse_letters(args.word)
-    ctx = _resolve_context(args, letters)
-    word = parse_word(ctx, args.word)
+    word = _word(args)
+    subs = cells_mod.distinguished_masks(word, cells_mod.CELLS_BOUND)
     if args.end is not None:
-        descriptors = cells_mod.cells_with_endpoint(word, ctx.parse_element(args.end))
-    else:
-        descriptors = [
-            cells_mod.cell(sub)
-            for sub in cells_mod.enumerate_subexpressions(word, distinguished_only=True)
-        ]
+        end = word.ctx.parse_element(args.end)
+        subs = [sub for sub in subs if sub.endpoint is end]
+    descriptors = [cells_mod.cell(sub) for sub in subs]
     if args.json:
         print(json.dumps([cells_mod.cell_to_obj(d) for d in descriptors], sort_keys=True))
     else:
@@ -75,36 +74,24 @@ def _cmd_cells(args) -> int:
                 f"dim={d.dimension} affine={d.affine_rank} torus={d.torus_rank}"
             )
         if args.end is not None:
-            poly = cells_mod.point_count_polynomial(word, ctx.parse_element(args.end))
+            poly = cells_mod.point_count_polynomial(word, end)
             print(f"point count: {poly}")
     return 0
 
 
 def _cmd_distinguished(args) -> int:
-    letters = _parse_letters(args.word)
-    ctx = _resolve_context(args, letters)
-    word = parse_word(ctx, args.word)
+    word = _word(args)
     sub = cells_mod.subexpression(word, _parse_mask(args.mask))
     print("true" if cells_mod.is_distinguished(sub) else "false")
     return 0
 
 
 def _cmd_phi(args) -> int:
-    letters = _parse_letters(args.word)
-    ctx = _resolve_context(args, letters)
-    word = parse_word(ctx, args.word)
+    word = _word(args)
     sub = cells_mod.subexpression(word, _parse_mask(args.mask))
     entries = cells_mod.root_sequence(sub)
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {"i": e.index, "root": list(e.root.coeffs), "free": e.free}
-                    for e in entries
-                ],
-                sort_keys=True,
-            )
-        )
+        print(json.dumps([cells_mod.phi_entry_to_obj(e) for e in entries], sort_keys=True))
     else:
         for e in entries:
             print(f"i={e.index} root={e.root.serialize()} free={str(e.free).lower()}")
@@ -112,9 +99,7 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_order(args) -> int:
-    letters = _parse_letters(args.word)
-    ctx = _resolve_context(args, letters)
-    word = parse_word(ctx, args.word)
+    word = _word(args)
     first = cells_mod.subexpression(word, _parse_mask(args.mask))
     second = cells_mod.subexpression(word, _parse_mask(args.mask2))
     print("true" if cells_mod.preceq(first, second) else "false")
@@ -122,9 +107,7 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_hasse(args) -> int:
-    letters = _parse_letters(args.word)
-    ctx = _resolve_context(args, letters)
-    word = parse_word(ctx, args.word)
+    word = _word(args)
     text = cells_mod.hasse_dot(word)
     if args.dot == "-":
         sys.stdout.write(text)
@@ -142,11 +125,14 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_collect(args) -> int:
-    if args.input == "-":
-        payload = json.load(sys.stdin)
-    else:
-        with open(args.input, encoding="utf-8") as handle:
-            payload = json.load(handle)
+    try:
+        if args.input == "-":
+            payload = json.load(sys.stdin)
+        else:
+            with open(args.input, encoding="utf-8") as handle:
+                payload = json.load(handle)
+    except RecursionError:
+        raise ValueError("input JSON is nested too deeply") from None
     if isinstance(payload, dict):
         family = payload.get("family", args.family)
         rank = payload.get("rank", args.rank)

@@ -38,9 +38,6 @@ class Monomial:
     def exponent(self, var: str) -> int:
         return dict(self.powers).get(var, 0)
 
-    def variables(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.powers)
-
     def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
         value = Fraction(1)
         for var, exp in self.powers:
@@ -101,10 +98,6 @@ class LaurentPoly:
     def variable(name: str, exp: int = 1, coeff=1) -> "LaurentPoly":
         return LaurentPoly({Monomial.of(**{name: exp}): _coerce(coeff)})
 
-    @staticmethod
-    def monomial(mono: Monomial, coeff=1) -> "LaurentPoly":
-        return LaurentPoly({mono: _coerce(coeff)})
-
     # -- inspection --------------------------------------------------------
 
     def terms(self) -> list[tuple[Monomial, Fraction]]:
@@ -130,12 +123,6 @@ class LaurentPoly:
 
     def exponents_of(self, var: str) -> set[int]:
         return {mono.exponent(var) for mono in self._terms} if self._terms else set()
-
-    def variables(self) -> set[str]:
-        out: set[str] = set()
-        for mono in self._terms:
-            out.update(mono.variables())
-        return out
 
     # -- arithmetic --------------------------------------------------------
 

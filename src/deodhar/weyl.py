@@ -9,10 +9,16 @@ realization of :mod:`deodhar.roots`:
   coordinates ``i-1`` and ``i``;
 * type A: ``t_i`` swaps coordinates ``i`` and ``i+1``.
 
+Each context interns its elements: an element is built the first time its
+window is reached and every later operation landing there returns it, so
+equality is identity and the hash is the order of first reach (independent
+of ``PYTHONHASHSEED``).  ``from_window`` is the one entry point that checks a
+window, once per new window; the group operations build valid windows.
+
 >>> ctx = context("B", 3)
 >>> ctx.from_word([1]).window
 (-1, 2, 3)
->>> ctx.from_word([3, 2, 1, 2, 3, 2, 1, 2, 1]) == ctx.longest_element()
+>>> ctx.from_word([3, 2, 1, 2, 3, 2, 1, 2, 1]) is ctx.longest_element()
 True
 """
 
@@ -37,21 +43,27 @@ class CoxeterContext:
         self.family = family
         self.rank = rank
         self.window_size = rank + 1 if family == FAMILY_A else rank
-        self._bruhat_cache: dict[tuple, bool] = {}
-        self._reduced_word_cache: dict[tuple, tuple] = {}
+        # window -> element, for every element reached so far; the group is
+        # too large to list eagerly (|W(B_16)| is about 1.4e18)
+        self._elements: dict[tuple[int, ...], WeylElement] = {}
+        self._bruhat_cache: dict[tuple[int, int], bool] = {}
+        self._reduced_word_cache: dict[WeylElement, tuple] = {}
+        self.identity = self._intern(tuple(range(1, self.window_size + 1)))
 
     def __repr__(self) -> str:
         return f"CoxeterContext({self.family}_{self.rank})"
 
-    @property
-    def identity(self) -> "WeylElement":
-        return WeylElement(self, tuple(range(1, self.window_size + 1)))
+    def _intern(self, window: tuple[int, ...]) -> "WeylElement":
+        """The element with ``window``, built on first reach; the caller
+        guarantees that the window is valid."""
+        element = self._elements.get(window)
+        if element is None:
+            element = WeylElement(self, window, len(self._elements))
+            self._elements[window] = element
+        return element
 
     def generator(self, i: int) -> "WeylElement":
         return self.identity.right_mult_generator(i)
-
-    def generators(self) -> list["WeylElement"]:
-        return [self.generator(i) for i in range(1, self.rank + 1)]
 
     def from_word(self, letters: Iterable[int]) -> "WeylElement":
         w = self.identity
@@ -60,28 +72,32 @@ class CoxeterContext:
         return w
 
     def from_window(self, window: Sequence[int]) -> "WeylElement":
-        return WeylElement(self, tuple(int(v) for v in window))
+        """The element with this window; the one entry point that checks it."""
+        window = tuple(int(v) for v in window)
+        if window not in self._elements:
+            if sorted(abs(v) for v in window) != list(range(1, self.window_size + 1)):
+                raise ValueError(f"window {window} is not a (signed) permutation")
+            if self.family == FAMILY_A and any(v < 0 for v in window):
+                raise ValueError("type A windows are unsigned")
+        return self._intern(window)
 
     def longest_element(self) -> "WeylElement":
         if self.family == FAMILY_B:
-            return WeylElement(self, tuple(-i for i in range(1, self.rank + 1)))
-        return WeylElement(self, tuple(range(self.window_size, 0, -1)))
+            return self._intern(tuple(-i for i in range(1, self.rank + 1)))
+        return self._intern(tuple(range(self.window_size, 0, -1)))
 
     def elements(self) -> Iterator["WeylElement"]:
         """All group elements, by length then window (breadth-first)."""
         layer = {self.identity}
-        seen = set(layer)
         while layer:
-            for w in sorted(layer, key=lambda x: x.window):
-                yield w
-            nxt = set()
-            for w in layer:
-                for i in range(1, self.rank + 1):
-                    u = w.right_mult_generator(i)
-                    if u not in seen and u.length == w.length + 1:
-                        nxt.add(u)
-                        seen.add(u)
-            layer = nxt
+            yield from sorted(layer, key=lambda x: x.window)
+            # the next layer holds the elements one longer, none seen before
+            layer = {
+                u
+                for w in layer
+                for u in map(w.right_mult_generator, range(1, self.rank + 1))
+                if u.length == w.length + 1
+            }
 
     def parse_element(self, text: str) -> "WeylElement":
         """Parse window notation like ``-1,2,3``; ``e`` is the identity."""
@@ -100,27 +116,21 @@ def context(family: str, rank: int) -> CoxeterContext:
     return _CONTEXTS[key]
 
 
-@dataclass(frozen=True)
 class WeylElement:
-    """A group element in window notation; immutable and hashable."""
+    """A group element in window notation, interned by its context: build
+    one with ``ctx.from_window`` or by the group operations, never directly.
+    """
 
-    ctx: CoxeterContext = field(compare=False, repr=False)
-    window: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        n = self.ctx.window_size
-        if sorted(abs(v) for v in self.window) != list(range(1, n + 1)):
-            raise ValueError(f"window {self.window} is not a (signed) permutation")
-        if self.ctx.family == FAMILY_A and any(v < 0 for v in self.window):
-            raise ValueError("type A windows are unsigned")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self.ctx is other.ctx and self.window == other.window
+    def __init__(self, ctx: CoxeterContext, window: tuple[int, ...], index: int):
+        self.ctx = ctx
+        self.window = window
+        self.index = index
 
     def __hash__(self) -> int:
-        return hash((self.ctx.family, self.ctx.rank, self.window))
+        return self.index
+
+    def __repr__(self) -> str:
+        return f"<WeylElement {self.ctx.family}{self.ctx.rank}: {self}>"
 
     def apply(self, value: int) -> int:
         """Image of the signed index ``value`` in ``{+-1, ..., +-n}``."""
@@ -130,13 +140,13 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.ctx is not other.ctx:
             raise ValueError("elements from different contexts")
-        return WeylElement(self.ctx, tuple(self.apply(v) for v in other.window))
+        return self.ctx._intern(tuple(self.apply(v) for v in other.window))
 
     def inverse(self) -> "WeylElement":
         inv = [0] * len(self.window)
         for i, v in enumerate(self.window, start=1):
             inv[abs(v) - 1] = i if v > 0 else -i
-        return WeylElement(self.ctx, tuple(inv))
+        return self.ctx._intern(tuple(inv))
 
     def right_mult_generator(self, i: int) -> "WeylElement":
         """Fast ``self * t_i``; the workhorse of every enumeration."""
@@ -145,13 +155,13 @@ class WeylElement:
         w = self.window
         if self.ctx.family == FAMILY_B:
             if i == 1:
-                return WeylElement(self.ctx, (-w[0],) + w[1:])
+                return self.ctx._intern((-w[0],) + w[1:])
             a, b = i - 2, i - 1
         else:
             a, b = i - 1, i
         new = list(w)
         new[a], new[b] = new[b], new[a]
-        return WeylElement(self.ctx, tuple(new))
+        return self.ctx._intern(tuple(new))
 
     @cached_property
     def length(self) -> int:
@@ -170,7 +180,7 @@ class WeylElement:
         return inversions + negatives + negative_pairs
 
     def is_identity(self) -> bool:
-        return self.window == tuple(range(1, len(self.window) + 1))
+        return self is self.ctx.identity
 
     def has_right_descent(self, i: int) -> bool:
         """True iff length(self * t_i) < length(self)."""
@@ -262,11 +272,12 @@ def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
     cache = u.ctx._bruhat_cache
     stack = []
     while True:
-        key = (u.window, v.window)
+        # the indices name the elements; unlike (u, v) they hash in C
+        key = (u.index, v.index)
         if key in cache:
             result = cache[key]
             break
-        if u == v or u.is_identity():
+        if u is v or u.is_identity():
             result = True
             break
         if u.length >= v.length:
@@ -291,14 +302,14 @@ def all_reduced_words(w: WeylElement) -> list[ReducedWord]:
     def rec(u: WeylElement) -> tuple[tuple[int, ...], ...]:
         if u.is_identity():
             return ((),)
-        if u.window in cache:
-            return cache[u.window]
+        if u in cache:
+            return cache[u]
         words = []
         for i in u.right_descents():
             for prefix in rec(u.right_mult_generator(i)):
                 words.append(prefix + (i,))
         result = tuple(sorted(words))
-        cache[u.window] = result
+        cache[u] = result
         return result
 
     return [ReducedWord(w.ctx, letters) for letters in rec(w)]

@@ -181,11 +181,16 @@ def test_deterministic_output(capsys):
           "--dot", "-"], None),
         (["hasse", "--family", "B", "--rank", "16", "--word", "1,3,5,7,9,11,13,15,2,4,6,8",
           "--dot", "-"], None),
+        (["cells", "--family", "B", "--rank", "16", "--word",
+          "1,3,5,7,9,11,13,15,2,4,6,8,10,12,14,16,1,3,5,7,9,11,13,15"], None),
+        # a string payload is written as is: json.dumps cannot nest this deep
+        pytest.param(["collect", "--input", "PATH"], "[" * 2000 + "]" * 2000,
+                     id="collect-deep-nesting"),
     ],
 )
 def test_input_errors_exit_2(tmp_path, capsys, argv, payload):
     source = tmp_path / "word.json"
-    source.write_text(json.dumps(payload))
+    source.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     code = main([str(source) if a == "PATH" else a for a in argv])
     err = capsys.readouterr().err
     assert code == 2

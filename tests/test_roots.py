@@ -80,8 +80,11 @@ def test_roots_are_interned():
 def test_root_hashes_stable_across_interpreters():
     code = (
         "from deodhar.roots import root_system\n"
+        "from deodhar.weyl import context\n"
         "roots = root_system('B', 3).all_roots()\n"
         "print([hash(r) for r in roots], [str(r) for r in set(roots)])\n"
+        "elements = list(context('B', 3).elements())\n"
+        "print([hash(w) for w in elements], [str(w) for w in set(elements)])\n"
     )
     src = str(Path(deodhar.__file__).resolve().parents[1])
     outputs = set()

@@ -63,6 +63,18 @@ def test_window_validation():
         A2.from_window((1, -2, 3))
 
 
+def test_elements_are_interned():
+    ctx = context("B", 4)
+    elements = list(ctx.elements())
+    assert len(elements) == 384
+    for w in elements:
+        assert ctx.from_window(w.window) is w
+        for i in range(1, ctx.rank + 1):
+            assert w.right_mult_generator(i).right_mult_generator(i) is w
+        assert w * w.inverse() is ctx.identity
+    assert ctx.from_word([]) is ctx.identity
+
+
 def test_bruhat_trivial_cases():
     w = B3.from_word([1, 2, 1])
     assert bruhat_leq(B3.identity, w)
