@@ -18,6 +18,11 @@ The coordinates of a nonempty cell are indexed by the root sequence
 ``(gamma^i(-alpha_i))`` over the positions where ``gamma^i(alpha_i) > 0``;
 those with ``gamma_i = 1`` carry punctured-line coordinates (``free`` below).
 
+Every consumer reads the distinguished masks through one walk,
+:func:`enumerate_subexpressions`, bounded by a count of masks rather than of
+letters: the linear consumers stream it under ``CELLS_BOUND``, the pairwise
+ones (which compare every pair of masks) hold at most ``PAIRS_BOUND``.
+
 A second partial order drives all closure bookkeeping: ``delta preceq gamma``
 iff ``gamma^i <= delta^i`` in Bruhat order for every ``i``.  Note the
 reversal: the *smaller* cell in this order has the *larger* partial products.
@@ -28,44 +33,34 @@ Closures satisfy ``closure(D_gamma) subset union of D_delta`` over
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Iterator
 
 from .laurent import LaurentPoly
 from .roots import Root
 from .weyl import ReducedWord, WeylElement, bruhat_leq
 
-ENUMERATION_BOUND = 24
-# Most distinguished masks hasse_dot accepts.  It compares every pair of them,
-# so the cost grows with the square of their number: 927 masks take about
-# 10 s, the rank-4 catalog word (1,253 masks) about 20 s, 1,588 masks 31 s,
-# 2,048 masks 46 s and 4,096 masks 164 s.
-HASSE_BOUND = 1300
-# Most distinguished masks the cells command lists.  Its cost is about linear
-# in their number: 13,066 masks of the rank-5 catalog word take 2.5 s, 15,000
-# masks of a 24-letter word in B_16 take 9-10 s with --json.
+# Most distinguished masks a linear consumer walks: cells_with_endpoint,
+# point_count_polynomial, closure_upper_bound and the cells command.  Their
+# cost is about linear in the number of masks: the cells command takes about
+# 3 s with --json on the 13,066 masks of the rank-5 catalog word and 9 s on
+# 15,000 masks of a 24-letter word in B_16.
 CELLS_BOUND = 15000
+# Most distinguished masks a pairwise consumer compares: hasse_dot,
+# find_obstructions and scan_disjointness (there per endpoint).  The cost
+# grows with the square of their number: hasse_dot takes about 10 s on 927
+# masks, 20 s on the rank-4 catalog word (1,253 masks), 31 s on 1,588 masks,
+# 46 s on 2,048 masks and 164 s on 4,096 masks.
+PAIRS_BOUND = 1300
 
 
 @dataclass(frozen=True)
 class Subexpression:
-    """A mask over a fixed reduced word, with cached partial products."""
+    """A mask over a fixed reduced word, with cached partial products; build
+    it with :func:`subexpression`."""
 
     word: ReducedWord
     mask: tuple[int, ...]
-    partials: tuple[WeylElement, ...] = field(compare=False, repr=False, default=())
-
-    def __post_init__(self):
-        if len(self.mask) != len(self.word):
-            raise ValueError("mask length does not match the word")
-        if any(bit not in (0, 1) for bit in self.mask):
-            raise ValueError("mask entries must be 0 or 1")
-        if not self.partials:
-            partials = [self.word.ctx.identity]
-            for bit, letter in zip(self.mask, self.word.letters):
-                prev = partials[-1]
-                partials.append(prev.right_mult_generator(letter) if bit else prev)
-            object.__setattr__(self, "partials", tuple(partials))
+    partials: tuple[WeylElement, ...] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.mask)
@@ -77,10 +72,6 @@ class Subexpression:
     @property
     def mask_string(self) -> str:
         return "".join(str(bit) for bit in self.mask)
-
-    @property
-    def mask_int(self) -> int:
-        return int(self.mask_string, 2) if self.mask else 0
 
     def chosen_positions(self) -> tuple[int, ...]:
         """I(gamma), 1-based."""
@@ -97,63 +88,60 @@ class Subexpression:
     def concat(self, other: "Subexpression") -> "Subexpression":
         """Concatenate words and masks (the combined word must be reduced)."""
         combined = ReducedWord(self.word.ctx, self.word.letters + other.word.letters)
-        return Subexpression(combined, self.mask + other.mask)
+        return subexpression(combined, self.mask + other.mask)
 
 
 def subexpression(word: ReducedWord, mask) -> Subexpression:
-    """Build a subexpression from a mask given as string or bit sequence."""
-    if isinstance(mask, str):
-        bits = tuple(int(ch) for ch in mask)
-    else:
-        bits = tuple(int(b) for b in mask)
-    return Subexpression(word, bits)
+    """The checked constructor: a mask given as a 0/1 string or bit sequence
+    of the word's length, with its partial products."""
+    bits = tuple(int(bit) for bit in mask)
+    if len(bits) != len(word):
+        raise ValueError("mask length does not match the word")
+    if any(bit not in (0, 1) for bit in bits):
+        raise ValueError("mask entries must be 0 or 1")
+    partials = [word.ctx.identity]
+    for bit, letter in zip(bits, word.letters):
+        prev = partials[-1]
+        partials.append(prev.right_mult_generator(letter) if bit else prev)
+    return Subexpression(word, bits, tuple(partials))
 
 
-def enumerate_subexpressions(
-    word: ReducedWord, distinguished_only: bool = False
-) -> Iterator[Subexpression]:
-    """All 2^l masks in increasing mask order (or only the distinguished ones).
+def enumerate_subexpressions(word: ReducedWord, bound: int) -> Iterator[Subexpression]:
+    """The distinguished masks in increasing mask order, depth first: a
+    forced descent only takes the letter.  Raises ``ValueError`` on reaching
+    mask number bound + 1, so at most ``bound`` masks are ever yielded.
 
     >>> from deodhar.weyl import context, parse_word
     >>> w = parse_word(context("A", 2), "1,2,1")
-    >>> len(list(enumerate_subexpressions(w)))
-    8
+    >>> [s.mask_string for s in enumerate_subexpressions(w, CELLS_BOUND)]
+    ['000', '001', '010', '011', '101', '110', '111']
     """
-    if len(word) > ENUMERATION_BOUND:
-        raise ValueError(f"word length {len(word)} exceeds {ENUMERATION_BOUND}")
     letters = word.letters
     mask: list[int] = []
     partials: list[WeylElement] = [word.ctx.identity]
-
-    def rec(pos: int) -> Iterator[Subexpression]:
-        if pos == len(letters):
-            yield Subexpression(word, tuple(mask), tuple(partials))
-            return
-        letter = letters[pos]
-        prev = partials[-1]
-        if not (distinguished_only and prev.has_right_descent(letter)):
-            mask.append(0)
-            partials.append(prev)
-            yield from rec(pos + 1)
+    count = 0
+    while True:
+        # descend along the smallest allowed bits
+        while len(mask) < len(letters):
+            prev, letter = partials[-1], letters[len(mask)]
+            if prev.has_right_descent(letter):
+                mask.append(1)
+                partials.append(prev.right_mult_generator(letter))
+            else:
+                mask.append(0)
+                partials.append(prev)
+        count += 1
+        if count > bound:
+            raise ValueError(f"word has more than {bound} distinguished masks")
+        yield Subexpression(word, tuple(mask), tuple(partials))
+        # backtrack past the trailing 1s, then take the letter of the last 0
+        while mask and mask[-1]:
             mask.pop()
             partials.pop()
-        mask.append(1)
-        partials.append(prev.right_mult_generator(letter))
-        yield from rec(pos + 1)
-        mask.pop()
-        partials.pop()
-
-    yield from rec(0)
-
-
-def distinguished_masks(word: ReducedWord, bound: int) -> list[Subexpression]:
-    """The distinguished masks in increasing mask order; ``ValueError`` if
-    there are more than ``bound`` of them (only bound + 1 are enumerated)."""
-    masks = enumerate_subexpressions(word, distinguished_only=True)
-    subs = list(islice(masks, bound + 1))
-    if len(subs) > bound:
-        raise ValueError(f"word has more than {bound} distinguished masks")
-    return subs
+        if not mask:
+            return
+        mask[-1] = 1
+        partials[-1] = partials[-2].right_mult_generator(letters[len(mask) - 1])
 
 
 def is_distinguished(sub: Subexpression) -> bool:
@@ -224,9 +212,10 @@ def cell(sub: Subexpression) -> CellDescriptor:
 
 def root_sequence(sub: Subexpression) -> tuple[PhiEntry, ...]:
     """The ordered coordinate roots of a distinguished subexpression."""
-    if not is_distinguished(sub):
+    desc = cell(sub)
+    if not desc.distinguished:
         raise ValueError("root sequence is only defined for distinguished masks")
-    return cell(sub).phi
+    return desc.phi
 
 
 def cells_with_endpoint(word: ReducedWord, v: WeylElement) -> list[CellDescriptor]:
@@ -234,8 +223,8 @@ def cells_with_endpoint(word: ReducedWord, v: WeylElement) -> list[CellDescripto
     in mask order; these are exactly the cells of one double Schubert cell."""
     return [
         cell(sub)
-        for sub in enumerate_subexpressions(word, distinguished_only=True)
-        if sub.endpoint == v
+        for sub in enumerate_subexpressions(word, CELLS_BOUND)
+        if sub.endpoint is v
     ]
 
 
@@ -256,7 +245,7 @@ def closure_upper_bound(gamma: Subexpression) -> list[CellDescriptor]:
         raise ValueError("closure bounds are computed for distinguished masks")
     return [
         cell(sub)
-        for sub in enumerate_subexpressions(gamma.word, distinguished_only=True)
+        for sub in enumerate_subexpressions(gamma.word, CELLS_BOUND)
         if preceq(sub, gamma)
     ]
 
@@ -276,9 +265,10 @@ def hasse_dot(word: ReducedWord) -> str:
     """DOT digraph of the covering relation of preceq on distinguished masks.
 
     Edges point from the preceq-smaller mask to the larger one; node labels
-    carry the mask and the cell dimension.
+    carry the mask and the cell dimension.  Every pair is compared, so
+    ``ValueError`` is raised for more than ``PAIRS_BOUND`` masks.
     """
-    subs = distinguished_masks(word, HASSE_BOUND)
+    subs = list(enumerate_subexpressions(word, PAIRS_BOUND))
     above: dict[int, set[int]] = {}
     for a, da in enumerate(subs):
         above[a] = {

@@ -340,8 +340,6 @@ class ClosureWitnessReport:
     n: int
     psi: tuple[Root, ...]
     checks: tuple[WitnessCheck, ...]
-    collected: UnipotentWord
-    limit: UnipotentWord | None
     signs: tuple[tuple[str, str, int], ...]  # (word tag, root, realized sign)
 
     @property
@@ -477,7 +475,6 @@ def verify_closure_witness(n: int) -> ClosureWitnessReport:
     collected_y = collect(u_y)
     _check_support_and_monomials(collected_y, y_expected, "u_y", checks, signs)
 
-    limit_word = None
     collected_z = collect(u_z)
     try:
         limit_word = limit_at_infinity(collected_z, "t")
@@ -503,8 +500,6 @@ def verify_closure_witness(n: int) -> ClosureWitnessReport:
         n=n,
         psi=psi,
         checks=tuple(checks),
-        collected=collected_y,
-        limit=limit_word,
         signs=tuple(signs),
     )
     if not report.passed:

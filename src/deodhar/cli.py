@@ -60,13 +60,19 @@ def _parse_mask(text: str) -> str:
 
 def _cmd_cells(args) -> int:
     word = _word(args)
-    subs = cells_mod.distinguished_masks(word, cells_mod.CELLS_BOUND)
+    # the whole bounded walk comes first, so an input past the bound prints nothing
+    subs = list(cells_mod.enumerate_subexpressions(word, cells_mod.CELLS_BOUND))
     if args.end is not None:
         end = word.ctx.parse_element(args.end)
         subs = [sub for sub in subs if sub.endpoint is end]
-    descriptors = [cells_mod.cell(sub) for sub in subs]
+    descriptors = (cells_mod.cell(sub) for sub in subs)
     if args.json:
-        print(json.dumps([cells_mod.cell_to_obj(d) for d in descriptors], sort_keys=True))
+        # the bytes of json.dumps(list, sort_keys=True), one item at a time
+        write = sys.stdout.write
+        write("[")
+        for k, d in enumerate(descriptors):
+            write((", " if k else "") + json.dumps(cells_mod.cell_to_obj(d), sort_keys=True))
+        write("]\n")
     else:
         for d in descriptors:
             print(

@@ -23,12 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cells import (
+    PAIRS_BOUND,
     CellDescriptor,
     Subexpression,
     cell,
     cells_with_endpoint,
     enumerate_subexpressions,
-    is_distinguished,
     preceq,
     root_sequence,
     subexpression,
@@ -39,8 +39,6 @@ from .weyl import ReducedWord, WeylElement, context
 CLOSURE_OBSTRUCTION = "closure-obstruction"
 DISJOINTNESS = "disjointness"
 DISJOINTNESS_EXTENDED = "disjointness-extended"
-
-SCAN_BOUND = 20
 
 
 @dataclass(frozen=True)
@@ -129,12 +127,10 @@ def find_obstructions(word: ReducedWord) -> list[ObstructionReport]:
     Equal dimensions already qualify: two distinct cells of equal dimension
     cannot be contained in one another's closures either.  Pairs come in
     increasing (gamma, delta) mask order, the order of the two nested loops.
+    Every pair is compared, so ``ValueError`` is raised for a word with more
+    than ``PAIRS_BOUND`` distinguished masks.
     """
-    if len(word) > SCAN_BOUND:
-        raise ValueError(f"word length {len(word)} exceeds {SCAN_BOUND}")
-    descriptors = [
-        cell(sub) for sub in enumerate_subexpressions(word, distinguished_only=True)
-    ]
+    descriptors = [cell(sub) for sub in enumerate_subexpressions(word, PAIRS_BOUND)]
     out = []
     for gamma in descriptors:
         for delta in descriptors:
@@ -170,8 +166,6 @@ def disjointness_certificate(
     """Search for a certificate that closure(cell(first)) misses cell(second)."""
     if first.word != second.word:
         raise ValueError("certificate needs subexpressions of one word")
-    if not (is_distinguished(first) and is_distinguished(second)):
-        raise ValueError("certificate needs distinguished subexpressions")
     if first.endpoint != second.endpoint:
         raise ValueError("certificate needs equal endpoints")
     phi_first = root_sequence(first)
@@ -199,10 +193,11 @@ def scan_disjointness(word: ReducedWord, v: WeylElement) -> list[CertifiedPair]:
     """All ordered pairs in one double cell with second preceq first and a
     disjointness certificate; every certified pair is a proven negative
     instance of the closure-intersection question.  Pairs come in increasing
-    (first, second) mask order."""
-    if len(word) > SCAN_BOUND:
-        raise ValueError(f"word length {len(word)} exceeds {SCAN_BOUND}")
+    (first, second) mask order.  Every pair is compared, so ``ValueError``
+    is raised for more than ``PAIRS_BOUND`` cells with endpoint ``v``."""
     descriptors = cells_with_endpoint(word, v)
+    if len(descriptors) > PAIRS_BOUND:
+        raise ValueError(f"more than {PAIRS_BOUND} cells end at {v.serialize()}")
     out = []
     for first in descriptors:
         for second in descriptors:

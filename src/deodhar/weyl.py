@@ -235,7 +235,7 @@ class ReducedWord:
         return self.ctx is other.ctx and self.letters == other.letters
 
     def __hash__(self) -> int:
-        return hash((self.ctx.family, self.ctx.rank, self.letters))
+        return hash(self.letters)
 
     @property
     def product(self) -> WeylElement:

@@ -1,7 +1,9 @@
 import random
+from itertools import product
 
 import pytest
 
+from deodhar.cells import Subexpression, subexpression
 from deodhar.chevalley import Factor, UnipotentWord
 from deodhar.laurent import LaurentPoly
 from deodhar.roots import root_system
@@ -29,6 +31,12 @@ def subword_bruhat_oracle(u: WeylElement, v: WeylElement) -> bool:
     for letter in word.letters:
         reachable |= {x.right_mult_generator(letter) for x in reachable}
     return u in reachable
+
+
+def all_subexpressions(word) -> list[Subexpression]:
+    """All 2^l masks of a word in increasing mask order, distinguished or
+    not, each built by the checked constructor."""
+    return [subexpression(word, bits) for bits in product((0, 1), repeat=len(word))]
 
 
 def random_unipotent_word(ctx, rng: random.Random, max_factors: int = 8) -> UnipotentWord:

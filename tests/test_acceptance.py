@@ -20,7 +20,6 @@ from conftest import (
 from deodhar.cells import (
     cell,
     cells_with_endpoint,
-    enumerate_subexpressions,
     is_distinguished,
     point_count_polynomial,
     preceq,
@@ -68,7 +67,7 @@ class _Budget:
 
 def test_criterion_1_distinguished_count():
     with _Budget(1, "rank 2 distinguished count", 1.0):
-        subs = list(enumerate_subexpressions(STS))
+        subs = conftest.all_subexpressions(STS)
         assert len(subs) == 8
         flags = {s.mask_string: is_distinguished(s) for s in subs}
         assert sum(flags.values()) == 7
@@ -183,7 +182,7 @@ def test_criterion_9_distinguished_equivalence():
         checked = 0
         for w in B3.elements():
             for word in all_reduced_words(w):
-                for sub in enumerate_subexpressions(word):
+                for sub in conftest.all_subexpressions(word):
                     desc = cell(sub)
                     assert is_distinguished(sub) == (
                         set(desc.descents) <= set(desc.chosen)

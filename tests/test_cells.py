@@ -3,7 +3,9 @@ import re
 
 import pytest
 
+from conftest import all_subexpressions
 from deodhar.cells import (
+    CELLS_BOUND,
     cell,
     cell_to_obj,
     cells_with_endpoint,
@@ -27,18 +29,24 @@ STS = parse_word(A2, "1,2,1")
 
 def test_enumeration_counts_and_order():
     word1 = parse_word(B3, "1")
-    assert [s.mask for s in enumerate_subexpressions(word1)] == [(0,), (1,)]
-    subs = list(enumerate_subexpressions(STS))
+    assert [s.mask for s in all_subexpressions(word1)] == [(0,), (1,)]
+    assert [s.mask for s in enumerate_subexpressions(word1, CELLS_BOUND)] == [(0,), (1,)]
+    subs = all_subexpressions(STS)
     assert len(subs) == 8
-    assert [s.mask_int for s in subs] == sorted(s.mask_int for s in subs)
-    for s in subs:
+    assert [s.mask for s in subs] == sorted(s.mask for s in subs)
+    walked = list(enumerate_subexpressions(STS, CELLS_BOUND))
+    assert [s.mask for s in walked] == sorted(s.mask for s in walked)
+    for s in walked:
         fresh = subexpression(STS, s.mask)  # recomputes the partial products
         assert fresh.partials == s.partials
         assert s.partials[0].is_identity()
     ctx4 = context("B", 4)
     block = (4, 3, 2, 1, 2, 3)
     word12 = parse_word(ctx4, ",".join(map(str, block + block)))
-    assert sum(1 for _ in enumerate_subexpressions(word12)) == 4096
+    everything = all_subexpressions(word12)
+    assert len(everything) == 4096
+    walked = [s.mask for s in enumerate_subexpressions(word12, CELLS_BOUND)]
+    assert walked == [s.mask for s in everything if is_distinguished(s)]
 
 
 def test_enumeration_bound():
@@ -54,8 +62,18 @@ def test_enumeration_bound():
         w = w.right_mult_generator(i)
     word = ReducedWord(ctx, tuple(reversed(letters)))
     assert len(word) == 49
+    walked = 0
+    with pytest.raises(ValueError, match="more than 15000 distinguished masks"):
+        for _ in enumerate_subexpressions(word, CELLS_BOUND):
+            walked += 1
+    assert walked == CELLS_BOUND  # mask number bound + 1 raises instead of being yielded
+
+
+def test_subexpression_checks_mask():
     with pytest.raises(ValueError):
-        next(enumerate_subexpressions(word))
+        subexpression(STS, "10")
+    with pytest.raises(ValueError):
+        subexpression(STS, (1, 2, 0))
 
 
 def test_distinguished_examples():
@@ -63,7 +81,7 @@ def test_distinguished_examples():
     assert is_distinguished(subexpression(STS, "111"))
     assert is_distinguished(subexpression(STS, "000"))
     distinguished = [
-        s.mask_string for s in enumerate_subexpressions(STS) if is_distinguished(s)
+        s.mask_string for s in all_subexpressions(STS) if is_distinguished(s)
     ]
     assert len(distinguished) == 7
     assert "100" not in distinguished
@@ -72,10 +90,10 @@ def test_distinguished_examples():
 def test_distinguished_enumeration_prunes_exactly():
     for word in (STS, parse_word(B3, "3,2,1,2,3,2,1,2,1")):
         via_filter = [
-            s.mask for s in enumerate_subexpressions(word) if is_distinguished(s)
+            s.mask for s in all_subexpressions(word) if is_distinguished(s)
         ]
         via_prune = [
-            s.mask for s in enumerate_subexpressions(word, distinguished_only=True)
+            s.mask for s in enumerate_subexpressions(word, CELLS_BOUND)
         ]
         assert via_filter == via_prune
 
@@ -95,7 +113,7 @@ def test_cell_descriptor_examples():
 
 def test_empty_word_degenerate_case():
     empty = parse_word(B3, "")
-    subs = list(enumerate_subexpressions(empty))
+    subs = list(enumerate_subexpressions(empty, CELLS_BOUND))
     assert len(subs) == 1
     desc = cell(subs[0])
     assert desc.distinguished and desc.dimension == 0 and desc.phi == ()
@@ -142,7 +160,7 @@ def test_root_sequence_requires_distinguished():
 
 
 def test_root_sequence_all_negative_and_sized():
-    for sub in enumerate_subexpressions(STS, distinguished_only=True):
+    for sub in enumerate_subexpressions(STS, CELLS_BOUND):
         entries = root_sequence(sub)
         assert all(e.root.is_negative for e in entries)
         assert len(entries) == len(sub) - len(sub.descent_positions())
@@ -155,11 +173,17 @@ def test_closure_upper_bound_against_brute_force():
         bound = closure_upper_bound(gamma)
         brute = [
             s.mask_string
-            for s in enumerate_subexpressions(STS, distinguished_only=True)
-            if preceq(s, gamma)
+            for s in all_subexpressions(STS)
+            if is_distinguished(s) and preceq(s, gamma)
         ]
         assert [d.mask_string for d in bound] == brute
         assert mask in [d.mask_string for d in bound]
+
+
+def test_closure_upper_bound_bound():
+    # the rank-6 catalog word has 136,563 distinguished masks
+    with pytest.raises(ValueError, match="more than 15000"):
+        closure_upper_bound(catalog(CLOSURE_OBSTRUCTION, 6).first)
 
 
 def test_closure_upper_bound_contains_catalog_pair():

@@ -6,10 +6,13 @@ import pytest
 from deodhar.chevalley import WITNESS_BOUND
 from deodhar.cli import main
 from deodhar.roots import RANK_BOUND
+from deodhar.weyl import context, parse_word
 
 
 GOLDEN = Path(__file__).parent / "golden"
 B3_WORD = "3,2,1,2,3,2,1,2,1"
+# (t_1 t_2 ... t_16)^16, a 256-letter reduced word of w0 in B_16
+B16_W0 = ",".join(map(str, list(range(1, 17)) * 16))
 
 
 def run(capsys, *argv):
@@ -153,6 +156,11 @@ def test_invalid_word_exit_code(capsys):
     assert code == 2
 
 
+def test_b16_w0_word_is_reduced():
+    ctx = context("B", 16)
+    assert parse_word(ctx, B16_W0).product is ctx.longest_element()
+
+
 def test_deterministic_output(capsys):
     args = ["cells", "--family", "B", "--rank", "3", "--word", "3,2,1,2,3,2,1,2,1", "--json"]
     first = run(capsys, *args)
@@ -183,6 +191,7 @@ def test_deterministic_output(capsys):
           "--dot", "-"], None),
         (["cells", "--family", "B", "--rank", "16", "--word",
           "1,3,5,7,9,11,13,15,2,4,6,8,10,12,14,16,1,3,5,7,9,11,13,15"], None),
+        (["cells", "--family", "B", "--rank", "16", "--word", B16_W0], None),
         # a string payload is written as is: json.dumps cannot nest this deep
         pytest.param(["collect", "--input", "PATH"], "[" * 2000 + "]" * 2000,
                      id="collect-deep-nesting"),
@@ -192,8 +201,9 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, payload):
     source = tmp_path / "word.json"
     source.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     code = main([str(source) if a == "PATH" else a for a in argv])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == 2
+    assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
 
 

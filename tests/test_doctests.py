@@ -1,0 +1,12 @@
+import doctest
+
+import pytest
+
+from deodhar import cells, weyl
+
+
+@pytest.mark.parametrize("module", [weyl, cells], ids=lambda m: m.__name__)
+def test_docstring_examples(module):
+    result = doctest.testmod(module)
+    assert result.attempted == 3
+    assert result.failed == 0

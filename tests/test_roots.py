@@ -85,6 +85,10 @@ def test_root_hashes_stable_across_interpreters():
         "print([hash(r) for r in roots], [str(r) for r in set(roots)])\n"
         "elements = list(context('B', 3).elements())\n"
         "print([hash(w) for w in elements], [str(w) for w in set(elements)])\n"
+        "from deodhar.cells import subexpression\n"
+        "from deodhar.weyl import parse_word\n"
+        "word = parse_word(context('B', 3), '1,2')\n"
+        "print(hash(word), hash(subexpression(word, '01')))\n"
     )
     src = str(Path(deodhar.__file__).resolve().parents[1])
     outputs = set()

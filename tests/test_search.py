@@ -1,7 +1,8 @@
 import pytest
 
 from conftest import expected_neg_phi_first, expected_neg_phi_second
-from deodhar.cells import cell, is_distinguished, preceq, root_sequence
+from deodhar import search
+from deodhar.cells import cell, cells_with_endpoint, is_distinguished, preceq, root_sequence
 from deodhar.roots import root_system
 from deodhar.search import (
     CLOSURE_OBSTRUCTION,
@@ -115,6 +116,17 @@ def test_scan_bounds():
         find_obstructions(long_word)
     with pytest.raises(ValueError):
         scan_disjointness(long_word, context("B", 7).identity)
+
+
+def test_pairwise_bound(monkeypatch):
+    # the rank-5 catalog word has 13,066 distinguished masks, PAIRS_BOUND 1,300
+    with pytest.raises(ValueError, match="more than 1300 distinguished masks"):
+        find_obstructions(catalog(CLOSURE_OBSTRUCTION, 5).word)
+    entry = catalog(DISJOINTNESS, 3)
+    v = context("B", 3).from_word([2])
+    monkeypatch.setattr(search, "PAIRS_BOUND", len(cells_with_endpoint(entry.word, v)) - 1)
+    with pytest.raises(ValueError, match="cells end at"):
+        scan_disjointness(entry.word, v)
 
 
 def test_find_obstructions_equal_dimension_boundary():
