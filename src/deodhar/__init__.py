@@ -19,7 +19,6 @@ from .cells import (
     is_distinguished,
     point_count_polynomial,
     preceq,
-    root_sequence,
     subexpression,
 )
 from .chevalley import (

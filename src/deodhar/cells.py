@@ -14,14 +14,17 @@ equivalently iff the mask is distinguished (a forced descent
 ``gamma^{i-1} s_i < gamma^{i-1}`` always takes the letter), and is then a
 product of ``|I| - |J|`` affine lines and ``l - |I|`` punctured lines.
 
-The coordinates of a nonempty cell are indexed by the root sequence
-``(gamma^i(-alpha_i))`` over the positions where ``gamma^i(alpha_i) > 0``;
-those with ``gamma_i = 1`` carry punctured-line coordinates (``free`` below).
+Only a nonempty cell has a descriptor: :func:`cell` raises on a mask that
+is not distinguished.  The coordinates of a nonempty cell are indexed by its
+root sequence ``cell(sub).phi``, the roots ``gamma^i(-alpha_i)`` over the
+positions where ``gamma^i(alpha_i) > 0``; those with ``gamma_i = 1`` carry
+punctured-line coordinates (``free`` below).
 
 Every consumer reads the distinguished masks through one walk,
 :func:`enumerate_subexpressions`, bounded by a count of masks rather than of
 letters: the linear consumers stream it under ``CELLS_BOUND``, the pairwise
-ones (which compare every pair of masks) hold at most ``PAIRS_BOUND``.
+ones (which compare every pair of masks) hold at most ``PAIRS_BOUND``
+descriptors, one per mask.
 
 A second partial order drives all closure bookkeeping: ``delta preceq gamma``
 iff ``gamma^i <= delta^i`` in Bruhat order for every ``i``.  Note the
@@ -32,8 +35,9 @@ Closures satisfy ``closure(D_gamma) subset union of D_delta`` over
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from .laurent import LaurentPoly
 from .roots import Root
@@ -165,16 +169,15 @@ class PhiEntry:
 
 @dataclass(frozen=True)
 class CellDescriptor:
-    """All combinatorial data of one Deodhar cell."""
+    """All combinatorial data of one nonempty Deodhar cell; build it with
+    :func:`cell`."""
 
     sub: Subexpression
     chosen: tuple[int, ...]
     descents: tuple[int, ...]
-    distinguished: bool
     affine_rank: int
     torus_rank: int
     dimension: int
-    endpoint: WeylElement
     phi: tuple[PhiEntry, ...]
 
     @property
@@ -183,14 +186,17 @@ class CellDescriptor:
 
 
 def cell(sub: Subexpression) -> CellDescriptor:
-    """Compute the full descriptor of the cell indexed by ``sub``.
+    """Compute the full descriptor of the cell indexed by ``sub``; raises
+    ``ValueError`` if the mask is not distinguished, as its cell is empty.
 
-    The root sequence is computed by acting on simple roots, independently of
-    the window descent rule used for J; the test suite checks that the two
-    routes agree.
+    The mask is distinguished iff J is contained in I.  The root sequence is
+    computed by acting on simple roots, independently of the window descent
+    rule used for J; the test suite checks that the two routes agree.
     """
     chosen = sub.chosen_positions()
     descents = sub.descent_positions()
+    if not all(sub.mask[i - 1] for i in descents):
+        raise ValueError(f"mask {sub.mask_string} is not distinguished: its cell is empty")
     length = len(sub)
     phi = []
     for i in range(1, length + 1):
@@ -201,21 +207,11 @@ def cell(sub: Subexpression) -> CellDescriptor:
         sub=sub,
         chosen=chosen,
         descents=descents,
-        distinguished=is_distinguished(sub),
         affine_rank=len(chosen) - len(descents),
         torus_rank=length - len(chosen),
         dimension=length - len(descents),
-        endpoint=sub.endpoint,
         phi=tuple(phi),
     )
-
-
-def root_sequence(sub: Subexpression) -> tuple[PhiEntry, ...]:
-    """The ordered coordinate roots of a distinguished subexpression."""
-    desc = cell(sub)
-    if not desc.distinguished:
-        raise ValueError("root sequence is only defined for distinguished masks")
-    return desc.phi
 
 
 def cells_with_endpoint(word: ReducedWord, v: WeylElement) -> list[CellDescriptor]:
@@ -250,15 +246,23 @@ def closure_upper_bound(gamma: Subexpression) -> list[CellDescriptor]:
     ]
 
 
-def point_count_polynomial(word: ReducedWord, v: WeylElement) -> LaurentPoly:
-    """Sum of q^affine (q-1)^torus over the cells with endpoint ``v``;
-    counts the F_q-points of the double Schubert cell."""
+def point_count(shapes: Mapping[tuple[int, int], int]) -> LaurentPoly:
+    """Sum of q^affine (q-1)^torus over cells, given as the number of cells
+    of each (affine, torus) shape."""
     q = LaurentPoly.variable("q")
     q_minus_1 = q - LaurentPoly.one()
     total = LaurentPoly.zero()
-    for desc in cells_with_endpoint(word, v):
-        total = total + q ** desc.affine_rank * q_minus_1 ** desc.torus_rank
+    for (affine, torus), count in shapes.items():
+        total = total + count * q ** affine * q_minus_1 ** torus
     return total
+
+
+def point_count_polynomial(word: ReducedWord, v: WeylElement) -> LaurentPoly:
+    """Sum of q^affine (q-1)^torus over the cells with endpoint ``v``;
+    counts the F_q-points of the double Schubert cell."""
+    return point_count(
+        Counter((d.affine_rank, d.torus_rank) for d in cells_with_endpoint(word, v))
+    )
 
 
 def hasse_dot(word: ReducedWord) -> str:
@@ -268,21 +272,20 @@ def hasse_dot(word: ReducedWord) -> str:
     carry the mask and the cell dimension.  Every pair is compared, so
     ``ValueError`` is raised for more than ``PAIRS_BOUND`` masks.
     """
-    subs = list(enumerate_subexpressions(word, PAIRS_BOUND))
+    descs = [cell(sub) for sub in enumerate_subexpressions(word, PAIRS_BOUND)]
     above: dict[int, set[int]] = {}
-    for a, da in enumerate(subs):
+    for a, da in enumerate(descs):
         above[a] = {
-            b for b, db in enumerate(subs) if a != b and preceq(da, db)
+            b for b, db in enumerate(descs) if a != b and preceq(da.sub, db.sub)
         }
     lines = ["digraph closure_order {", "  node [shape=box];"]
-    for sub in subs:
-        dim = len(sub) - len(sub.descent_positions())
-        lines.append(f'  "{sub.mask_string}" [label="{sub.mask_string} dim={dim}"];')
-    for a, da in enumerate(subs):
+    for d in descs:
+        lines.append(f'  "{d.mask_string}" [label="{d.mask_string} dim={d.dimension}"];')
+    for a, da in enumerate(descs):
         for b in sorted(above[a]):
             # covering: no c strictly between a and b
             if not any(b in above[c] for c in above[a] if c != b):
-                lines.append(f'  "{da.mask_string}" -> "{subs[b].mask_string}";')
+                lines.append(f'  "{da.mask_string}" -> "{descs[b].mask_string}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -291,7 +294,7 @@ def cell_to_obj(desc: CellDescriptor) -> dict:
     """JSON-ready form of a cell descriptor."""
     return {
         "mask": desc.mask_string,
-        "end": desc.endpoint.serialize(),
+        "end": desc.sub.endpoint.serialize(),
         "I": list(desc.chosen),
         "J": list(desc.descents),
         "dim": desc.dimension,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .cells import root_sequence
+from .cells import cell
 from .laurent import LaurentPoly, Monomial
 from .linalg import Matrix, mat_identity, mat_is_zero, mat_mul
 from .roots import Root, root_system
@@ -380,7 +380,7 @@ def build_closure_witness_words(n: int):
         raise ValueError(f"witness rank {n} exceeds {WITNESS_BOUND}")
     entry = catalog(CLOSURE_OBSTRUCTION, n)
     gamma, delta = entry.first, entry.second
-    phi_delta = root_sequence(delta)
+    phi_delta = cell(delta).phi
     free_pattern = [e.free for e in phi_delta]
     expected_pattern = [True] * (2 * n - 2) + [False] * (n - 1)
     if free_pattern != expected_pattern:
@@ -396,7 +396,7 @@ def build_closure_witness_words(n: int):
     u_y = word_from_pairs(
         (e.root, v) for e, v in zip(phi_delta, y_values) if not v.is_zero()
     )
-    phi_gamma = root_sequence(gamma)
+    phi_gamma = cell(gamma).phi
     if len(phi_gamma) != 2 * n:
         raise VerificationError(
             f"coordinate pairing mismatch: expected 2n coordinates, got {len(phi_gamma)}"

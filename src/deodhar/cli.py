@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from . import cells as cells_mod
 from . import chevalley, matrixgrp, search
@@ -60,12 +61,15 @@ def _parse_mask(text: str) -> str:
 
 def _cmd_cells(args) -> int:
     word = _word(args)
-    # the whole bounded walk comes first, so an input past the bound prints nothing
-    subs = list(cells_mod.enumerate_subexpressions(word, cells_mod.CELLS_BOUND))
-    if args.end is not None:
-        end = word.ctx.parse_element(args.end)
-        subs = [sub for sub in subs if sub.endpoint is end]
-    descriptors = (cells_mod.cell(sub) for sub in subs)
+    end = None if args.end is None else word.ctx.parse_element(args.end)
+    # a counting walk first, so an input past the bound prints nothing
+    for _ in cells_mod.enumerate_subexpressions(word, cells_mod.CELLS_BOUND):
+        pass
+    descriptors = (
+        cells_mod.cell(sub)
+        for sub in cells_mod.enumerate_subexpressions(word, cells_mod.CELLS_BOUND)
+        if end is None or sub.endpoint is end
+    )
     if args.json:
         # the bytes of json.dumps(list, sort_keys=True), one item at a time
         write = sys.stdout.write
@@ -74,14 +78,15 @@ def _cmd_cells(args) -> int:
             write((", " if k else "") + json.dumps(cells_mod.cell_to_obj(d), sort_keys=True))
         write("]\n")
     else:
+        shapes = Counter()
         for d in descriptors:
             print(
-                f"mask={d.mask_string} end={d.endpoint.serialize()} "
+                f"mask={d.mask_string} end={d.sub.endpoint.serialize()} "
                 f"dim={d.dimension} affine={d.affine_rank} torus={d.torus_rank}"
             )
-        if args.end is not None:
-            poly = cells_mod.point_count_polynomial(word, end)
-            print(f"point count: {poly}")
+            shapes[d.affine_rank, d.torus_rank] += 1
+        if end is not None:
+            print(f"point count: {cells_mod.point_count(shapes)}")
     return 0
 
 
@@ -95,7 +100,7 @@ def _cmd_distinguished(args) -> int:
 def _cmd_phi(args) -> int:
     word = _word(args)
     sub = cells_mod.subexpression(word, _parse_mask(args.mask))
-    entries = cells_mod.root_sequence(sub)
+    entries = cells_mod.cell(sub).phi
     if args.json:
         print(json.dumps([cells_mod.phi_entry_to_obj(e) for e in entries], sort_keys=True))
     else:
@@ -180,12 +185,12 @@ def _cmd_verify(args) -> int:
         return 0
     name = search.DISJOINTNESS if args.n == 3 else search.DISJOINTNESS_EXTENDED
     entry = search.catalog(name, args.n)
-    certificate = search.disjointness_certificate(entry.first, entry.second)
+    first, second = cells_mod.cell(entry.first), cells_mod.cell(entry.second)
+    certificate = search.disjointness_certificate(first, second)
     if certificate is None:
         print("FAIL: no disjointness certificate found")
         return 1
-    dim = cells_mod.cell(entry.first).dimension
-    print(f"catalog {entry.name} n={entry.n} dimension={dim}")
+    print(f"catalog {entry.name} n={entry.n} dimension={first.dimension}")
     print(
         f"certificate root={certificate.root.serialize()} "
         f"witness_index={certificate.witness_index}"

@@ -16,6 +16,9 @@ the two optimistic expectations one might have:
 * ``disjointness-extended`` (rank n >= 4): the same pair transported to
   rank n by prefixing a mask of ``t_n ... t_2 t_1 t_2 ... t_n`` that
   multiplies to the identity; the cells then have dimension 2n+2.
+
+Scans build one descriptor per distinguished mask, compare descriptors by
+identity and hand them to the certificate, which reads their ``phi``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .cells import (
     cells_with_endpoint,
     enumerate_subexpressions,
     preceq,
-    root_sequence,
     subexpression,
 )
 from .roots import Root, root_system
@@ -111,14 +113,6 @@ class ObstructionReport:
     first: CellDescriptor
     second: CellDescriptor
 
-    def to_obj(self) -> dict:
-        return {
-            "first_mask": self.first.mask_string,
-            "second_mask": self.second.mask_string,
-            "first_dim": self.first.dimension,
-            "second_dim": self.second.dimension,
-        }
-
 
 def find_obstructions(word: ReducedWord) -> list[ObstructionReport]:
     """All ordered distinguished pairs (gamma, delta) with delta strictly
@@ -134,7 +128,7 @@ def find_obstructions(word: ReducedWord) -> list[ObstructionReport]:
     out = []
     for gamma in descriptors:
         for delta in descriptors:
-            if gamma.sub == delta.sub or delta.dimension < gamma.dimension:
+            if gamma is delta or delta.dimension < gamma.dimension:
                 continue
             if preceq(delta.sub, gamma.sub):
                 out.append(ObstructionReport(first=gamma, second=delta))
@@ -156,27 +150,23 @@ class DisjointnessCertificate:
     root: Root
     witness_index: int
 
-    def to_obj(self) -> dict:
-        return {"root": list(self.root.coeffs), "witness_index": self.witness_index}
-
 
 def disjointness_certificate(
-    first: Subexpression, second: Subexpression
+    first: CellDescriptor, second: CellDescriptor
 ) -> DisjointnessCertificate | None:
-    """Search for a certificate that closure(cell(first)) misses cell(second)."""
-    if first.word != second.word:
-        raise ValueError("certificate needs subexpressions of one word")
-    if first.endpoint != second.endpoint:
+    """Search for a certificate that the closure of the cell ``first`` misses
+    the cell ``second``, reading their root sequences."""
+    if first.sub.word != second.sub.word:
+        raise ValueError("certificate needs cells of one word")
+    if first.sub.endpoint != second.sub.endpoint:
         raise ValueError("certificate needs equal endpoints")
-    phi_first = root_sequence(first)
-    phi_second = root_sequence(second)
-    ctx = first.word.ctx
+    ctx = first.sub.word.ctx
     system = root_system(ctx.family, ctx.rank)
     for b in range(1, ctx.rank + 1):
         target = -system.simple(b)
-        if any(entry.root == target for entry in phi_first):
+        if any(entry.root == target for entry in first.phi):
             continue
-        occurrences = [entry for entry in phi_second if entry.root == target]
+        occurrences = [entry for entry in second.phi if entry.root == target]
         if len(occurrences) == 1 and occurrences[0].free:
             return DisjointnessCertificate(root=target, witness_index=occurrences[0].index)
     return None
@@ -193,19 +183,20 @@ def scan_disjointness(word: ReducedWord, v: WeylElement) -> list[CertifiedPair]:
     """All ordered pairs in one double cell with second preceq first and a
     disjointness certificate; every certified pair is a proven negative
     instance of the closure-intersection question.  Pairs come in increasing
-    (first, second) mask order.  Every pair is compared, so ``ValueError``
-    is raised for more than ``PAIRS_BOUND`` cells with endpoint ``v``."""
+    (first, second) mask order.  Every pair of the descriptors with endpoint
+    ``v`` is compared and handed to :func:`disjointness_certificate` as is,
+    so ``ValueError`` is raised for more than ``PAIRS_BOUND`` of them."""
     descriptors = cells_with_endpoint(word, v)
     if len(descriptors) > PAIRS_BOUND:
         raise ValueError(f"more than {PAIRS_BOUND} cells end at {v.serialize()}")
     out = []
     for first in descriptors:
         for second in descriptors:
-            if first.sub == second.sub:
+            if first is second:
                 continue
             if not preceq(second.sub, first.sub):
                 continue
-            certificate = disjointness_certificate(first.sub, second.sub)
+            certificate = disjointness_certificate(first, second)
             if certificate is not None:
                 out.append(CertifiedPair(first, second, certificate))
     return out

@@ -23,7 +23,6 @@ from deodhar.cells import (
     is_distinguished,
     point_count_polynomial,
     preceq,
-    root_sequence,
     subexpression,
 )
 from deodhar.chevalley import collect, evaluate_adjoint, verify_closure_witness
@@ -106,9 +105,10 @@ def test_criterion_4_symbolic_closure_witness():
 def test_criterion_5_disjointness_certificates():
     with _Budget(5, "disjointness certificates", 1.0):
         entry = catalog(DISJOINTNESS, 3)
-        assert [-e.root for e in root_sequence(entry.first)] == expected_neg_phi_sigma()
-        assert [-e.root for e in root_sequence(entry.second)] == expected_neg_phi_tau()
-        certificate = disjointness_certificate(entry.first, entry.second)
+        sigma, tau = cell(entry.first), cell(entry.second)
+        assert [-e.root for e in sigma.phi] == expected_neg_phi_sigma()
+        assert [-e.root for e in tau.phi] == expected_neg_phi_tau()
+        certificate = disjointness_certificate(sigma, tau)
         assert certificate is not None
         assert certificate.root == -root_system("B", 3).simple(1)
         assert certificate.witness_index == 7
@@ -116,7 +116,7 @@ def test_criterion_5_disjointness_certificates():
             extended = catalog(DISJOINTNESS_EXTENDED, n)
             first, second = cell(extended.first), cell(extended.second)
             assert first.dimension == second.dimension == 2 * n + 4
-            assert disjointness_certificate(extended.first, extended.second) is not None
+            assert disjointness_certificate(first, second) is not None
 
 
 @pytest.mark.xfail(
@@ -183,11 +183,13 @@ def test_criterion_9_distinguished_equivalence():
         for w in B3.elements():
             for word in all_reduced_words(w):
                 for sub in conftest.all_subexpressions(word):
-                    desc = cell(sub)
-                    assert is_distinguished(sub) == (
-                        set(desc.descents) <= set(desc.chosen)
-                    )
-                    if desc.distinguished:
-                        assert len(desc.phi) == len(word) - len(desc.descents)
+                    descents = sub.descent_positions()
+                    nonempty = set(descents) <= set(sub.chosen_positions())
+                    assert is_distinguished(sub) == nonempty
+                    if nonempty:
+                        assert len(cell(sub).phi) == len(word) - len(descents)
+                    else:
+                        with pytest.raises(ValueError):
+                            cell(sub)
                     checked += 1
         assert checked > 2 ** 10  # the sweep is genuinely exhaustive

@@ -15,7 +15,6 @@ from deodhar.cells import (
     is_distinguished,
     point_count_polynomial,
     preceq,
-    root_sequence,
     subexpression,
 )
 from deodhar.laurent import LaurentPoly
@@ -101,14 +100,14 @@ def test_distinguished_enumeration_prunes_exactly():
 def test_cell_descriptor_examples():
     full_torus = cell(subexpression(STS, "000"))
     assert full_torus.torus_rank == 3 and full_torus.dimension == 3
-    assert full_torus.endpoint == A2.identity
+    assert full_torus.sub.endpoint == A2.identity
 
     mixed = cell(subexpression(STS, "101"))
     assert mixed.chosen == (1, 3) and mixed.descents == (1,)
     assert (mixed.affine_rank, mixed.torus_rank) == (1, 1)
 
     point = cell(subexpression(STS, "111"))
-    assert point.dimension == 0 and point.endpoint == A2.from_word([1, 2, 1])
+    assert point.dimension == 0 and point.sub.endpoint == A2.from_word([1, 2, 1])
 
 
 def test_empty_word_degenerate_case():
@@ -116,7 +115,7 @@ def test_empty_word_degenerate_case():
     subs = list(enumerate_subexpressions(empty, CELLS_BOUND))
     assert len(subs) == 1
     desc = cell(subs[0])
-    assert desc.distinguished and desc.dimension == 0 and desc.phi == ()
+    assert desc.dimension == 0 and desc.phi == ()
 
 
 def test_cells_with_endpoint_partition():
@@ -154,14 +153,14 @@ def test_preceq_direction_on_single_letter():
     assert not preceq(skipped, taken)
 
 
-def test_root_sequence_requires_distinguished():
-    with pytest.raises(ValueError):
-        root_sequence(subexpression(STS, "100"))
+def test_cell_requires_distinguished():
+    with pytest.raises(ValueError, match="mask 100 is not distinguished"):
+        cell(subexpression(STS, "100"))
 
 
 def test_root_sequence_all_negative_and_sized():
     for sub in enumerate_subexpressions(STS, CELLS_BOUND):
-        entries = root_sequence(sub)
+        entries = cell(sub).phi
         assert all(e.root.is_negative for e in entries)
         assert len(entries) == len(sub) - len(sub.descent_positions())
         assert [e.index for e in entries] == sorted(e.index for e in entries)

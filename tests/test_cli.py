@@ -192,6 +192,7 @@ def test_deterministic_output(capsys):
         (["cells", "--family", "B", "--rank", "16", "--word",
           "1,3,5,7,9,11,13,15,2,4,6,8,10,12,14,16,1,3,5,7,9,11,13,15"], None),
         (["cells", "--family", "B", "--rank", "16", "--word", B16_W0], None),
+        (["phi", "--word", "1,2,1", "--mask", "100"], None),
         # a string payload is written as is: json.dumps cannot nest this deep
         pytest.param(["collect", "--input", "PATH"], "[" * 2000 + "]" * 2000,
                      id="collect-deep-nesting"),

@@ -1,8 +1,15 @@
 import pytest
 
 from conftest import expected_neg_phi_first, expected_neg_phi_second
-from deodhar import search
-from deodhar.cells import cell, cells_with_endpoint, is_distinguished, preceq, root_sequence
+from deodhar import cells, search
+from deodhar.cells import (
+    CELLS_BOUND,
+    cell,
+    cells_with_endpoint,
+    enumerate_subexpressions,
+    is_distinguished,
+    preceq,
+)
 from deodhar.roots import root_system
 from deodhar.search import (
     CLOSURE_OBSTRUCTION,
@@ -25,7 +32,7 @@ def test_closure_obstruction_catalog(n):
     first, second = cell(entry.first), cell(entry.second)
     assert first.dimension == 2 * n
     assert second.dimension == 3 * n - 3
-    assert first.endpoint.is_identity() and second.endpoint.is_identity()
+    assert first.sub.endpoint.is_identity() and second.sub.endpoint.is_identity()
     assert [-e.root for e in first.phi] == expected_neg_phi_first(n)
     assert [-e.root for e in second.phi] == expected_neg_phi_second(n)
     # the deeper cell has its 2n-2 punctured-line coordinates first
@@ -50,45 +57,44 @@ def test_disjointness_catalog_masks_and_sequences():
     assert entry.second.mask == (0, 1, 1, 0, 0, 1, 0, 1, 1)
     from conftest import expected_neg_phi_sigma, expected_neg_phi_tau
 
-    assert [-e.root for e in root_sequence(entry.first)] == expected_neg_phi_sigma()
-    assert [-e.root for e in root_sequence(entry.second)] == expected_neg_phi_tau()
     both = (cell(entry.first), cell(entry.second))
+    assert [-e.root for e in both[0].phi] == expected_neg_phi_sigma()
+    assert [-e.root for e in both[1].phi] == expected_neg_phi_tau()
     assert {c.dimension for c in both} == {6}
     t2 = context("B", 3).from_word([2])
-    assert {c.endpoint for c in both} == {t2}
+    assert {c.sub.endpoint for c in both} == {t2}
 
 
 def test_disjointness_certificate_base_pair():
     entry = catalog(DISJOINTNESS, 3)
-    certificate = disjointness_certificate(entry.first, entry.second)
+    first, second = cell(entry.first), cell(entry.second)
+    certificate = disjointness_certificate(first, second)
     assert certificate is not None
     assert certificate.root == -root_system("B", 3).simple(1)
     assert certificate.witness_index == 7
     # what the certificate asserts, re-derived from the two root sequences
-    assert all(e.root != certificate.root for e in root_sequence(entry.first))
-    [hit] = [e for e in root_sequence(entry.second) if e.root == certificate.root]
+    assert all(e.root != certificate.root for e in first.phi)
+    [hit] = [e for e in second.phi if e.root == certificate.root]
     assert hit.index == 7 and hit.free
 
 
 def test_disjointness_certificate_self_pair_is_none():
     entry = catalog(DISJOINTNESS, 3)
-    assert disjointness_certificate(entry.first, entry.first) is None
+    first = cell(entry.first)
+    assert disjointness_certificate(first, first) is None
 
 
 def test_disjointness_certificate_preconditions():
     entry = catalog(DISJOINTNESS, 3)
     other = catalog(CLOSURE_OBSTRUCTION, 3)
     with pytest.raises(ValueError):
-        disjointness_certificate(entry.first, other.first)  # different words
+        disjointness_certificate(cell(entry.first), cell(other.first))  # different words
     from deodhar.cells import subexpression
 
     word = parse_word(context("A", 2), "1,2,1")
-    bad = subexpression(word, "100")
-    good = subexpression(word, "001")
+    good = cell(subexpression(word, "001"))
     with pytest.raises(ValueError):
-        disjointness_certificate(bad, good)  # not distinguished
-    with pytest.raises(ValueError):
-        disjointness_certificate(subexpression(word, "000"), good)  # endpoints differ
+        disjointness_certificate(cell(subexpression(word, "000")), good)  # endpoints differ
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -97,10 +103,10 @@ def test_extended_pairs_certify(n):
     assert is_distinguished(entry.first) and is_distinguished(entry.second)
     assert len(entry.word) == 2 * n + 8
     first, second = cell(entry.first), cell(entry.second)
-    assert first.endpoint == second.endpoint
+    assert first.sub.endpoint == second.sub.endpoint
     assert first.dimension == second.dimension == 2 * n + 4
     assert preceq(entry.second, entry.first)
-    certificate = disjointness_certificate(entry.first, entry.second)
+    certificate = disjointness_certificate(first, second)
     assert certificate is not None
     assert certificate.root == -root_system("B", n).simple(1)
 
@@ -164,17 +170,26 @@ def test_scan_disjointness():
     )
     for p in pairs:
         # re-validate every emitted certificate from scratch
-        fresh = disjointness_certificate(p.first.sub, p.second.sub)
+        fresh = disjointness_certificate(cell(p.first.sub), cell(p.second.sub))
         assert fresh == p.certificate
     assert scan_disjointness(parse_word(ctx, "1"), ctx.identity) == []
 
 
-def test_report_json_forms():
-    entry = catalog(DISJOINTNESS, 3)
-    certificate = disjointness_certificate(entry.first, entry.second)
-    assert certificate.to_obj() == {"root": [-1, 0, 0], "witness_index": 7}
-    reports = find_obstructions(catalog(CLOSURE_OBSTRUCTION, 3).word)
-    assert all(
-        set(rep.to_obj()) == {"first_mask", "second_mask", "first_dim", "second_dim"}
-        for rep in reports[:3]
-    )
+def test_scan_disjointness_builds_one_descriptor_per_mask(monkeypatch):
+    built = []
+    original = cells.cell
+
+    def counting(sub):
+        built.append(sub.mask)
+        return original(sub)
+
+    for module in (cells, search):
+        monkeypatch.setattr(module, "cell", counting)
+    word = catalog(DISJOINTNESS, 3).word  # a reduced word of w0 in B_3
+    endpoints = list(context("B", 3).elements())
+    assert len(endpoints) == 48
+    for v in endpoints:
+        scan_disjointness(word, v)
+    masks = [s.mask for s in enumerate_subexpressions(word, CELLS_BOUND)]
+    assert len(built) == len(masks) == 200
+    assert sorted(built) == masks
