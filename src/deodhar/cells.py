@@ -20,11 +20,15 @@ root sequence ``cell(sub).phi``, the roots ``gamma^i(-alpha_i)`` over the
 positions where ``gamma^i(alpha_i) > 0``; those with ``gamma_i = 1`` carry
 punctured-line coordinates (``free`` below).
 
-Every consumer reads the distinguished masks through one walk,
-:func:`enumerate_subexpressions`, bounded by a count of masks rather than of
-letters: the linear consumers stream it under ``CELLS_BOUND``, the pairwise
-ones (which compare every pair of masks) hold at most ``PAIRS_BOUND``
-descriptors, one per mask.
+Every consumer reads the distinguished masks through a walk bounded by a
+count of masks rather than of letters.  :func:`enumerate_subexpressions`
+walks all of them; :func:`enumerate_below` walks only those below one gamma
+in the closure order defined next, cutting a subtree of the prefix trie at
+the first position where the order fails.  The linear consumers stream a walk
+under ``CELLS_BOUND``.  The pairwise ones hold at most ``PAIRS_BOUND``
+descriptors, one per mask: ``hasse_dot`` and ``find_obstructions`` walk the
+masks below each of them, ``scan_disjointness`` compares every pair of one
+endpoint.
 
 A second partial order drives all closure bookkeeping: ``delta preceq gamma``
 iff ``gamma^i <= delta^i`` in Bruhat order for every ``i``.  Note the
@@ -44,16 +48,19 @@ from .roots import Root
 from .weyl import ReducedWord, WeylElement, bruhat_leq
 
 # Most distinguished masks a linear consumer walks: cells_with_endpoint,
-# point_count_polynomial, closure_upper_bound and the cells command.  Their
-# cost is about linear in the number of masks: the cells command takes about
-# 3 s with --json on the 13,066 masks of the rank-5 catalog word and 9 s on
-# 15,000 masks of a 24-letter word in B_16.
+# point_count_polynomial, the cells command and closure_upper_bound (there
+# the masks below gamma).  Their cost is about linear in the number of masks:
+# the cells command takes about 3 s with --json on the 13,066 masks of the
+# rank-5 catalog word and 9 s on 15,000 masks of a 24-letter word in B_16;
+# closure_upper_bound 1.3 s on the 5,167 masks below the rank-6 catalog gamma.
 CELLS_BOUND = 15000
-# Most distinguished masks a pairwise consumer compares: hasse_dot,
-# find_obstructions and scan_disjointness (there per endpoint).  The cost
-# grows with the square of their number: hasse_dot takes about 10 s on 927
-# masks, 20 s on the rank-4 catalog word (1,253 masks), 31 s on 1,588 masks,
-# 46 s on 2,048 masks and 164 s on 4,096 masks.
+# Most distinguished masks a pairwise consumer holds: hasse_dot,
+# find_obstructions and scan_disjointness (there per endpoint).  The first two
+# walk the masks below each mask, so their cost grows with the number of
+# related pairs: hasse_dot takes about 2.2 s on the rank-4 catalog word (1,253
+# masks), 4.1 s on 2,048 masks and 12.5 s on 4,096 masks (the words 1, ..., n
+# of B_11 and B_12); find_obstructions 12 s on the 13,066 masks of the rank-5
+# catalog word.  scan_disjointness compares every pair of one endpoint.
 PAIRS_BOUND = 1300
 
 
@@ -148,6 +155,54 @@ def enumerate_subexpressions(word: ReducedWord, bound: int) -> Iterator[Subexpre
         partials[-1] = partials[-2].right_mult_generator(letters[len(mask) - 1])
 
 
+def enumerate_below(
+    gamma: Subexpression, bound: int, max_descents: int | None = None
+) -> Iterator[Subexpression]:
+    """The distinguished masks delta preceq gamma in increasing mask order,
+    optionally only those with at most ``max_descents`` elements in J(delta).
+    Raises ``ValueError`` on reaching yielded mask number bound + 1.
+
+    A depth-first walk over the prefix trie of distinguished masks that cuts
+    a whole subtree at the first i with gamma^i <= delta^i false.  J only
+    grows along a prefix, by one exactly where a letter is taken without a
+    forced descent, so the ceiling on |J| cuts subtrees too.  It is a
+    generator of its own so that the unpruned walk keeps its per-node cost.
+    """
+    word, floors = gamma.word, gamma.partials
+    letters = word.letters
+    length = len(letters)
+    ceiling = length if max_descents is None else max_descents
+    mask = [0] * length
+    partials = [word.ctx.identity] * (length + 1)
+    count = 0
+    # pending trie nodes (depth, last bit, delta^depth, |J| of the prefix);
+    # a node pushes its 1-child first so that its 0-child pops first
+    stack = [(0, 0, word.ctx.identity, 0)]
+    while stack:
+        depth, bit, here, descents = stack.pop()
+        if depth:
+            mask[depth - 1] = bit
+            partials[depth] = here
+        if depth == length:
+            count += 1
+            if count > bound:
+                raise ValueError(f"more than {bound} distinguished masks lie below gamma")
+            yield Subexpression(word, tuple(mask), tuple(partials))
+            continue
+        letter, floor = letters[depth], floors[depth + 1]
+        if here.has_right_descent(letter):
+            taken = here.right_mult_generator(letter)
+            if bruhat_leq(floor, taken):
+                stack.append((depth + 1, 1, taken, descents))
+            continue
+        if descents < ceiling:
+            taken = here.right_mult_generator(letter)
+            if bruhat_leq(floor, taken):
+                stack.append((depth + 1, 1, taken, descents + 1))
+        if bruhat_leq(floor, here):
+            stack.append((depth + 1, 0, here, descents))
+
+
 def is_distinguished(sub: Subexpression) -> bool:
     """A forced descent must take the letter: gamma^{i-1} s_i < gamma^{i-1}
     implies gamma_i = s_i."""
@@ -239,11 +294,8 @@ def closure_upper_bound(gamma: Subexpression) -> list[CellDescriptor]:
     cell of ``gamma`` is contained in the union of their cells."""
     if not is_distinguished(gamma):
         raise ValueError("closure bounds are computed for distinguished masks")
-    return [
-        cell(sub)
-        for sub in enumerate_subexpressions(gamma.word, CELLS_BOUND)
-        if preceq(sub, gamma)
-    ]
+    below = list(enumerate_below(gamma, CELLS_BOUND))  # raises before any cell
+    return [cell(sub) for sub in below]
 
 
 def point_count(shapes: Mapping[tuple[int, int], int]) -> LaurentPoly:
@@ -269,25 +321,39 @@ def hasse_dot(word: ReducedWord) -> str:
     """DOT digraph of the covering relation of preceq on distinguished masks.
 
     Edges point from the preceq-smaller mask to the larger one; node labels
-    carry the mask and the cell dimension.  Every pair is compared, so
-    ``ValueError`` is raised for more than ``PAIRS_BOUND`` masks.
+    carry the mask and the cell dimension.  The masks are held and each one
+    walks the masks below it, so ``ValueError`` is raised for more than
+    ``PAIRS_BOUND`` masks.
     """
     descs = [cell(sub) for sub in enumerate_subexpressions(word, PAIRS_BOUND)]
-    above: dict[int, set[int]] = {}
-    for a, da in enumerate(descs):
-        above[a] = {
-            b for b, db in enumerate(descs) if a != b and preceq(da.sub, db.sub)
-        }
+    index = {d.sub.mask: a for a, d in enumerate(descs)}
+    # above[a]: bitset of the b != a with a preceq b
+    above = [0] * len(descs)
+    for b, db in enumerate(descs):
+        for sub in enumerate_below(db.sub, PAIRS_BOUND):
+            a = index[sub.mask]
+            if a != b:
+                above[a] |= 1 << b
     lines = ["digraph closure_order {", "  node [shape=box];"]
     for d in descs:
         lines.append(f'  "{d.mask_string}" [label="{d.mask_string} dim={d.dimension}"];')
     for a, da in enumerate(descs):
-        for b in sorted(above[a]):
-            # covering: no c strictly between a and b
-            if not any(b in above[c] for c in above[a] if c != b):
-                lines.append(f'  "{da.mask_string}" -> "{descs[b].mask_string}";')
+        # covering: b is above a with no c strictly between them
+        between = 0
+        for c in _bits(above[a]):
+            between |= above[c]
+        for b in _bits(above[a] & ~between):
+            lines.append(f'  "{da.mask_string}" -> "{descs[b].mask_string}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _bits(bitset: int) -> Iterator[int]:
+    """The set bits of ``bitset``, in increasing order."""
+    while bitset:
+        low = bitset & -bitset
+        yield low.bit_length() - 1
+        bitset ^= low
 
 
 def cell_to_obj(desc: CellDescriptor) -> dict:

@@ -18,7 +18,12 @@ the two optimistic expectations one might have:
   multiplies to the identity; the cells then have dimension 2n+2.
 
 Scans build one descriptor per distinguished mask, compare descriptors by
-identity and hand them to the certificate, which reads their ``phi``.
+identity and hand them to the certificate, which reads their ``phi``.  The
+obstruction scan does not compare every pair: for each gamma it walks only
+the masks below gamma in the closure order with at most |J(gamma)| descents
+(:func:`cells.enumerate_below`), and maps each one back to its descriptor.
+The disjointness scan compares every pair of one endpoint, whose masks are
+few.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .cells import (
     Subexpression,
     cell,
     cells_with_endpoint,
+    enumerate_below,
     enumerate_subexpressions,
     preceq,
     subexpression,
@@ -120,17 +126,19 @@ def find_obstructions(word: ReducedWord) -> list[ObstructionReport]:
 
     Equal dimensions already qualify: two distinct cells of equal dimension
     cannot be contained in one another's closures either.  Pairs come in
-    increasing (gamma, delta) mask order, the order of the two nested loops.
-    Every pair is compared, so ``ValueError`` is raised for a word with more
-    than ``PAIRS_BOUND`` distinguished masks.
+    increasing (gamma, delta) mask order.  One descriptor is held per mask,
+    so ``ValueError`` is raised for a word with more than ``PAIRS_BOUND``
+    distinguished masks.
     """
     descriptors = [cell(sub) for sub in enumerate_subexpressions(word, PAIRS_BOUND)]
+    by_mask = {d.sub.mask: d for d in descriptors}
     out = []
     for gamma in descriptors:
-        for delta in descriptors:
-            if gamma is delta or delta.dimension < gamma.dimension:
-                continue
-            if preceq(delta.sub, gamma.sub):
+        # dim(delta) >= dim(gamma) iff |J(delta)| <= |J(gamma)|
+        below = enumerate_below(gamma.sub, PAIRS_BOUND, max_descents=len(gamma.descents))
+        for sub in below:
+            delta = by_mask[sub.mask]
+            if delta is not gamma:
                 out.append(ObstructionReport(first=gamma, second=delta))
     return out
 

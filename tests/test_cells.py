@@ -4,12 +4,14 @@ import re
 import pytest
 
 from conftest import all_subexpressions
+from deodhar import cells
 from deodhar.cells import (
     CELLS_BOUND,
     cell,
     cell_to_obj,
     cells_with_endpoint,
     closure_upper_bound,
+    enumerate_below,
     enumerate_subexpressions,
     hasse_dot,
     is_distinguished,
@@ -179,10 +181,64 @@ def test_closure_upper_bound_against_brute_force():
         assert mask in [d.mask_string for d in bound]
 
 
+@pytest.mark.parametrize(
+    "word",
+    [catalog(CLOSURE_OBSTRUCTION, 3).word, parse_word(B3, "3,2,1,2,3,2,1,2,1")],
+    ids=["catalog-3", "b3-w0"],
+)
+def test_enumerate_below_matches_filtered_walk(word):
+    walk = list(enumerate_subexpressions(word, CELLS_BOUND))
+    sizes = {s.mask: len(s.descent_positions()) for s in walk}
+    for gamma in walk:
+        below = [(s.mask, s.partials) for s in walk if preceq(s, gamma)]
+        pruned = [(s.mask, s.partials) for s in enumerate_below(gamma, CELLS_BOUND)]
+        assert pruned == below
+        ceiling = sizes[gamma.mask]
+        capped = enumerate_below(gamma, CELLS_BOUND, max_descents=ceiling)
+        assert [(s.mask, s.partials) for s in capped] == [
+            entry for entry in below if sizes[entry[0]] <= ceiling
+        ]
+
+
+def test_enumerate_below_bound():
+    gamma = subexpression(STS, "101")  # 101, 110 and 111 lie below it
+    assert len(list(enumerate_below(gamma, 3))) == 3
+    walked = 0
+    with pytest.raises(ValueError, match="more than 2 distinguished masks"):
+        for _ in enumerate_below(gamma, 2):
+            walked += 1
+    assert walked == 2
+
+
+def test_closure_upper_bound_prunes(monkeypatch):
+    calls = 0
+    original = cells.bruhat_leq
+
+    def counting(u, v):
+        nonlocal calls
+        calls += 1
+        return original(u, v)
+
+    monkeypatch.setattr(cells, "bruhat_leq", counting)
+    bound = closure_upper_bound(catalog(CLOSURE_OBSTRUCTION, 5).first)
+    assert len(bound) == 907
+    # the cut keeps the Bruhat checks near the cells found (2,622); filtering
+    # all 13,066 masks of the word by preceq makes 46,481
+    assert calls <= 3 * len(bound)
+
+
+def test_closure_upper_bound_rank_6():
+    # 5,167 of the rank-6 catalog word's 136,563 masks lie below gamma
+    entry = catalog(CLOSURE_OBSTRUCTION, 6)
+    masks = [d.mask_string for d in closure_upper_bound(entry.first)]
+    assert len(masks) == 5167
+    assert entry.second.mask_string in masks
+
+
 def test_closure_upper_bound_bound():
-    # the rank-6 catalog word has 136,563 distinguished masks
+    # 30,699 distinguished masks lie below the rank-7 catalog gamma
     with pytest.raises(ValueError, match="more than 15000"):
-        closure_upper_bound(catalog(CLOSURE_OBSTRUCTION, 6).first)
+        closure_upper_bound(catalog(CLOSURE_OBSTRUCTION, 7).first)
 
 
 def test_closure_upper_bound_contains_catalog_pair():
@@ -212,6 +268,22 @@ def test_hasse_dot_bound():
 
     with pytest.raises(ValueError):
         hasse_dot(catalog(CLOSURE_OBSTRUCTION, 6).word)  # 136,563 masks
+
+
+def test_hasse_dot_matches_triple_loop():
+    word = catalog(CLOSURE_OBSTRUCTION, 3).word
+    subs = list(enumerate_subexpressions(word, CELLS_BOUND))
+    size = len(subs)
+    below = [[a != b and preceq(subs[a], subs[b]) for b in range(size)] for a in range(size)]
+    lines = ["digraph closure_order {", "  node [shape=box];"]
+    for s in subs:
+        lines.append(f'  "{s.mask_string}" [label="{s.mask_string} dim={cell(s).dimension}"];')
+    for a in range(size):
+        for b in range(size):
+            if below[a][b] and not any(below[a][c] and below[c][b] for c in range(size)):
+                lines.append(f'  "{subs[a].mask_string}" -> "{subs[b].mask_string}";')
+    lines.append("}")
+    assert hasse_dot(word) == "\n".join(lines) + "\n"
 
 
 def test_hasse_dot_shapes():

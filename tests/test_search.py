@@ -150,6 +150,22 @@ def test_find_obstructions_equal_dimension_boundary():
         assert preceq(rep.second.sub, rep.first.sub)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_find_obstructions_matches_all_pairs(n):
+    word = catalog(CLOSURE_OBSTRUCTION, n).word
+    descriptors = [cell(sub) for sub in enumerate_subexpressions(word, CELLS_BOUND)]
+    expected = [
+        (gamma.mask_string, delta.mask_string)
+        for gamma in descriptors
+        for delta in descriptors
+        if gamma is not delta
+        and delta.dimension >= gamma.dimension
+        and preceq(delta.sub, gamma.sub)
+    ]
+    reports = find_obstructions(word)
+    assert [(r.first.mask_string, r.second.mask_string) for r in reports] == expected
+
+
 def test_find_obstructions_contains_catalog_pair_n4():
     entry = catalog(CLOSURE_OBSTRUCTION, 4)
     reports = find_obstructions(entry.word)
