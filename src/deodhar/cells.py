@@ -41,9 +41,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from math import comb
 from typing import Iterator, Mapping
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, Monomial
 from .roots import Root
 from .weyl import ReducedWord, WeylElement, bruhat_leq
 
@@ -300,13 +301,14 @@ def closure_upper_bound(gamma: Subexpression) -> list[CellDescriptor]:
 
 def point_count(shapes: Mapping[tuple[int, int], int]) -> LaurentPoly:
     """Sum of q^affine (q-1)^torus over cells, given as the number of cells
-    of each (affine, torus) shape."""
-    q = LaurentPoly.variable("q")
-    q_minus_1 = q - LaurentPoly.one()
-    total = LaurentPoly.zero()
+    of each (affine, torus) shape; (q-1)^torus is expanded by binomials into
+    integer coefficients of the powers of q."""
+    coeffs: dict[int, int] = {}
     for (affine, torus), count in shapes.items():
-        total = total + count * q ** affine * q_minus_1 ** torus
-    return total
+        for k in range(torus + 1):
+            term = count * comb(torus, k) * (-1) ** (torus - k)
+            coeffs[affine + k] = coeffs.get(affine + k, 0) + term
+    return LaurentPoly({Monomial.of(q=e): c for e, c in coeffs.items()})
 
 
 def point_count_polynomial(word: ReducedWord, v: WeylElement) -> LaurentPoly:

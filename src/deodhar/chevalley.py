@@ -19,7 +19,10 @@ adjoint representation built from the structure-constant table.  Each
 ``ad e_alpha`` is nilpotent, its divided powers ``(ad e_alpha)^k / k!`` are
 integer matrices (this integrality is asserted, it is the Chevalley lattice
 property), so ``u_alpha(c)`` acts by a finite integral sum and whole words
-can be multiplied out exactly over Q or modulo a prime.
+can be multiplied out exactly over Q or modulo a prime.  The ad matrices,
+their divided powers and the factors are sparse matrices of
+:mod:`deodhar.linalg`; a product of factors touches only nonzero entries, and
+``evaluate_adjoint`` exports the result as row tuples.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .cells import cell
 from .laurent import LaurentPoly, Monomial
-from .linalg import Matrix, mat_identity, mat_is_zero, mat_mul
+from .linalg import Matrix, combine, dense, identity, mat_mul
 from .roots import Root, root_system
 from .search import CLOSURE_OBSTRUCTION, catalog
 
@@ -195,7 +198,9 @@ def limit_at_infinity(word: UnipotentWord, var: str) -> UnipotentWord:
 
 class AdjointRep:
     """ad matrices on the Chevalley basis: h_1..h_n, then the root vectors in
-    the order of ``system.roots``, so e_r is basis vector n + r.index."""
+    the order of ``system.roots``, so e_r is basis vector n + r.index.  The
+    matrices are sparse (:mod:`deodhar.linalg`); ``evaluate`` exports row
+    tuples."""
 
     MAX_NILPOTENCY = 5
 
@@ -210,18 +215,21 @@ class AdjointRep:
     def _build_ad(self, alpha: Root) -> Matrix:
         system = self.system
         n = self.ctx.rank
-        rows = [[0] * self.dim for _ in range(self.dim)]
+        out: Matrix = {}
         for j in range(1, n + 1):
-            rows[n + alpha.index][j - 1] = -system.cartan_pairing(alpha.coeffs, j)
+            c = system.cartan_pairing(alpha.coeffs, j)
+            if c:
+                out[(n + alpha.index, j - 1)] = -c
         for beta in system.roots:
             col = n + beta.index
             total = alpha.try_add(beta)
             if beta is -alpha:
                 for j, c in enumerate(system.coroot_coords(alpha), start=1):
-                    rows[j - 1][col] = c
+                    if c:
+                        out[(j - 1, col)] = c
             elif total is not None:
-                rows[n + total.index][col] = system.structure_constant(alpha, beta)
-        return tuple(tuple(row) for row in rows)
+                out[(n + total.index, col)] = system.structure_constant(alpha, beta)
+        return out
 
     def ad(self, root: Root) -> Matrix:
         if root.system is not self.system:
@@ -230,32 +238,30 @@ class AdjointRep:
 
     def ad_cartan(self, j: int) -> Matrix:
         n = self.ctx.rank
-        rows = [[0] * self.dim for _ in range(self.dim)]
+        out: Matrix = {}
         for r in self.system.roots:
-            rows[n + r.index][n + r.index] = self.system.cartan_pairing(r.coeffs, j)
-        return tuple(tuple(row) for row in rows)
+            c = self.system.cartan_pairing(r.coeffs, j)
+            if c:
+                out[(n + r.index, n + r.index)] = c
+        return out
 
     def divided_powers(self, root: Root) -> list[Matrix]:
         """[I, ad, ad^2/2!, ...] until zero; all entries are integers."""
         if root not in self._divided:
-            powers = [mat_identity(self.dim)]
+            powers = [identity(self.dim)]
             current = self.ad(root)
             k = 1
-            while not mat_is_zero(current):
+            while current:
                 if k > self.MAX_NILPOTENCY:
                     raise AssertionError(f"ad e_{root} is not nilpotent of index <= 5")
                 powers.append(current)
-                nxt = mat_mul(current, self.ad(root))
-                scaled = []
-                for row in nxt:
-                    out_row = []
-                    for v in row:
-                        q, r = divmod(v, k + 1)
-                        if r:
-                            raise AssertionError("divided power is not integral")
-                        out_row.append(q)
-                    scaled.append(tuple(out_row))
-                current = tuple(scaled)
+                scaled = {}
+                for key, v in mat_mul(current, self.ad(root)).items():
+                    q, r = divmod(v, k + 1)
+                    if r:
+                        raise AssertionError("divided power is not integral")
+                    scaled[key] = q
+                current = scaled
                 k += 1
             self._divided[root] = powers
         return self._divided[root]
@@ -268,32 +274,23 @@ class AdjointRep:
             scalar = value.numerator  # integer fast path
         else:
             scalar = value
-        powers = self.divided_powers(root)
-        total = [[0] * self.dim for _ in range(self.dim)]
-        coeff = 1
-        for k, mat in enumerate(powers):
-            if k:
-                coeff = coeff * scalar % prime if prime is not None else coeff * scalar
-            for i, row in enumerate(mat):
-                for j, v in enumerate(row):
-                    if v:
-                        total[i][j] += coeff * v
-        if prime is not None:
-            return tuple(tuple(v % prime for v in row) for row in total)
-        return tuple(tuple(row) for row in total)
+        return combine(
+            ((scalar ** k, mat) for k, mat in enumerate(self.divided_powers(root))),
+            prime,
+        )
 
     def evaluate(
         self,
         word: UnipotentWord,
         assignment: Mapping[str, Fraction] | None = None,
         prime: int | None = None,
-    ) -> Matrix:
+    ) -> tuple[tuple, ...]:
         assignment = assignment or {}
-        result = mat_identity(self.dim)
+        result = identity(self.dim)
         for f in word.factors:
             value = f.coeff.evaluate(assignment)
             result = mat_mul(result, self.exp_factor(f.root, value, prime), prime)
-        return result
+        return dense(result, self.dim)
 
 
 def _mod_fraction(value: Fraction, prime: int) -> int:
@@ -318,8 +315,8 @@ def evaluate_adjoint(
     word: UnipotentWord,
     assignment: Mapping[str, Fraction] | None = None,
     prime: int | None = None,
-) -> Matrix:
-    """Exact matrix of a word in the adjoint representation."""
+) -> tuple[tuple, ...]:
+    """Exact matrix of a word in the adjoint representation, as row tuples."""
     return adjoint_rep(ctx).evaluate(word, assignment, prime)
 
 

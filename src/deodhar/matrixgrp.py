@@ -2,8 +2,13 @@
 
 The Borel subgroup is upper triangular, its opposite lower triangular, and
 the Weyl group is the symmetric group on three letters acting by permutation
-matrices.  The Bruhat word of an invertible matrix is read off from the rank
-profile of its lower-left submatrices, which is constant on B x B orbits.
+matrices.  Matrices are tuples of row tuples.  The Bruhat word of an
+invertible matrix comes from one column elimination over F_q by the column
+operations of B acting on the right: in each column the lowest nonzero entry
+is the pivot, and the later columns are cleared along its row, so no pivot
+row is used twice.  Below each pivot the column is zero, so permuting the
+columns of the result by w^-1 gives an upper triangular matrix and g lies in
+BwB, where w sends j to the row of the pivot of column j.
 
 ``count_cells`` tallies every flag of F_q^3 by its pair of relative
 positions (w.r.t. the standard and the opposite base flag).  Enumerating the
@@ -16,10 +21,11 @@ from __future__ import annotations
 
 from itertools import product
 
-from .linalg import Matrix, rank_mod
 from .weyl import WeylElement, context
 
 MAX_PRIME = 64
+
+Matrix = tuple[tuple[int, ...], ...]
 
 
 def _ctx():
@@ -31,24 +37,20 @@ def unipotent_lower(a: int, b: int, c: int, q: int) -> Matrix:
     return ((1, 0, 0), (a % q, 1, 0), (c % q, b % q, 1))
 
 
-def _lower_left_rank(g: Matrix, i: int, j: int, q: int) -> int:
-    """Rank of rows i..3, columns 1..j (1-based), over F_q."""
-    if i > 3 or j < 1:
-        return 0
-    return rank_mod([row[:j] for row in g[i - 1 :]], q)
-
-
 def bruhat_word(g: Matrix, q: int) -> WeylElement:
-    """The unique w with g in BwB, from the lower-left rank profile."""
-    r = {(i, j): _lower_left_rank(g, i, j, q) for i in range(1, 5) for j in range(0, 4)}
-    if r[(1, 3)] != 3:
-        raise ValueError("matrix is singular")
-    window = [0, 0, 0]
-    for j in range(1, 4):
-        for i in range(1, 4):
-            if r[(i, j)] - r[(i + 1, j)] - r[(i, j - 1)] + r[(i + 1, j - 1)] == 1:
-                window[j - 1] = i
-                break
+    """The unique w with g in BwB, by one column elimination over F_q."""
+    cols = [[v % q for v in col] for col in zip(*g)]
+    window = []
+    for j, col in enumerate(cols):
+        pivot = max((i for i, v in enumerate(col) if v), default=None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        window.append(pivot + 1)
+        inverse = pow(col[pivot], -1, q)
+        for later in cols[j + 1 :]:
+            factor = later[pivot] * inverse % q
+            if factor:
+                later[:] = [(u - factor * v) % q for u, v in zip(later, col)]
     return _ctx().from_window(tuple(window))
 
 
@@ -103,11 +105,15 @@ def enumerate_flags(q: int):
             for s in range(q)
         ] + [others[1]]
         for y in seconds:
-            for z in basis:
-                g = tuple(zip(x, y, z))  # columns x, y, z
-                if _lower_left_rank(g, 1, 3, q) == 3:
-                    yield g
-                    break
+            # the first basis vector z off the plane of x and y: the
+            # determinant of (x, y, e_k) is the k-th entry of x cross y
+            cross = (
+                x[1] * y[2] - x[2] * y[1],
+                x[2] * y[0] - x[0] * y[2],
+                x[0] * y[1] - x[1] * y[0],
+            )
+            z = basis[next(k for k in range(3) if cross[k] % q)]
+            yield tuple(zip(x, y, z))  # columns x, y, z
 
 
 def count_cells(q: int) -> dict[tuple[WeylElement, WeylElement], int]:

@@ -1,9 +1,11 @@
 """Root systems of types A_n and B_n with Chevalley structure constants.
 
 Each :class:`RootSystem` builds its :class:`Root` objects once; a root is an
-integer coefficient vector over the simple basis ``beta_1 .. beta_n`` and an
-index into the system's table, and every root of the package is one of them.  The type B realization follows the labeling with the
-double bond between the first two nodes: ``beta_1`` is the short simple root,
+integer coefficient vector over the simple basis ``beta_1 .. beta_n``, its
+ambient vector and an index into the system's table, and every root of the
+package is one of them.  The type B realization follows the labeling with
+the double bond between the first two nodes: ``beta_1`` is the short simple
+root,
 
     beta_1 = e_1,   beta_i = e_i - e_{i-1}  (i >= 2),
 
@@ -19,8 +21,9 @@ the upper-triangular Borel of SL_{n+1} used by the matrix cross-checks.
 Structure constants N(alpha, beta), defined by [e_alpha, e_beta] =
 N(alpha, beta) e_{alpha+beta}, are read off from explicit faithful matrix
 realizations (sl(n+1), and so(2n+1) with the short root vectors rescaled so
-all brackets stay integral) and then sign-normalized so that every
-extraspecial pair gets a positive constant, which is Carter's convention.
+all brackets stay integral), bracketed as sparse matrices of
+:mod:`deodhar.linalg`, and then sign-normalized so that every extraspecial
+pair gets a positive constant, which is Carter's convention.
 The normalized table is uniquely determined by that convention; its defining
 properties (antisymmetry, |N| = p+1, Jacobi via the adjoint representation)
 are asserted by the test suite rather than assumed.
@@ -30,7 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
+
+from .linalg import bracket, combine
 
 FAMILY_A = "A"
 FAMILY_B = "B"
@@ -39,55 +44,25 @@ FAMILY_B = "B"
 # about 3.5 s, and every rank the command line accepts goes through here.
 RANK_BOUND = 16
 
-# -- sparse integer matrices (dict of (row, col) -> value) -------------------
-
-
-def _smul(a: Mapping, b: Mapping) -> dict:
-    out: dict = {}
-    for (ra, ca), va in a.items():
-        for (rb, cb), vb in b.items():
-            if ca == rb:
-                key = (ra, cb)
-                val = out.get(key, 0) + va * vb
-                if val:
-                    out[key] = val
-                else:
-                    del out[key]
-    return out
-
-
-def _sbracket(a: Mapping, b: Mapping) -> dict:
-    out = dict(_smul(a, b))
-    for key, val in _smul(b, a).items():
-        new = out.get(key, 0) - val
-        if new:
-            out[key] = new
-        else:
-            out.pop(key, None)
-    return out
-
-
-def _sscale(a: Mapping, c: int) -> dict:
-    return {k: c * v for k, v in a.items()} if c else {}
-
-
 # -- roots -------------------------------------------------------------------
 
 
 class Root:
     """A root of one :class:`RootSystem`: its integer coefficient vector over
-    the simple roots and its index in ``system.roots``.
+    the simple roots, the same vector in ambient coordinates, and its index in
+    ``system.roots``.
 
     Every root is built once, by its system, so equality is identity and the
     hash is the index: sets and dicts of roots iterate in the same order in
     every interpreter.
     """
 
-    __slots__ = ("system", "coeffs", "index")
+    __slots__ = ("system", "coeffs", "ambient", "index")
 
     def __init__(self, system: "RootSystem", coeffs: tuple[int, ...], index: int):
         self.system = system
         self.coeffs = coeffs
+        self.ambient = system.to_ambient(coeffs)
         self.index = index
 
     def __hash__(self) -> int:
@@ -170,6 +145,7 @@ class RootSystem:
         self.roots = tuple(Root(self, t, k) for k, t in enumerate(coeffs))
         self.positive_roots = self.roots[: len(positive)]
         self._by_coeffs = {r.coeffs: r for r in self.roots}
+        self.by_ambient = {r.ambient: r for r in self.roots}
         self.min_norm_sq = min(self.norm_sq(t) for t in positive)
         self._structure: _StructureConstants | None = None
         self._self_test()
@@ -231,12 +207,6 @@ class RootSystem:
             (coeffs[k] if k < n else 0) - (coeffs[k - 1] if k >= 1 else 0)
             for k in range(n + 1)
         )
-
-    def from_ambient(self, ambient: Sequence[int]) -> tuple[int, ...]:
-        n = self.rank
-        if self.family == FAMILY_B:
-            return tuple(sum(ambient[k:]) for k in range(n))
-        return tuple(sum(ambient[: k + 1]) for k in range(n))
 
     def norm_sq(self, coeffs: Sequence[int]) -> int:
         return sum(v * v for v in self.to_ambient(coeffs))
@@ -370,16 +340,14 @@ class _StructureConstants:
         out: dict[Root, dict] = {}
         if system.family == FAMILY_A:
             for r in system.roots:
-                ambient = system.to_ambient(r.coeffs)
-                a = ambient.index(1)
-                b = ambient.index(-1)
+                a = r.ambient.index(1)
+                b = r.ambient.index(-1)
                 out[r] = {(a, b): 1}
             return out
         mid = n
         bar = lambda i: 2 * n + 1 - i  # 0-based mate of 1-based index i
         for r in system.roots:
-            ambient = system.to_ambient(r.coeffs)
-            support = [(k + 1, v) for k, v in enumerate(ambient) if v]
+            support = [(k + 1, v) for k, v in enumerate(r.ambient) if v]
             if len(support) == 1:
                 (i, v) = support[0]
                 if v == 1:
@@ -405,18 +373,18 @@ class _StructureConstants:
         simple_coroot_mats = []
         for i in range(1, system.rank + 1):
             beta = system.simple(i)
-            simple_coroot_mats.append(_sbracket(vectors[beta], vectors[-beta]))
+            simple_coroot_mats.append(bracket(vectors[beta], vectors[-beta]))
         for a in system.roots:
             for b in system.roots:
                 if a is b:
                     continue
-                br = _sbracket(vectors[a], vectors[b])
+                br = bracket(vectors[a], vectors[b])
                 total = a.try_add(b)
                 if total is not None:
                     target = vectors[total]
                     key = next(iter(target))
                     c, rem = divmod(br[key], target[key])
-                    if rem or br != _sscale(target, c):
+                    if rem or br != combine([(c, target)]):
                         raise AssertionError(f"bracket [{a}; {b}] not a multiple of e_{total}")
                     raw[(a, b)] = c
                 elif b is -a:
@@ -425,7 +393,7 @@ class _StructureConstants:
                     raise AssertionError(f"bracket [{a}; {b}] should vanish")
         return raw, coroots
 
-    def _coroot(self, alpha: Root, bracket, simple_coroot_mats) -> tuple[int, ...]:
+    def _coroot(self, alpha: Root, realized, simple_coroot_mats) -> tuple[int, ...]:
         """Coordinates of alpha-check over the simple coroots, from the closed
         form alpha-check = sum_i a_i |beta_i|^2 / |alpha|^2 beta_i-check, and
         the full realized bracket [e_alpha, e_-alpha] checked against them."""
@@ -437,11 +405,7 @@ class _StructureConstants:
             if rem:
                 raise AssertionError(f"non-integral coroot coordinates for {alpha}")
             coords.append(c)
-        expected: dict = {}
-        for c, h in zip(coords, simple_coroot_mats):
-            for key, val in h.items():
-                expected[key] = expected.get(key, 0) + c * val
-        if bracket != {k: v for k, v in expected.items() if v}:
+        if realized != combine(zip(coords, simple_coroot_mats)):
             raise AssertionError(f"[e_{alpha}, e_-{alpha}] is not the coroot {coords}")
         return tuple(coords)
 

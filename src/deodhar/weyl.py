@@ -201,13 +201,13 @@ class WeylElement:
         system = root.system
         if (system.family, system.rank) != (self.ctx.family, self.ctx.rank):
             raise ValueError("root does not belong to this context")
-        ambient = system.to_ambient(root.coeffs)
-        moved = [0] * len(ambient)
-        for k, v in enumerate(ambient, start=1):
+        window = self.window
+        moved = [0] * len(root.ambient)
+        for k, v in enumerate(root.ambient):
             if v:
-                image = self.apply(k)
+                image = window[k]
                 moved[abs(image) - 1] += v if image > 0 else -v
-        return system.root(system.from_ambient(moved))
+        return system.by_ambient[tuple(moved)]
 
     def serialize(self) -> str:
         return ",".join(str(v) for v in self.window)

@@ -16,12 +16,11 @@ from deodhar.chevalley import (
     evaluate_adjoint,
     is_canonical,
     limit_at_infinity,
-    mat_identity,
-    mat_mul,
     verify_closure_witness,
     witness_psi,
 )
 from deodhar.laurent import LaurentPoly, Monomial
+from deodhar.linalg import combine, dense, identity, mat_mul
 from deodhar.roots import root_system
 from deodhar.weyl import context
 
@@ -197,7 +196,7 @@ def test_limit_matches_large_t_trend():
 def test_adjoint_dimension_and_identity():
     rep = adjoint_rep(B3)
     assert rep.dim == 2 * 9 + 3
-    assert evaluate_adjoint(B3, UnipotentWord()) == mat_identity(rep.dim)
+    assert evaluate_adjoint(B3, UnipotentWord()) == dense(identity(rep.dim), rep.dim)
 
 
 def test_adjoint_is_lie_homomorphism():
@@ -211,36 +210,20 @@ def test_adjoint_is_lie_homomorphism():
             for b in system.all_roots():
                 if a.coeffs == b.coeffs:
                     continue
-                lhs = _mat_sub(
-                    mat_mul(rep.ad(a), rep.ad(b)), mat_mul(rep.ad(b), rep.ad(a))
+                lhs = combine(
+                    [(1, mat_mul(rep.ad(a), rep.ad(b))), (-1, mat_mul(rep.ad(b), rep.ad(a)))]
                 )
                 total = a.try_add(b)
                 if total is not None:
-                    rhs = _mat_scale(rep.ad(total), system.structure_constant(a, b))
+                    rhs = combine([(system.structure_constant(a, b), rep.ad(total))])
                 elif all(x + y == 0 for x, y in zip(a.coeffs, b.coeffs)):
-                    rhs = _coroot_matrix(rep, system, a)
+                    rhs = combine(
+                        (coord, rep.ad_cartan(j))
+                        for j, coord in enumerate(system.coroot_coords(a), start=1)
+                    )
                 else:
-                    rhs = tuple(tuple(0 for _ in range(rep.dim)) for _ in range(rep.dim))
+                    rhs = {}
                 assert lhs == rhs, (a, b)
-
-
-def _mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_scale(a, c):
-    return tuple(tuple(c * v for v in row) for row in a)
-
-
-def _coroot_matrix(rep, system, a):
-    total = [[0] * rep.dim for _ in range(rep.dim)]
-    for j, coord in enumerate(system.coroot_coords(a), start=1):
-        if coord:
-            h = rep.ad_cartan(j)
-            for r in range(rep.dim):
-                for c in range(rep.dim):
-                    total[r][c] += coord * h[r][c]
-    return tuple(tuple(row) for row in total)
 
 
 def test_adjoint_nilpotency_bound():

@@ -13,11 +13,11 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "deodhar"
 LAYERS = {
     "linalg": set(),
     "laurent": set(),
-    "roots": set(),
+    "roots": {"linalg"},
     "weyl": {"roots"},
     "cells": {"laurent", "roots", "weyl"},
     "search": {"cells", "roots", "weyl"},
-    "matrixgrp": {"linalg", "weyl"},
+    "matrixgrp": {"weyl"},
     # the witness lives in chevalley and reads the catalog of search
     "chevalley": {"cells", "laurent", "linalg", "roots", "search"},
     "cli": {"cells", "chevalley", "matrixgrp", "search", "weyl"},

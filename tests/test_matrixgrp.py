@@ -144,3 +144,66 @@ def test_csv_output_shape():
     assert all(line.startswith('2,"') for line in lines[1:])
     total = sum(int(line.rsplit(",", 1)[1]) for line in lines[1:])
     assert total == 21
+
+
+# -- the lower-left rank profile, as an independent reference ------------------
+
+
+def _rank_mod(rows, q):
+    m = [[v % q for v in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], -1, q)
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                factor = m[r][col] * inv
+                m[r] = [(v - factor * w) % q for v, w in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def rank_profile_word(g, q):
+    """The w with g in BwB from the ranks of the lower-left submatrices
+    (rows i..3, columns 1..j), which are constant on B x B orbits; None for
+    a singular matrix."""
+
+    def r(i, j):
+        if i > 3 or j < 1:
+            return 0
+        return _rank_mod([row[:j] for row in g[i - 1 :]], q)
+
+    if r(1, 3) != 3:
+        return None
+    window = [0, 0, 0]
+    for j in range(1, 4):
+        for i in range(1, 4):
+            if r(i, j) - r(i + 1, j) - r(i, j - 1) + r(i + 1, j - 1) == 1:
+                window[j - 1] = i
+                break
+    return A2.from_window(tuple(window))
+
+
+def test_bruhat_word_matches_rank_profile_over_f2():
+    invertible = 0
+    for entries in product(range(2), repeat=9):
+        g = (entries[0:3], entries[3:6], entries[6:9])
+        expected = rank_profile_word(g, 2)
+        if expected is None:
+            with pytest.raises(ValueError):
+                bruhat_word(g, 2)
+        else:
+            invertible += 1
+            assert bruhat_word(g, 2) == expected, g
+    assert invertible == 168  # the order of GL_3(F_2)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_flag_positions_match_rank_profile(q):
+    w0 = A2.longest_element()
+    for g in enumerate_flags(q):
+        assert bruhat_word(g, q) == rank_profile_word(g, q), g
+        assert opposite_coset(g, q) == w0 * rank_profile_word(g[::-1], q), g
