@@ -20,15 +20,20 @@ root sequence ``cell(sub).phi``, the roots ``gamma^i(-alpha_i)`` over the
 positions where ``gamma^i(alpha_i) > 0``; those with ``gamma_i = 1`` carry
 punctured-line coordinates (``free`` below).
 
-Every consumer reads the distinguished masks through a walk bounded by a
-count of masks rather than of letters.  :func:`enumerate_subexpressions`
-walks all of them; :func:`enumerate_below` walks only those below one gamma
-in the closure order defined next, cutting a subtree of the prefix trie at
-the first position where the order fails.  The linear consumers stream a walk
-under ``CELLS_BOUND``.  The pairwise ones hold at most ``PAIRS_BOUND``
-descriptors, one per mask: ``hasse_dot`` and ``find_obstructions`` walk the
-masks below each of them, ``scan_disjointness`` compares every pair of one
-endpoint.
+Every consumer of the cells reads the distinguished masks through a walk
+bounded by a count of masks rather than of letters.
+:func:`enumerate_subexpressions` walks all of them; :func:`enumerate_below`
+walks only those below one gamma in the closure order defined next, cutting a
+subtree of the prefix trie at the first position where the order fails.  The
+linear consumers stream a walk under ``CELLS_BOUND``.  The pairwise ones hold
+at most ``PAIRS_BOUND`` descriptors, one per mask: ``hasse_dot`` and
+``find_obstructions`` walk the masks below each of them,
+``scan_disjointness`` compares every pair of one endpoint.
+
+Point counts walk no mask: :func:`point_count_polynomial` reads one table
+per word, the number of cells of each endpoint and shape, which Deodhar's
+recursion builds letter by letter over the partial products.  It keeps the
+bound of the walks: a word with more than ``CELLS_BOUND`` masks is rejected.
 
 A second partial order drives all closure bookkeeping: ``delta preceq gamma``
 iff ``gamma^i <= delta^i`` in Bruhat order for every ``i``.  Note the
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 from typing import Iterator, Mapping
 
@@ -49,11 +55,13 @@ from .roots import Root
 from .weyl import ReducedWord, WeylElement, bruhat_leq
 
 # Most distinguished masks a linear consumer walks: cells_with_endpoint,
-# point_count_polynomial, the cells command and closure_upper_bound (there
-# the masks below gamma).  Their cost is about linear in the number of masks:
-# the cells command takes about 3 s with --json on the 13,066 masks of the
-# rank-5 catalog word and 9 s on 15,000 masks of a 24-letter word in B_16;
-# closure_upper_bound 1.3 s on the 5,167 masks below the rank-6 catalog gamma.
+# the cells command and closure_upper_bound (there the masks below gamma).
+# Their cost is about linear in the number of masks: the cells command takes
+# about 3 s with --json on the 13,066 masks of the rank-5 catalog word and
+# 9 s on 15,000 masks of a 24-letter word in B_16; closure_upper_bound 1.3 s
+# on the 5,167 masks below the rank-6 catalog gamma.  point_count_polynomial
+# walks no mask, since its recursion merges prefixes by partial product, but
+# rejects a word with more masks too.
 CELLS_BOUND = 15000
 # Most distinguished masks a pairwise consumer holds: hasse_dot,
 # find_obstructions and scan_disjointness (there per endpoint).  The first two
@@ -313,10 +321,50 @@ def point_count(shapes: Mapping[tuple[int, int], int]) -> LaurentPoly:
 
 def point_count_polynomial(word: ReducedWord, v: WeylElement) -> LaurentPoly:
     """Sum of q^affine (q-1)^torus over the cells with endpoint ``v``;
-    counts the F_q-points of the double Schubert cell."""
-    return point_count(
-        Counter((d.affine_rank, d.torus_rank) for d in cells_with_endpoint(word, v))
-    )
+    counts the F_q-points of the double Schubert cell.  Reads the table of
+    :func:`_endpoint_shapes`, which walks no mask.
+
+    The open cell of ``1,2,1`` in A_2 has (q-1)^3 + q(q-1) points:
+
+    >>> from deodhar.weyl import context; A2 = context("A", 2); print(
+    ...     point_count_polynomial(ReducedWord(A2, (1, 2, 1)), A2.identity))
+    -1 + 2*q - 2*q^2 + q^3
+    """
+    return point_count(_endpoint_shapes(word).get(v, {}))
+
+
+# Every caller asks for all endpoints of one word in a row (the census over
+# reduced words, criteria 6 and 7), so one table is kept.
+@lru_cache(maxsize=1)
+def _endpoint_shapes(word: ReducedWord) -> dict[WeylElement, Counter]:
+    """For each endpoint, the number of distinguished masks of each
+    (affine, torus) shape, by Deodhar's recursion over the partial products:
+    a forced descent takes the letter and adds an affine line; otherwise
+    taking the letter keeps the shape (J grows) and skipping it adds a
+    punctured line.  Raises ``ValueError`` once a layer would hold more than
+    ``CELLS_BOUND`` distinguished prefixes; every distinguished prefix has an
+    extension, so exactly when the word has more than ``CELLS_BOUND`` masks.
+    """
+    layer = {word.ctx.identity: Counter({(0, 0): 1})}
+    for letter in word.letters:
+        forced = {x: x.has_right_descent(letter) for x in layer}
+        # counted before the next layer interns its partial products
+        prefixes = sum(
+            sum(shapes.values()) * (1 if forced[x] else 2) for x, shapes in layer.items()
+        )
+        if prefixes > CELLS_BOUND:
+            raise ValueError(f"word has more than {CELLS_BOUND} distinguished masks")
+        nxt: dict[WeylElement, Counter] = {}
+        for x, shapes in layer.items():
+            taken = nxt.setdefault(x.right_mult_generator(letter), Counter())
+            if forced[x]:
+                taken.update({(a + 1, t): n for (a, t), n in shapes.items()})
+            else:
+                taken.update(shapes)
+                skipped = nxt.setdefault(x, Counter())
+                skipped.update({(a, t + 1): n for (a, t), n in shapes.items()})
+        layer = nxt
+    return layer
 
 
 def hasse_dot(word: ReducedWord) -> str:

@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 
 import pytest
 
@@ -15,13 +16,14 @@ from deodhar.cells import (
     enumerate_subexpressions,
     hasse_dot,
     is_distinguished,
+    point_count,
     point_count_polynomial,
     preceq,
     subexpression,
 )
 from deodhar.laurent import LaurentPoly
 from deodhar.search import CLOSURE_OBSTRUCTION, DISJOINTNESS, catalog
-from deodhar.weyl import context, parse_word
+from deodhar.weyl import ReducedWord, all_reduced_words, bruhat_leq, context, parse_word
 
 A2 = context("A", 2)
 B3 = context("B", 3)
@@ -53,8 +55,6 @@ def test_enumeration_counts_and_order():
 def test_enumeration_bound():
     ctx = context("B", 7)
     w0 = ctx.longest_element()
-    from deodhar.weyl import ReducedWord
-
     letters = []
     w = w0
     while not w.is_identity():
@@ -255,6 +255,69 @@ def test_point_count_polynomial_examples():
     assert poly == expected
     assert poly == q ** 3 - 2 * q ** 2 + 2 * q - one
     assert point_count_polynomial(STS, A2.from_word([1, 2, 1])) == one
+
+
+def _walked_point_count(word, v):
+    """The reference route: point counts summed from the cells of the walk."""
+    return point_count(
+        Counter((d.affine_rank, d.torus_rank) for d in cells_with_endpoint(word, v))
+    )
+
+
+def _point_count_words():
+    """Every reduced word of W(A_3), one word per element of W(B_3), the n=3
+    catalog word and a reduced word of w0 in B_3."""
+    words = [word for w in context("A", 3).elements() for word in all_reduced_words(w)]
+    words += [all_reduced_words(w)[0] for w in B3.elements()]
+    words += [catalog(CLOSURE_OBSTRUCTION, 3).word, parse_word(B3, "3,2,1,2,3,2,1,2,1")]
+    return words
+
+
+def test_point_count_polynomial_matches_cell_walk():
+    q = LaurentPoly.variable("q")
+    for word in _point_count_words():
+        total = LaurentPoly.zero()
+        for v in word.ctx.elements():
+            poly = point_count_polynomial(word, v)
+            assert poly == _walked_point_count(word, v), (word.serialize(), v.window)
+            assert poly.is_zero() != bruhat_leq(v, word.product)
+            total = total + poly
+        assert total == q ** len(word), word.serialize()
+
+
+B16_W0 = parse_word(context("B", 16), ",".join(map(str, list(range(1, 17)) * 16)))
+
+
+@pytest.mark.parametrize(
+    "word",
+    [catalog(CLOSURE_OBSTRUCTION, 6).word, B16_W0],
+    ids=["catalog-6", "b16-w0"],  # 136,563 masks; 256 letters
+)
+def test_point_count_polynomial_bound(word):
+    with pytest.raises(ValueError, match="more than 15000"):
+        point_count_polynomial(word, word.ctx.identity)
+
+
+def test_point_count_polynomial_bound_is_exact(monkeypatch):
+    # both words have 7 distinguished masks; the table holds one word
+    monkeypatch.setattr(cells, "CELLS_BOUND", 7)
+    assert point_count_polynomial(STS, A2.identity) == point_count({(0, 3): 1, (1, 1): 1})
+    monkeypatch.setattr(cells, "CELLS_BOUND", 6)
+    with pytest.raises(ValueError, match="^word has more than 6 distinguished masks$"):
+        point_count_polynomial(parse_word(A2, "2,1,2"), A2.identity)
+
+
+def test_point_count_polynomial_keys_on_context():
+    # equal letters and equal hash, different words
+    a3, b3 = context("A", 3), context("B", 3)
+    word_a, word_b = ReducedWord(a3, (1, 2)), ReducedWord(b3, (1, 2))
+    assert hash(word_a) == hash(word_b) and word_a != word_b
+    zero = LaurentPoly.zero()
+    for _ in range(2):
+        for word, other in ((word_a, b3), (word_b, a3)):
+            expected = {v: _walked_point_count(word, v) for v in word.ctx.elements()}
+            assert {v: point_count_polynomial(word, v) for v in expected} == expected
+            assert all(point_count_polynomial(word, v) == zero for v in other.elements())
 
 
 def test_point_count_invariance_across_words():
