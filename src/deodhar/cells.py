@@ -57,19 +57,20 @@ from .weyl import ReducedWord, WeylElement, bruhat_leq
 # Most distinguished masks a linear consumer walks: cells_with_endpoint,
 # the cells command and closure_upper_bound (there the masks below gamma).
 # Their cost is about linear in the number of masks: the cells command takes
-# about 3 s with --json on the 13,066 masks of the rank-5 catalog word and
-# 9 s on 15,000 masks of a 24-letter word in B_16; closure_upper_bound 1.3 s
-# on the 5,167 masks below the rank-6 catalog gamma.  point_count_polynomial
+# about 0.9 s with --json on the 13,066 masks of the rank-5 catalog word,
+# closure_upper_bound 0.25 s on the 5,167 masks below the rank-6 catalog
+# gamma.  point_count_polynomial
 # walks no mask, since its recursion merges prefixes by partial product, but
 # rejects a word with more masks too.
 CELLS_BOUND = 15000
 # Most distinguished masks a pairwise consumer holds: hasse_dot,
 # find_obstructions and scan_disjointness (there per endpoint).  The first two
 # walk the masks below each mask, so their cost grows with the number of
-# related pairs: hasse_dot takes about 2.2 s on the rank-4 catalog word (1,253
-# masks), 4.1 s on 2,048 masks and 12.5 s on 4,096 masks (the words 1, ..., n
-# of B_11 and B_12); find_obstructions 12 s on the 13,066 masks of the rank-5
-# catalog word.  scan_disjointness compares every pair of one endpoint.
+# related pairs: hasse_dot takes about 0.75 s on the rank-4 catalog word
+# (1,253 masks), 1.5 s on 2,048 masks and 4.5 s on 4,096 masks (the words
+# 1, ..., n of B_11 and B_12); find_obstructions 5.2 s on the 13,066 masks of
+# the rank-5 catalog word.  scan_disjointness compares every pair of one
+# endpoint.
 PAIRS_BOUND = 1300
 
 
@@ -99,10 +100,11 @@ class Subexpression:
 
     def descent_positions(self) -> tuple[int, ...]:
         """J(gamma), 1-based, via the window descent rule."""
+        partials = self.partials
         return tuple(
             i
             for i, letter in enumerate(self.word.letters, start=1)
-            if self.partials[i].has_right_descent(letter)
+            if partials[i].descents >> letter & 1
         )
 
     def concat(self, other: "Subexpression") -> "Subexpression":
@@ -144,9 +146,9 @@ def enumerate_subexpressions(word: ReducedWord, bound: int) -> Iterator[Subexpre
         # descend along the smallest allowed bits
         while len(mask) < len(letters):
             prev, letter = partials[-1], letters[len(mask)]
-            if prev.has_right_descent(letter):
+            if prev.descents >> letter & 1:
                 mask.append(1)
-                partials.append(prev.right_mult_generator(letter))
+                partials.append(prev.succ[letter] or prev._successor(letter))
             else:
                 mask.append(0)
                 partials.append(prev)
@@ -161,7 +163,8 @@ def enumerate_subexpressions(word: ReducedWord, bound: int) -> Iterator[Subexpre
         if not mask:
             return
         mask[-1] = 1
-        partials[-1] = partials[-2].right_mult_generator(letters[len(mask) - 1])
+        prev, letter = partials[-2], letters[len(mask) - 1]
+        partials[-1] = prev.succ[letter] or prev._successor(letter)
 
 
 def enumerate_below(
@@ -199,13 +202,13 @@ def enumerate_below(
             yield Subexpression(word, tuple(mask), tuple(partials))
             continue
         letter, floor = letters[depth], floors[depth + 1]
-        if here.has_right_descent(letter):
-            taken = here.right_mult_generator(letter)
+        if here.descents >> letter & 1:
+            taken = here.succ[letter] or here._successor(letter)
             if bruhat_leq(floor, taken):
                 stack.append((depth + 1, 1, taken, descents))
             continue
         if descents < ceiling:
-            taken = here.right_mult_generator(letter)
+            taken = here.succ[letter] or here._successor(letter)
             if bruhat_leq(floor, taken):
                 stack.append((depth + 1, 1, taken, descents + 1))
         if bruhat_leq(floor, here):
@@ -215,8 +218,8 @@ def enumerate_below(
 def is_distinguished(sub: Subexpression) -> bool:
     """A forced descent must take the letter: gamma^{i-1} s_i < gamma^{i-1}
     implies gamma_i = s_i."""
-    for i, letter in enumerate(sub.word.letters, start=1):
-        if sub.partials[i - 1].has_right_descent(letter) and not sub.mask[i - 1]:
+    for prev, letter, bit in zip(sub.partials, sub.word.letters, sub.mask):
+        if prev.descents >> letter & 1 and not bit:
             return False
     return True
 
@@ -263,10 +266,10 @@ def cell(sub: Subexpression) -> CellDescriptor:
         raise ValueError(f"mask {sub.mask_string} is not distinguished: its cell is empty")
     length = len(sub)
     phi = []
-    for i in range(1, length + 1):
-        image = sub.partials[i].act_on_root(sub.word.simple_root(i))
+    for i, (partial, letter) in enumerate(zip(sub.partials[1:], sub.word.letters), start=1):
+        image = partial.images[letter] or partial._simple_image(letter)
         if image.is_positive:
-            phi.append(PhiEntry(index=i, root=-image, free=i not in chosen))
+            phi.append(PhiEntry(index=i, root=-image, free=not sub.mask[i - 1]))
     return CellDescriptor(
         sub=sub,
         chosen=chosen,
@@ -347,7 +350,7 @@ def _endpoint_shapes(word: ReducedWord) -> dict[WeylElement, Counter]:
     """
     layer = {word.ctx.identity: Counter({(0, 0): 1})}
     for letter in word.letters:
-        forced = {x: x.has_right_descent(letter) for x in layer}
+        forced = {x: x.descents >> letter & 1 for x in layer}
         # counted before the next layer interns its partial products
         prefixes = sum(
             sum(shapes.values()) * (1 if forced[x] else 2) for x, shapes in layer.items()
@@ -356,7 +359,7 @@ def _endpoint_shapes(word: ReducedWord) -> dict[WeylElement, Counter]:
             raise ValueError(f"word has more than {CELLS_BOUND} distinguished masks")
         nxt: dict[WeylElement, Counter] = {}
         for x, shapes in layer.items():
-            taken = nxt.setdefault(x.right_mult_generator(letter), Counter())
+            taken = nxt.setdefault(x.succ[letter] or x._successor(letter), Counter())
             if forced[x]:
                 taken.update({(a + 1, t): n for (a, t), n in shapes.items()})
             else:

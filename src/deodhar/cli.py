@@ -16,7 +16,7 @@ from collections import Counter
 
 from . import cells as cells_mod
 from . import chevalley, matrixgrp, search
-from .weyl import ReducedWord, context
+from .weyl import ReducedWord, context, parse_integers
 
 
 def _add_context_flags(parser, default_family="B"):
@@ -27,27 +27,13 @@ def _add_context_flags(parser, default_family="B"):
 def _word(args) -> ReducedWord:
     """The reduced word ``--word`` of ``--family``; without ``--rank``, the
     rank is the largest letter (at least 2 in type B)."""
-    letters = _parse_letters(args.word)
+    letters = parse_integers(args.word, "word")
     rank = args.rank
     if rank is None:
         rank = max(letters) if letters else 1
         if args.family == "B":
             rank = max(rank, 2)
     return ReducedWord(context(args.family, rank), letters)
-
-
-def _parse_letters(text: str) -> tuple[int, ...]:
-    if not text:
-        return ()
-    letters = []
-    for pos, part in enumerate(text.split(","), start=1):
-        try:
-            letters.append(int(part))
-        except ValueError:
-            raise ValueError(
-                f"word token {part!r} at position {pos} is not an integer"
-            ) from None
-    return tuple(letters)
 
 
 def _parse_mask(text: str) -> str:

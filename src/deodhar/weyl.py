@@ -15,17 +15,34 @@ equality is identity and the hash is the order of first reach (independent
 of ``PYTHONHASHSEED``).  ``from_window`` is the one entry point that checks a
 window, once per new window; the group operations build valid windows.
 
+Each element also carries the tables that the hot loops (:func:`bruhat_leq`
+and the walks of :mod:`deodhar.cells`) read inline instead of calling a
+method: ``descents``, a bitmask whose bit ``i`` is set iff ``t_i`` is a right
+descent, computed when the element is interned; and ``succ[i]``, the element
+``w t_i``, and ``images[i]``, the root ``w(alpha_i)``, both filled the first
+time they are asked for.  An entry not yet filled is ``None``, so a loop
+reads ``w.succ[i] or w._successor(i)``.  Until its first entry a table is
+one tuple of ``None`` shared by the whole group, so an element that is
+reached but never multiplied further holds no list; ``length`` is a slot
+filled on first use.  ``right_mult_generator`` and ``has_right_descent`` are
+the public forms, which check their argument and read the same tables.
+
 >>> ctx = context("B", 3)
 >>> ctx.from_word([1]).window
 (-1, 2, 3)
 >>> ctx.from_word([3, 2, 1, 2, 3, 2, 1, 2, 1]) is ctx.longest_element()
+True
+>>> w = ctx.from_word([2, 1]); bin(w.descents)
+'0b10'
+>>> w.right_mult_generator(1) is w.succ[1] is ctx.generator(2)
 True
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from itertools import compress
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from .roots import FAMILY_A, FAMILY_B, Root, root_system
@@ -39,10 +56,17 @@ class CoxeterContext:
     """One Weyl group W(A_n) or W(B_n); use :func:`context` to obtain one."""
 
     def __init__(self, family: str, rank: int):
-        root_system(family, rank)  # validates family and rank, runs self-test
+        # validates family and rank, runs the self-test
+        self.system = root_system(family, rank)
         self.family = family
         self.rank = rank
         self.window_size = rank + 1 if family == FAMILY_A else rank
+        # the descent bit of each pair of adjacent window entries
+        first = 1 if family == FAMILY_A else 2
+        self._adjacent_bits = tuple(1 << i for i in range(first, rank + 1))
+        # the succ and images tables of every element until its first entry,
+        # so that an element never multiplied further holds no list
+        self._unfilled = (None,) * (rank + 1)
         # window -> element, for every element reached so far; the group is
         # too large to list eagerly (|W(B_16)| is about 1.4e18)
         self._elements: dict[tuple[int, ...], WeylElement] = {}
@@ -103,7 +127,7 @@ class CoxeterContext:
         """Parse window notation like ``-1,2,3``; ``e`` is the identity."""
         if text == "e":
             return self.identity
-        return self.from_window(tuple(int(p) for p in text.split(",")))
+        return self.from_window(parse_integers(text, "window"))
 
 
 _CONTEXTS: dict[tuple[str, int], CoxeterContext] = {}
@@ -119,12 +143,31 @@ def context(family: str, rank: int) -> CoxeterContext:
 class WeylElement:
     """A group element in window notation, interned by its context: build
     one with ``ctx.from_window`` or by the group operations, never directly.
+    Its tables (``descents``, ``succ``, ``images``) are described in the
+    module docstring.
     """
+
+    __slots__ = ("ctx", "window", "index", "descents", "succ", "images", "length")
 
     def __init__(self, ctx: CoxeterContext, window: tuple[int, ...], index: int):
         self.ctx = ctx
         self.window = window
         self.index = index
+        # bit i set iff t_i is a right descent: in type A t_i iff
+        # w(i+1) < w(i); in type B t_1 iff w(1) < 0 (only type B windows have
+        # signs) and t_i (i >= 2) iff w(i) < w(i-1)
+        self.descents = sum(compress(ctx._adjacent_bits, map(lt, window[1:], window)))
+        if window[0] < 0:
+            self.descents |= 2
+        self.succ = self.images = ctx._unfilled
+
+    def __getattr__(self, name: str):
+        # reached only while the length slot is unset; once filled on first
+        # use it is a plain slot read
+        if name != "length":
+            raise AttributeError(f"'WeylElement' object has no attribute {name!r}")
+        self.length = self._inversions()
+        return self.length
 
     def __hash__(self) -> int:
         return self.index
@@ -149,22 +192,28 @@ class WeylElement:
         return self.ctx._intern(tuple(inv))
 
     def right_mult_generator(self, i: int) -> "WeylElement":
-        """Fast ``self * t_i``; the workhorse of every enumeration."""
+        """``self * t_i``, read from ``succ``."""
         if not 1 <= i <= self.ctx.rank:
             raise ValueError(f"generator index {i} out of range")
-        w = self.window
-        if self.ctx.family == FAMILY_B:
-            if i == 1:
-                return self.ctx._intern((-w[0],) + w[1:])
-            a, b = i - 2, i - 1
-        else:
-            a, b = i - 1, i
-        new = list(w)
-        new[a], new[b] = new[b], new[a]
-        return self.ctx._intern(tuple(new))
+        return self.succ[i] or self._successor(i)
 
-    @cached_property
-    def length(self) -> int:
+    def _successor(self, i: int) -> "WeylElement":
+        """Fill ``succ[i]`` from the window; ``i`` is not checked."""
+        w = self.window
+        if self.ctx.family == FAMILY_B and i == 1:
+            window = (-w[0],) + w[1:]
+        else:
+            a = i - 2 if self.ctx.family == FAMILY_B else i - 1
+            new = list(w)
+            new[a], new[a + 1] = new[a + 1], new[a]
+            window = tuple(new)
+        other = self.ctx._intern(window)
+        if self.succ is self.ctx._unfilled:
+            self.succ = [None] * (self.ctx.rank + 1)
+        self.succ[i] = other
+        return other
+
+    def _inversions(self) -> int:
         """Number of positive roots made negative (= minimal word length)."""
         w = self.window
         n = len(w)
@@ -183,18 +232,22 @@ class WeylElement:
         return self is self.ctx.identity
 
     def has_right_descent(self, i: int) -> bool:
-        """True iff length(self * t_i) < length(self)."""
+        """True iff length(self * t_i) < length(self), read from ``descents``."""
         if not 1 <= i <= self.ctx.rank:
             raise ValueError(f"generator index {i} out of range")
-        w = self.window
-        if self.ctx.family == FAMILY_B:
-            if i == 1:
-                return w[0] < 0
-            return w[i - 1] < w[i - 2]
-        return w[i] < w[i - 1]
+        return bool(self.descents >> i & 1)
 
     def right_descents(self) -> list[int]:
-        return [i for i in range(1, self.ctx.rank + 1) if self.has_right_descent(i)]
+        d = self.descents
+        return [i for i in range(1, self.ctx.rank + 1) if d >> i & 1]
+
+    def _simple_image(self, i: int) -> Root:
+        """Fill ``images[i]``, the root ``self(alpha_i)``; ``i`` is not checked."""
+        image = self.act_on_root(self.ctx.system.simple(i))
+        if self.images is self.ctx._unfilled:
+            self.images = [None] * (self.ctx.rank + 1)
+        self.images[i] = image
+        return image
 
     def act_on_root(self, root: Root) -> Root:
         """Image of a root under the linear action on ambient coordinates."""
@@ -244,11 +297,6 @@ class ReducedWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def simple_root(self, position: int) -> Root:
-        """Simple root of the letter at 1-based ``position``."""
-        system = root_system(self.ctx.family, self.ctx.rank)
-        return system.simple(self.letters[position - 1])
-
     def serialize(self) -> str:
         return ",".join(str(i) for i in self.letters)
 
@@ -256,38 +304,60 @@ class ReducedWord:
         return self.serialize()
 
 
+def parse_integers(text: str, kind: str) -> tuple[int, ...]:
+    """Comma-separated integers (none for the empty string); a token that is
+    not an integer is named, with its 1-based position, in the error."""
+    if not text:
+        return ()
+    values = []
+    for pos, part in enumerate(text.split(","), start=1):
+        try:
+            values.append(int(part))
+        except ValueError:
+            raise ValueError(
+                f"{kind} token {part!r} at position {pos} is not an integer"
+            ) from None
+    return tuple(values)
+
+
 def parse_word(ctx: CoxeterContext, text: str) -> ReducedWord:
-    letters = tuple(int(p) for p in text.split(",")) if text else ()
-    return ReducedWord(ctx, letters)
+    return ReducedWord(ctx, parse_integers(text, "word"))
 
 
 def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
     """Bruhat order, by the lifting property with memoization.
 
-    For a right descent ``i`` of ``v``: if ``i`` is also a descent of ``u``
-    then ``u <= v`` iff ``u t_i <= v t_i``, otherwise iff ``u <= v t_i``.
+    For a right descent ``i`` of ``v`` (the lowest one): if ``i`` is also a
+    descent of ``u`` then ``u <= v`` iff ``u t_i <= v t_i``, otherwise iff
+    ``u <= v t_i``.
     """
     if u.ctx is not v.ctx:
         raise ValueError("elements from different contexts")
     cache = u.ctx._bruhat_cache
+    # the indices name the elements; unlike (u, v) they hash in C
+    key = (u.index, v.index)
+    result = cache.get(key)
+    if result is not None:
+        return result
+    identity = u.ctx.identity
     stack = []
     while True:
-        # the indices name the elements; unlike (u, v) they hash in C
-        key = (u.index, v.index)
-        if key in cache:
-            result = cache[key]
-            break
-        if u is v or u.is_identity():
+        if u is v or u is identity:
             result = True
             break
         if u.length >= v.length:
             result = False
             break
         stack.append(key)
-        i = next(j for j in range(1, v.ctx.rank + 1) if v.has_right_descent(j))
-        v = v.right_mult_generator(i)
-        if u.has_right_descent(i):
-            u = u.right_mult_generator(i)
+        descents = v.descents
+        i = (descents & -descents).bit_length() - 1
+        v = v.succ[i] or v._successor(i)
+        if u.descents >> i & 1:
+            u = u.succ[i] or u._successor(i)
+        key = (u.index, v.index)
+        result = cache.get(key)
+        if result is not None:
+            break
     for key in stack:
         cache[key] = result
     return result

@@ -143,6 +143,12 @@ def test_parse_errors_report_positions(capsys):
     code = main(["cells", "--family", "A", "--rank", "2", "--word", "1,a,1"])
     err = capsys.readouterr().err
     assert code == 2 and "position 2" in err
+    code = main(["cells", "--word", "1,2", "--end", "x"])
+    err = capsys.readouterr().err
+    assert code == 2 and err == "error: window token 'x' at position 1 is not an integer\n"
+    code = main(["cells", "--word", "1,2", "--end=-1,y"])
+    err = capsys.readouterr().err
+    assert code == 2 and "token 'y' at position 2" in err
 
 
 def test_usage_error_exit_code():

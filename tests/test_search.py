@@ -166,6 +166,15 @@ def test_find_obstructions_matches_all_pairs(n):
     assert [(r.first.mask_string, r.second.mask_string) for r in reports] == expected
 
 
+@pytest.mark.parametrize("n, pairs, deeper", [(3, 13, 0), (4, 452, 19)])
+def test_find_obstructions_pair_counts(n, pairs, deeper):
+    # regression anchors: the number of reported pairs, and how many of them
+    # have dim(delta) > dim(gamma) rather than equal dimensions
+    reports = find_obstructions(catalog(CLOSURE_OBSTRUCTION, n).word)
+    assert len(reports) == pairs
+    assert sum(r.second.dimension > r.first.dimension for r in reports) == deeper
+
+
 def test_find_obstructions_contains_catalog_pair_n4():
     entry = catalog(CLOSURE_OBSTRUCTION, 4)
     reports = find_obstructions(entry.word)

@@ -126,6 +126,33 @@ def test_descents_window_rule_vs_length():
             )
 
 
+def _window_successor(family, window, i):
+    """The window of w t_i, computed from the window alone."""
+    w = list(window)
+    if family == "B" and i == 1:
+        w[0] = -w[0]
+    else:
+        a = i - 2 if family == "B" else i - 1
+        w[a], w[a + 1] = w[a + 1], w[a]
+    return tuple(w)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 4)])
+def test_element_tables_are_consistent(family, rank):
+    ctx = context(family, rank)
+    system = root_system(family, rank)
+    for w in ctx.elements():
+        assert not w.descents & 1 and w.descents >> (rank + 1) == 0
+        for i in range(1, rank + 1):
+            u = w.right_mult_generator(i)
+            assert w.succ[i] is u is ctx.from_window(_window_successor(family, w.window, i))
+            u.right_mult_generator(i)
+            assert w.succ[i].succ[i] is w
+            assert bool(w.descents >> i & 1) == (u.length < w.length)
+            image = w._simple_image(i)
+            assert w.images[i] is image is w.act_on_root(system.simple(i))
+
+
 def test_length_change_by_one():
     for w in B3.elements():
         for i in (1, 2, 3):
