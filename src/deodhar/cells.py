@@ -20,15 +20,16 @@ root sequence ``cell(sub).phi``, the roots ``gamma^i(-alpha_i)`` over the
 positions where ``gamma^i(alpha_i) > 0``; those with ``gamma_i = 1`` carry
 punctured-line coordinates (``free`` below).
 
-Every consumer of the cells reads the distinguished masks through a walk
-bounded by a count of masks rather than of letters.
-:func:`enumerate_subexpressions` walks all of them; :func:`enumerate_below`
-walks only those below one gamma in the closure order defined next, cutting a
-subtree of the prefix trie at the first position where the order fails.  The
-linear consumers stream a walk under ``CELLS_BOUND``.  The pairwise ones hold
-at most ``PAIRS_BOUND`` descriptors, one per mask: ``hasse_dot`` and
-``find_obstructions`` walk the masks below each of them,
-``scan_disjointness`` compares every pair of one endpoint.
+Every consumer of the cells reads the distinguished masks through one walk
+bounded by a count of masks rather than of letters: :func:`enumerate_below`
+walks the masks below one gamma in the closure order defined next, cutting a
+subtree of the prefix trie at the first position where the order fails, and
+:func:`enumerate_subexpressions` is that walk below the all-zeros mask, which
+reaches every distinguished mask.  The linear consumers stream a walk under
+``CELLS_BOUND``.  The pairwise ones hold at most ``PAIRS_BOUND``
+descriptors, one per mask: ``hasse_dot`` and ``find_obstructions`` walk the
+masks below each of them, ``scan_disjointness`` compares every pair of one
+endpoint.
 
 Point counts walk no mask: :func:`point_count_polynomial` reads one table
 per word, the number of cells of each endpoint and shape, which Deodhar's
@@ -129,42 +130,18 @@ def subexpression(word: ReducedWord, mask) -> Subexpression:
 
 
 def enumerate_subexpressions(word: ReducedWord, bound: int) -> Iterator[Subexpression]:
-    """The distinguished masks in increasing mask order, depth first: a
-    forced descent only takes the letter.  Raises ``ValueError`` on reaching
-    mask number bound + 1, so at most ``bound`` masks are ever yielded.
+    """The distinguished masks in increasing mask order: the walk of
+    :func:`enumerate_below` under the all-zeros mask, which lies above every
+    distinguished mask (its partial products are all e).  Raises
+    ``ValueError`` on reaching mask number bound + 1, so at most ``bound``
+    masks are ever yielded.
 
     >>> from deodhar.weyl import context, parse_word
     >>> w = parse_word(context("A", 2), "1,2,1")
     >>> [s.mask_string for s in enumerate_subexpressions(w, CELLS_BOUND)]
     ['000', '001', '010', '011', '101', '110', '111']
     """
-    letters = word.letters
-    mask: list[int] = []
-    partials: list[WeylElement] = [word.ctx.identity]
-    count = 0
-    while True:
-        # descend along the smallest allowed bits
-        while len(mask) < len(letters):
-            prev, letter = partials[-1], letters[len(mask)]
-            if prev.descents >> letter & 1:
-                mask.append(1)
-                partials.append(prev.succ[letter] or prev._successor(letter))
-            else:
-                mask.append(0)
-                partials.append(prev)
-        count += 1
-        if count > bound:
-            raise ValueError(f"word has more than {bound} distinguished masks")
-        yield Subexpression(word, tuple(mask), tuple(partials))
-        # backtrack past the trailing 1s, then take the letter of the last 0
-        while mask and mask[-1]:
-            mask.pop()
-            partials.pop()
-        if not mask:
-            return
-        mask[-1] = 1
-        prev, letter = partials[-2], letters[len(mask) - 1]
-        partials[-1] = prev.succ[letter] or prev._successor(letter)
+    return enumerate_below(subexpression(word, [0] * len(word)), bound)
 
 
 def enumerate_below(
@@ -177,19 +154,20 @@ def enumerate_below(
     A depth-first walk over the prefix trie of distinguished masks that cuts
     a whole subtree at the first i with gamma^i <= delta^i false.  J only
     grows along a prefix, by one exactly where a letter is taken without a
-    forced descent, so the ceiling on |J| cuts subtrees too.  It is a
-    generator of its own so that the unpruned walk keeps its per-node cost.
+    forced descent, so the ceiling on |J| cuts subtrees too.  A floor e
+    cuts nothing, and its test is skipped.
     """
     word, floors = gamma.word, gamma.partials
     letters = word.letters
     length = len(letters)
     ceiling = length if max_descents is None else max_descents
+    identity = word.ctx.identity
     mask = [0] * length
-    partials = [word.ctx.identity] * (length + 1)
+    partials = [identity] * (length + 1)
     count = 0
     # pending trie nodes (depth, last bit, delta^depth, |J| of the prefix);
     # a node pushes its 1-child first so that its 0-child pops first
-    stack = [(0, 0, word.ctx.identity, 0)]
+    stack = [(0, 0, identity, 0)]
     while stack:
         depth, bit, here, descents = stack.pop()
         if depth:
@@ -198,20 +176,20 @@ def enumerate_below(
         if depth == length:
             count += 1
             if count > bound:
-                raise ValueError(f"more than {bound} distinguished masks lie below gamma")
+                raise ValueError(f"more than {bound} distinguished masks to walk")
             yield Subexpression(word, tuple(mask), tuple(partials))
             continue
         letter, floor = letters[depth], floors[depth + 1]
         if here.descents >> letter & 1:
             taken = here.succ[letter] or here._successor(letter)
-            if bruhat_leq(floor, taken):
+            if floor is identity or bruhat_leq(floor, taken):
                 stack.append((depth + 1, 1, taken, descents))
             continue
         if descents < ceiling:
             taken = here.succ[letter] or here._successor(letter)
-            if bruhat_leq(floor, taken):
+            if floor is identity or bruhat_leq(floor, taken):
                 stack.append((depth + 1, 1, taken, descents + 1))
-        if bruhat_leq(floor, here):
+        if floor is identity or bruhat_leq(floor, here):
             stack.append((depth + 1, 0, here, descents))
 
 
@@ -325,7 +303,7 @@ def point_count(shapes: Mapping[tuple[int, int], int]) -> LaurentPoly:
 def point_count_polynomial(word: ReducedWord, v: WeylElement) -> LaurentPoly:
     """Sum of q^affine (q-1)^torus over the cells with endpoint ``v``;
     counts the F_q-points of the double Schubert cell.  Reads the table of
-    :func:`_endpoint_shapes`, which walks no mask.
+    :func:`endpoint_shapes`, which walks no mask.
 
     The open cell of ``1,2,1`` in A_2 has (q-1)^3 + q(q-1) points:
 
@@ -333,13 +311,13 @@ def point_count_polynomial(word: ReducedWord, v: WeylElement) -> LaurentPoly:
     ...     point_count_polynomial(ReducedWord(A2, (1, 2, 1)), A2.identity))
     -1 + 2*q - 2*q^2 + q^3
     """
-    return point_count(_endpoint_shapes(word).get(v, {}))
+    return point_count(endpoint_shapes(word).get(v, {}))
 
 
 # Every caller asks for all endpoints of one word in a row (the census over
-# reduced words, criteria 6 and 7), so one table is kept.
+# reduced words, criteria 6 and 7, the cells command), so one table is kept.
 @lru_cache(maxsize=1)
-def _endpoint_shapes(word: ReducedWord) -> dict[WeylElement, Counter]:
+def endpoint_shapes(word: ReducedWord) -> dict[WeylElement, Counter]:
     """For each endpoint, the number of distinguished masks of each
     (affine, torus) shape, by Deodhar's recursion over the partial products:
     a forced descent takes the letter and adds an affine line; otherwise

@@ -10,9 +10,13 @@ commutator formula
     u_alpha(x) u_beta(y) = [u_alpha(x); u_beta(y)] u_beta(y) u_alpha(x),
     [u_alpha(x); u_beta(y)] = prod u_{i beta + j alpha}(C_ij (-y)^i x^j).
 
-Collection terminates because every commutator factor sits strictly deeper
-in the root lattice than the factor being moved, so the multiset of factors
-at the currently minimal depth can only shrink.
+Collection runs from the left, and the output list is canonical after
+every factor.  A new factor is appended on the right and moves left past
+every factor of larger index; each swap leaves the commutator factors, which
+are strictly deeper than both, on its left, so it passes them too.  It then
+merges into an equal-root factor, and the factors it passed are inserted
+again in order.  Each swap trades one factor for at most two strictly deeper
+ones, so by descending index each insertion ends.
 
 Everything symbolic is double-checked against a numeric oracle: the exact
 adjoint representation built from the structure-constant table.  Each
@@ -36,12 +40,6 @@ from .laurent import LaurentPoly, Monomial
 from .linalg import Matrix, combine, dense, identity, mat_mul
 from .roots import Root, root_system
 from .search import CLOSURE_OBSTRUCTION, catalog
-
-
-# Largest rank of the closure witness: `verify closure` takes about 1.5 s at
-# n = 11, 5 s at n = 12 and 17 s at n = 13; the cost grows about fourfold per
-# rank.
-WITNESS_BOUND = 12
 
 
 class VerificationError(Exception):
@@ -151,19 +149,26 @@ def _commutator_factors(left: Factor, right: Factor) -> list[Factor]:
 
 def collect(word: UnipotentWord) -> UnipotentWord:
     """Canonical form: factors in ``system.roots`` order, one per root, same
-    group element (the adjoint oracle re-checks this in the tests)."""
-    work = list(word.factors)
+    group element (the adjoint oracle re-checks this in the tests).
+
+    The commutator term of two A_2 factors shows in the output:
+
+    >>> A2 = root_system("A", 2)
+    >>> x, y = LaurentPoly.variable("x"), LaurentPoly.variable("y")
+    >>> print(collect(word_from_pairs([(A2.root((-1, 0)), x), (A2.root((0, -1)), y)])))
+    u[0,-1](y) u[-1,0](x) u[-1,-1](x*y)
+    """
     out: list[Factor] = []
-    while work:
-        # the first factor of least index; everything to its left, and every
-        # commutator factor it leaves behind, has a larger index
-        k = min(range(len(work)), key=lambda idx: work[idx].root.index)
-        while k > 0:
-            left, mine = work[k - 1], work[k]
-            terms = _commutator_factors(left, mine)
-            work[k - 1 : k + 1] = terms + [mine, left]
-            k += len(terms) - 1
-        _append(out, work.pop(0))
+    todo = list(reversed(word.factors))  # a stack: the next factor on top
+    while todo:
+        mine = todo.pop()
+        passed: list[Factor] = []
+        while out and out[-1].root.index > mine.root.index:
+            left = out.pop()
+            out += _commutator_factors(left, mine)
+            passed.append(left)
+        _append(out, mine)
+        todo += passed  # the leftmost passed factor is inserted first
     return UnipotentWord(tuple(out))
 
 
@@ -373,8 +378,6 @@ def build_closure_witness_words(n: int):
     shallower one.  Returns (u_y, u_z, psi)."""
     if n < 3:
         raise ValueError("the witness construction needs rank n >= 3")
-    if n > WITNESS_BOUND:
-        raise ValueError(f"witness rank {n} exceeds {WITNESS_BOUND}")
     entry = catalog(CLOSURE_OBSTRUCTION, n)
     gamma, delta = entry.first, entry.second
     phi_delta = cell(delta).phi

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 
 from . import cells as cells_mod
 from . import chevalley, matrixgrp, search
@@ -48,9 +47,8 @@ def _parse_mask(text: str) -> str:
 def _cmd_cells(args) -> int:
     word = _word(args)
     end = None if args.end is None else word.ctx.parse_element(args.end)
-    # a counting walk first, so an input past the bound prints nothing
-    for _ in cells_mod.enumerate_subexpressions(word, cells_mod.CELLS_BOUND):
-        pass
+    # raises past CELLS_BOUND, so such an input prints nothing
+    shapes = cells_mod.endpoint_shapes(word)
     descriptors = (
         cells_mod.cell(sub)
         for sub in cells_mod.enumerate_subexpressions(word, cells_mod.CELLS_BOUND)
@@ -64,15 +62,13 @@ def _cmd_cells(args) -> int:
             write((", " if k else "") + json.dumps(cells_mod.cell_to_obj(d), sort_keys=True))
         write("]\n")
     else:
-        shapes = Counter()
         for d in descriptors:
             print(
                 f"mask={d.mask_string} end={d.sub.endpoint.serialize()} "
                 f"dim={d.dimension} affine={d.affine_rank} torus={d.torus_rank}"
             )
-            shapes[d.affine_rank, d.torus_rank] += 1
         if end is not None:
-            print(f"point count: {cells_mod.point_count(shapes)}")
+            print(f"point count: {cells_mod.point_count(shapes.get(end, {}))}")
     return 0
 
 

@@ -41,7 +41,7 @@ FAMILY_A = "A"
 FAMILY_B = "B"
 
 # Largest rank of a root system; B_16 builds its structure-constant table in
-# about 3.5 s, and every rank the command line accepts goes through here.
+# about 2 s, and every rank the command line accepts goes through here.
 RANK_BOUND = 16
 
 # -- roots -------------------------------------------------------------------

@@ -142,6 +142,26 @@ def test_collect_symbolic_then_specialize(rng):
         assert lhs == rhs
 
 
+def test_collect_long_symbolic_word_matches_adjoint(rng):
+    # 20-30 symbolic factors in B_5, with equal-root neighbours: collection
+    # re-inserts the passed factors many levels deep
+    ctx = context("B", 5)
+    negatives = [r for r in root_system("B", 5).roots if r.is_negative]
+    names = ["x", "y", "z", "u", "v", "w"]
+    for _ in range(3):
+        factors, length = [], rng.randint(20, 30)
+        while len(factors) < length:
+            root = rng.choice(negatives)
+            factors.append(Factor(root, LaurentPoly.variable(rng.choice(names))))
+            if rng.random() < 0.2:
+                factors.append(Factor(root, -LaurentPoly.variable(rng.choice(names))))
+        word = UnipotentWord(tuple(factors))
+        collected = collect(word)
+        assert is_canonical(collected)
+        assignment = {name: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for name in names}
+        assert evaluate_adjoint(ctx, collected, assignment) == evaluate_adjoint(ctx, word, assignment)
+
+
 def test_collection_order_is_root_index_order():
     # collect and is_canonical order factors by root.index; that is depth,
     # then the coefficients of the opposite positive root, lex ascending
@@ -262,7 +282,8 @@ def test_witness_words_shape():
 
 
 def test_verify_closure_witness_passes():
-    for n in (3, 4, 5):
+    # n = 13 is a rank above 12; most of its second builds the structure table
+    for n in (3, 4, 5, 13):
         report = verify_closure_witness(n)
         assert report.passed
         assert len(report.psi) == n

@@ -3,7 +3,6 @@ from pathlib import Path
 
 import pytest
 
-from deodhar.chevalley import WITNESS_BOUND
 from deodhar.cli import main
 from deodhar.roots import RANK_BOUND
 from deodhar.weyl import context, parse_word
@@ -185,7 +184,7 @@ def test_deterministic_output(capsys):
         (["collect", "--input", "PATH"], {"factors": 5}),
         (["cells", "--family", "B", "--rank", str(RANK_BOUND + 1), "--word", "1"], None),
         (["verify", "disjoint", "--n", str(RANK_BOUND + 1)], None),
-        (["verify", "closure", "--n", str(WITNESS_BOUND + 1)], None),
+        (["verify", "closure", "--n", str(RANK_BOUND + 1)], None),
         (["collect", "--input", "PATH"], [{"root": [0, -1, 0], "coeff": [{"mono": {"x": 1.5}, "num": 1}]}]),
         (["collect", "--input", "PATH"], [{"root": [0, -1, 0], "coeff": [{"mono": {"x": 1}, "num": 2.5}]}]),
         (["collect", "--input", "PATH"], [{"root": [-1.9, 0, 0], "coeff": [{"mono": {}, "num": 1}]}]),

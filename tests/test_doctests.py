@@ -2,11 +2,12 @@ import doctest
 
 import pytest
 
-from deodhar import cells, weyl
+from deodhar import cells, chevalley, weyl
 
 
-@pytest.mark.parametrize("module", [weyl, cells], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [weyl, cells, chevalley], ids=lambda m: m.__name__)
 def test_docstring_examples(module):
     result = doctest.testmod(module)
-    assert result.attempted == {"deodhar.weyl": 5, "deodhar.cells": 4}[module.__name__]
+    expected = {"deodhar.weyl": 5, "deodhar.cells": 4, "deodhar.chevalley": 3}
+    assert result.attempted == expected[module.__name__]
     assert result.failed == 0
