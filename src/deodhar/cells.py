@@ -67,11 +67,11 @@ CELLS_BOUND = 15000
 # Most distinguished masks a pairwise consumer holds: hasse_dot,
 # find_obstructions and scan_disjointness (there per endpoint).  The first two
 # walk the masks below each mask, so their cost grows with the number of
-# related pairs: hasse_dot takes about 0.75 s on the rank-4 catalog word
-# (1,253 masks), 1.5 s on 2,048 masks and 4.5 s on 4,096 masks (the words
-# 1, ..., n of B_11 and B_12); find_obstructions 5.2 s on the 13,066 masks of
-# the rank-5 catalog word.  scan_disjointness compares every pair of one
-# endpoint.
+# related pairs: hasse_dot takes about 1.0 s on the rank-4 catalog word
+# (1,253 masks), 1.7 s on 2,048 masks and 5.3 s on 4,096 masks (the words
+# 1, ..., n of B_11 and B_12); find_obstructions 6.0 s on the 13,066 masks of
+# the rank-5 catalog word (2-vCPU Xeon, medians of three runs).
+# scan_disjointness compares every pair of one endpoint.
 PAIRS_BOUND = 1300
 
 

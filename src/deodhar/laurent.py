@@ -107,22 +107,11 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_constant(self) -> bool:
-        return all(m == ONE_MONOMIAL for m in self._terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return self._terms.get(ONE_MONOMIAL, Fraction(0))
-
     def single_term(self) -> tuple[Fraction, Monomial]:
         if len(self._terms) != 1:
             raise ValueError(f"{self} is not a single term")
         ((mono, coeff),) = self._terms.items()
         return coeff, mono
-
-    def exponents_of(self, var: str) -> set[int]:
-        return {mono.exponent(var) for mono in self._terms} if self._terms else set()
 
     # -- arithmetic --------------------------------------------------------
 

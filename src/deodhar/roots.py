@@ -79,23 +79,6 @@ class Root:
     def is_negative(self) -> bool:
         return not self.is_positive
 
-    @property
-    def height(self) -> int:
-        return sum(self.coeffs)
-
-    @property
-    def depth(self) -> int:
-        """Height of the opposite root; positive for negative roots."""
-        return -self.height
-
-    @property
-    def is_short(self) -> bool:
-        return self.system.norm_sq(self.coeffs) == self.system.min_norm_sq
-
-    @property
-    def is_long(self) -> bool:
-        return not self.is_short
-
     def __neg__(self) -> "Root":
         # the negatives follow the positives in the same order
         roots = self.system.roots
@@ -146,7 +129,6 @@ class RootSystem:
         self.positive_roots = self.roots[: len(positive)]
         self._by_coeffs = {r.coeffs: r for r in self.roots}
         self.by_ambient = {r.ambient: r for r in self.roots}
-        self.min_norm_sq = min(self.norm_sq(t) for t in positive)
         self._structure: _StructureConstants | None = None
         self._self_test()
 
@@ -453,8 +435,3 @@ def root_system(family: str, rank: int) -> RootSystem:
     if key not in _SYSTEMS:
         _SYSTEMS[key] = RootSystem(family, rank)
     return _SYSTEMS[key]
-
-
-def parse_root(ctx, text: str) -> Root:
-    coeffs = tuple(int(part) for part in text.split(","))
-    return root_system(ctx.family, ctx.rank).root(coeffs)

@@ -15,15 +15,16 @@ equality is identity and the hash is the order of first reach (independent
 of ``PYTHONHASHSEED``).  ``from_window`` is the one entry point that checks a
 window, once per new window; the group operations build valid windows.
 
-Each element also carries the tables that the hot loops (:func:`bruhat_leq`
-and the walks of :mod:`deodhar.cells`) read inline instead of calling a
-method: ``descents``, a bitmask whose bit ``i`` is set iff ``t_i`` is a right
-descent, computed when the element is interned; and ``succ[i]``, the element
-``w t_i``, and ``images[i]``, the root ``w(alpha_i)``, both filled the first
-time they are asked for.  An entry not yet filled is ``None``, so a loop
-reads ``w.succ[i] or w._successor(i)``.  Until its first entry a table is
-one tuple of ``None`` shared by the whole group, so an element that is
-reached but never multiplied further holds no list; ``length`` is a slot
+Each element also carries the tables that the walks of :mod:`deodhar.cells`
+read inline instead of calling a method: ``descents``, a bitmask whose bit
+``i`` is set iff ``t_i`` is a right descent, computed when the element is
+interned; and ``succ[i]``, the element ``w t_i``, and ``images[i]``, the
+root ``w(alpha_i)``, both filled the first time they are asked for.  An
+entry not yet filled is ``None``, so a loop reads ``w.succ[i] or
+w._successor(i)``.  Until its first entry a table is one tuple of ``None``
+shared by the whole group, so an element that is reached but never
+multiplied further holds no list.  ``length`` and
+``bruhat_key``, the integer that :func:`bruhat_leq` compares, are slots
 filled on first use.  ``right_mult_generator`` and ``has_right_descent`` are
 the public forms, which check their argument and read the same tables.
 
@@ -70,7 +71,29 @@ class CoxeterContext:
         # window -> element, for every element reached so far; the group is
         # too large to list eagerly (|W(B_16)| is about 1.4e18)
         self._elements: dict[tuple[int, ...], WeylElement] = {}
-        self._bruhat_cache: dict[tuple[int, int], bool] = {}
+        # the permutation that a Bruhat key counts over, of 1..n+1 in type A
+        # and of -n..-1, 1..n in type B with w(-a) = -w(a); a key holds one
+        # 7-bit field per pair (i, j) of these points, at bit 7 (i m + j),
+        # counting the a <= points[i] with w(a) >= points[j] (Bjorner-Brenti,
+        # Combinatorics of Coxeter Groups, Thms 2.1.5 and 8.1.8).  A count is
+        # at most m <= 2 RANK_BOUND = 32, so bit 6 of each field is free for
+        # the guard of bruhat_leq.
+        if family == FAMILY_A:
+            points = range(1, self.window_size + 1)
+        else:
+            points = [*range(-rank, 0), *range(1, rank + 1)]
+        m = len(points)
+        # a point a with w(a) = b adds rows[a] * cols[b], which is 1 in each
+        # field (i, j) with points[i] >= a and points[j] <= b
+        self._bruhat_rows, self._bruhat_cols = {}, {}
+        row = col = 0
+        for r in range(m):
+            row |= 1 << 7 * m * (m - 1 - r)
+            self._bruhat_rows[points[m - 1 - r]] = row
+            col |= 1 << 7 * r
+            self._bruhat_cols[points[r]] = col
+        # row * col is 1 in every field
+        self._bruhat_guard = row * col << 6
         self._reduced_word_cache: dict[WeylElement, tuple] = {}
         self.identity = self._intern(tuple(range(1, self.window_size + 1)))
 
@@ -96,8 +119,15 @@ class CoxeterContext:
         return w
 
     def from_window(self, window: Sequence[int]) -> "WeylElement":
-        """The element with this window; the one entry point that checks it."""
-        window = tuple(int(v) for v in window)
+        """The element with this window; the one entry point that checks it.
+        An entry that is not an ``int`` (a bool included) is named, with its
+        1-based position, in the error."""
+        window = tuple(window)
+        for pos, v in enumerate(window, start=1):
+            if type(v) is not int:
+                raise ValueError(
+                    f"window entry {v!r} at position {pos} is not an integer"
+                )
         if window not in self._elements:
             if sorted(abs(v) for v in window) != list(range(1, self.window_size + 1)):
                 raise ValueError(f"window {window} is not a (signed) permutation")
@@ -147,7 +177,9 @@ class WeylElement:
     module docstring.
     """
 
-    __slots__ = ("ctx", "window", "index", "descents", "succ", "images", "length")
+    __slots__ = (
+        "ctx", "window", "index", "descents", "succ", "images", "length", "bruhat_key"
+    )
 
     def __init__(self, ctx: CoxeterContext, window: tuple[int, ...], index: int):
         self.ctx = ctx
@@ -162,12 +194,15 @@ class WeylElement:
         self.succ = self.images = ctx._unfilled
 
     def __getattr__(self, name: str):
-        # reached only while the length slot is unset; once filled on first
-        # use it is a plain slot read
-        if name != "length":
-            raise AttributeError(f"'WeylElement' object has no attribute {name!r}")
-        self.length = self._inversions()
-        return self.length
+        # reached only while the length or bruhat_key slot is unset; once
+        # filled on first use it is a plain slot read
+        if name == "length":
+            self.length = self._inversions()
+            return self.length
+        if name == "bruhat_key":
+            self.bruhat_key = self._bruhat_key()
+            return self.bruhat_key
+        raise AttributeError(f"'WeylElement' object has no attribute {name!r}")
 
     def __hash__(self) -> int:
         return self.index
@@ -227,6 +262,15 @@ class WeylElement:
             1 for i in range(n) for j in range(i + 1, n) if w[i] + w[j] < 0
         )
         return inversions + negatives + negative_pairs
+
+    def _bruhat_key(self) -> int:
+        """The counts of the tableau criterion, one field each (see
+        ``CoxeterContext.__init__``)."""
+        rows, cols = self.ctx._bruhat_rows, self.ctx._bruhat_cols
+        pairs = list(enumerate(self.window, start=1))
+        if self.ctx.family == FAMILY_B:
+            pairs += [(-a, -b) for a, b in pairs]
+        return sum(rows[a] * cols[b] for a, b in pairs)
 
     def is_identity(self) -> bool:
         return self is self.ctx.identity
@@ -325,42 +369,23 @@ def parse_word(ctx: CoxeterContext, text: str) -> ReducedWord:
 
 
 def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
-    """Bruhat order, by the lifting property with memoization.
+    """Bruhat order by the tableau criterion: ``u <= v`` iff each count of
+    ``u.bruhat_key`` is at most the same count of ``v.bruhat_key``.
 
-    For a right descent ``i`` of ``v`` (the lowest one): if ``i`` is also a
-    descent of ``u`` then ``u <= v`` iff ``u t_i <= v t_i``, otherwise iff
-    ``u <= v t_i``.
+    Setting the guard bit of every field of ``v``'s key and subtracting
+    ``u``'s key leaves a field's guard set iff its count in ``v`` is at
+    least that in ``u``; no field borrows from the next.
+
+    >>> ctx = context("A", 2)
+    >>> bruhat_leq(ctx.from_word([1]), ctx.from_word([2, 1]))
+    True
+    >>> bruhat_leq(ctx.from_word([1]), ctx.from_word([2]))
+    False
     """
     if u.ctx is not v.ctx:
         raise ValueError("elements from different contexts")
-    cache = u.ctx._bruhat_cache
-    # the indices name the elements; unlike (u, v) they hash in C
-    key = (u.index, v.index)
-    result = cache.get(key)
-    if result is not None:
-        return result
-    identity = u.ctx.identity
-    stack = []
-    while True:
-        if u is v or u is identity:
-            result = True
-            break
-        if u.length >= v.length:
-            result = False
-            break
-        stack.append(key)
-        descents = v.descents
-        i = (descents & -descents).bit_length() - 1
-        v = v.succ[i] or v._successor(i)
-        if u.descents >> i & 1:
-            u = u.succ[i] or u._successor(i)
-        key = (u.index, v.index)
-        result = cache.get(key)
-        if result is not None:
-            break
-    for key in stack:
-        cache[key] = result
-    return result
+    guard = u.ctx._bruhat_guard
+    return ((v.bruhat_key | guard) - u.bruhat_key) & guard == guard
 
 
 def all_reduced_words(w: WeylElement) -> list[ReducedWord]:

@@ -7,7 +7,7 @@ from deodhar.cells import Subexpression, subexpression
 from deodhar.chevalley import Factor, UnipotentWord
 from deodhar.laurent import LaurentPoly
 from deodhar.roots import root_system
-from deodhar.weyl import WeylElement, all_reduced_words
+from deodhar.weyl import WeylElement
 
 # pass/fail lines registered by the acceptance module, echoed after the run
 ACCEPTANCE_LINES: list[str] = []
@@ -20,17 +20,43 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def subword_bruhat_oracle(u: WeylElement, v: WeylElement) -> bool:
-    """u <= v iff some subword of a fixed reduced word of v multiplies to u.
+def reduced_letters(v: WeylElement) -> list[int]:
+    """A reduced word of v, found by peeling its lowest right descent."""
+    letters = []
+    while not v.is_identity():
+        i = v.right_descents()[0]
+        letters.append(i)
+        v = v.right_mult_generator(i)
+    return letters[::-1]
 
-    Independent of the lifting-property implementation: dynamic programming
-    over the set of subword products of one reduced word of v.
+
+def subword_lower_set(v: WeylElement) -> set[WeylElement]:
+    """The u <= v, as the products of the subwords of one reduced word of v.
+
+    Independent of the tableau criterion: dynamic programming over the set
+    of subword products.
     """
-    word = all_reduced_words(v)[0]
     reachable = {v.ctx.identity}
-    for letter in word.letters:
+    for letter in reduced_letters(v):
         reachable |= {x.right_mult_generator(letter) for x in reachable}
-    return u in reachable
+    return reachable
+
+
+def lifting_bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
+    """u <= v by the lifting property, one chain of length(v) steps.
+
+    For the lowest right descent i of v: if i is also a descent of u then
+    u <= v iff u t_i <= v t_i, otherwise iff u <= v t_i; and u <= e iff
+    u = e.  No length is compared, so no step computes one.
+    """
+    while not (u is v or u.is_identity()):
+        if v.is_identity():
+            return False
+        i = v.right_descents()[0]
+        v = v.right_mult_generator(i)
+        if u.has_right_descent(i):
+            u = u.right_mult_generator(i)
+    return True
 
 
 def all_subexpressions(word) -> list[Subexpression]:

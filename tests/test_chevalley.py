@@ -168,7 +168,7 @@ def test_collection_order_is_root_index_order():
     systems = [("A", r) for r in range(1, 8)] + [("B", r) for r in range(2, 10)]
     for family, rank in systems:
         negatives = [r for r in root_system(family, rank).roots if r.is_negative]
-        by_depth_lex = sorted(negatives, key=lambda r: (r.depth, (-r).coeffs))
+        by_depth_lex = sorted(negatives, key=lambda r: (-sum(r.coeffs), (-r).coeffs))
         assert by_depth_lex == negatives
 
 

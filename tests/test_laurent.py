@@ -38,7 +38,6 @@ def test_exponent_slicing():
     p = z + z * t_inv + z * t
     assert p.max_exponent("t") == 1
     assert p.terms_with_exponent("t", 0) == z
-    assert p.exponents_of("t") == {-1, 0, 1}
     with pytest.raises(ValueError):
         t ** -1
 
@@ -49,7 +48,6 @@ def test_single_term_and_constants():
     assert value == -1 and mono == Monomial.of(z1=2)
     with pytest.raises(ValueError):
         (z + LaurentPoly.one()).single_term()
-    assert LaurentPoly.constant(5).constant_value() == 5
 
 
 def test_json_roundtrip():

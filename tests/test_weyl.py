@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from conftest import subword_bruhat_oracle
+from conftest import lifting_bruhat_leq, reduced_letters, subword_lower_set
 from deodhar.roots import root_system
 from deodhar.weyl import (
     ReducedWord,
@@ -63,6 +64,16 @@ def test_window_validation():
         A2.from_window((1, -2, 3))
 
 
+@pytest.mark.parametrize(
+    "window,pos",
+    [((1.9, 2, 3), 1), ((1.0, 2, 3), 1), (("1", "-2", 3), 1), ((1, 2, "3"), 3),
+     ((True, 2, 3), 1), ((-1, False, 3), 2)],
+)
+def test_window_entries_must_be_int(window, pos):
+    with pytest.raises(ValueError, match=f"at position {pos} is not an integer"):
+        B3.from_window(window)
+
+
 def test_elements_are_interned():
     ctx = context("B", 4)
     elements = list(ctx.elements())
@@ -82,13 +93,41 @@ def test_bruhat_trivial_cases():
     assert not bruhat_leq(w, B3.from_word([1]))
 
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3)])
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4)],
+)
 def test_bruhat_agrees_with_subword_oracle(family, rank):
     ctx = context(family, rank)
     elements = list(ctx.elements())
-    for u in elements:
-        for v in elements:
-            assert bruhat_leq(u, v) == subword_bruhat_oracle(u, v), (u, v)
+    for v in elements:
+        lower = subword_lower_set(v)
+        for u in elements:
+            assert bruhat_leq(u, v) == (u in lower), (u, v)
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_bruhat_agrees_with_lifting_walk_at_rank_bound(family):
+    # at rank 16 a count of the tableau criterion reaches 2 * 16 = 32 in
+    # type B, the widest value a field of the Bruhat key must hold
+    ctx = context(family, 16)
+    rng = random.Random(16)
+    w0 = ctx.longest_element()
+
+    def near_top():
+        return w0 * ctx.from_word(rng.choices(range(1, 17), k=rng.randint(0, 12)))
+
+    pairs = [(near_top(), near_top()) for _ in range(100)]
+    for _ in range(100):
+        v = near_top()
+        letters = [i for i in reduced_letters(v) if rng.random() < 0.9]
+        u = ctx.from_word(letters)
+        assert bruhat_leq(u, v)
+        pairs.append((u, v))
+        pairs.append((u.right_mult_generator(rng.randint(1, 16)), v))
+    verdicts = [bruhat_leq(u, v) for u, v in pairs]
+    assert verdicts == [lifting_bruhat_leq(u, v) for u, v in pairs]
+    assert 0 < sum(verdicts) < len(pairs)
 
 
 def test_act_on_root_examples():
