@@ -111,7 +111,7 @@ class UnipotentWord:
 
     @staticmethod
     def from_obj(ctx, obj: Iterable[dict]) -> "UnipotentWord":
-        system = root_system(ctx.family, ctx.rank)
+        system = ctx.system
         factors = []
         try:
             for item in obj:
@@ -210,7 +210,7 @@ class AdjointRep:
     MAX_NILPOTENCY = 5
 
     def __init__(self, ctx):
-        system = root_system(ctx.family, ctx.rank)
+        system = ctx.system
         self.ctx = ctx
         self.system = system
         self.dim = ctx.rank + len(system.roots)
@@ -222,18 +222,14 @@ class AdjointRep:
         n = self.ctx.rank
         out: Matrix = {}
         for j in range(1, n + 1):
-            c = system.cartan_pairing(alpha.coeffs, j)
+            c = system.cartan_pairing(alpha, j)
             if c:
                 out[(n + alpha.index, j - 1)] = -c
-        for beta in system.roots:
-            col = n + beta.index
-            total = alpha.try_add(beta)
-            if beta is -alpha:
-                for j, c in enumerate(system.coroot_coords(alpha), start=1):
-                    if c:
-                        out[(j - 1, col)] = c
-            elif total is not None:
-                out[(n + total.index, col)] = system.structure_constant(alpha, beta)
+        for j, c in enumerate(system.coroot_coords(alpha), start=1):
+            if c:
+                out[(j - 1, n + (-alpha).index)] = c
+        for beta, (total, c) in system.structure.sums[alpha].items():
+            out[(n + total.index, n + beta.index)] = c
         return out
 
     def ad(self, root: Root) -> Matrix:
@@ -245,7 +241,7 @@ class AdjointRep:
         n = self.ctx.rank
         out: Matrix = {}
         for r in self.system.roots:
-            c = self.system.cartan_pairing(r.coeffs, j)
+            c = self.system.cartan_pairing(r, j)
             if c:
                 out[(n + r.index, n + r.index)] = c
         return out

@@ -23,16 +23,22 @@ N(alpha, beta) e_{alpha+beta}, are read off from explicit faithful matrix
 realizations (sl(n+1), and so(2n+1) with the short root vectors rescaled so
 all brackets stay integral), bracketed as sparse matrices of
 :mod:`deodhar.linalg`, and then sign-normalized so that every extraspecial
-pair gets a positive constant, which is Carter's convention.
-The normalized table is uniquely determined by that convention; its defining
-properties (antisymmetry, |N| = p+1, Jacobi via the adjoint representation)
-are asserted by the test suite rather than assumed.
+pair gets a positive constant, which is Carter's convention.  One pass
+brackets each unordered pair of root vectors once and leaves one table,
+``structure.sums[alpha][beta] = (alpha + beta, N(alpha, beta))`` for every
+pair whose sum is a root; the structure constants, the commutator terms and
+the adjoint representation of :mod:`deodhar.chevalley` all read it.
+The normalized table is uniquely determined by that convention.  Building it
+checks antisymmetry, |N| = p+1 with p from the root string rather than the
+table, and the positive extraspecial pairs; the test suite checks Jacobi via
+the adjoint representation and compares the table with derivations by root
+sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .linalg import bracket, combine
@@ -41,7 +47,7 @@ FAMILY_A = "A"
 FAMILY_B = "B"
 
 # Largest rank of a root system; B_16 builds its structure-constant table in
-# about 2 s, and every rank the command line accepts goes through here.
+# 0.7-1.1 s, and every rank the command line accepts goes through here.
 RANK_BOUND = 16
 
 # -- roots -------------------------------------------------------------------
@@ -85,8 +91,7 @@ class Root:
         return roots[self.index - len(roots) // 2]
 
     def try_add(self, other: "Root") -> "Root | None":
-        total = tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        return self.system._by_coeffs.get(total)
+        return self.system._by_coeffs.get(tuple(map(add, self.coeffs, other.coeffs)))
 
     def serialize(self) -> str:
         return ",".join(str(c) for c in self.coeffs)
@@ -173,7 +178,7 @@ class RootSystem:
 
     def _reflect(self, root: Root, i: int) -> Root | None:
         """t_i(root), or None if the image is missing from the table."""
-        pairing = self.cartan_pairing(root.coeffs, i)
+        pairing = self.cartan_pairing(root, i)
         beta = self.simple(i).coeffs
         return self._by_coeffs.get(tuple(c - pairing * b for c, b in zip(root.coeffs, beta)))
 
@@ -190,19 +195,17 @@ class RootSystem:
             for k in range(n + 1)
         )
 
-    def norm_sq(self, coeffs: Sequence[int]) -> int:
-        return sum(v * v for v in self.to_ambient(coeffs))
+    def norm_sq(self, root: Root) -> int:
+        return sum(v * v for v in root.ambient)
 
-    def dot(self, a: Sequence[int], b: Sequence[int]) -> int:
-        return sum(x * y for x, y in zip(self.to_ambient(a), self.to_ambient(b)))
-
-    def cartan_pairing(self, coeffs: Sequence[int], i: int) -> int:
+    def cartan_pairing(self, root: Root, i: int) -> int:
         """<alpha, beta_i-check> = 2 (alpha, beta_i) / (beta_i, beta_i)."""
-        beta = self.simple(i).coeffs
-        value = Fraction(2 * self.dot(coeffs, beta), self.norm_sq(beta))
-        if value.denominator != 1:
+        beta = self.simple(i)
+        dot = sum(x * y for x, y in zip(root.ambient, beta.ambient))
+        value, rem = divmod(2 * dot, self.norm_sq(beta))
+        if rem:
             raise AssertionError("non-integral Cartan pairing")
-        return int(value)
+        return value
 
     # -- root lookup -------------------------------------------------------------
 
@@ -246,10 +249,10 @@ class RootSystem:
         return self._structure
 
     def structure_constant(self, alpha: Root, beta: Root) -> int:
-        try:
-            return self.structure.n_table[(alpha, beta)]
-        except KeyError:
-            raise ValueError(f"{alpha} + {beta} is not a root") from None
+        entry = self.structure.sums[alpha].get(beta)
+        if entry is None:
+            raise ValueError(f"{alpha} + {beta} is not a root")
+        return entry[1]
 
     def coroot_coords(self, alpha: Root) -> tuple[int, ...]:
         return self.structure.coroot_coords[alpha]
@@ -263,23 +266,23 @@ class RootSystem:
         can occur.
         """
         self._check_independent(alpha, beta)
-        ab = alpha.try_add(beta)
-        if ab is None:
+        sums = self.structure.sums
+        entry = sums[alpha].get(beta)
+        if entry is None:
             return []
-        aab, abb = ab.try_add(alpha), ab.try_add(beta)
-        heavy = [r for r in (aab, abb) if r is not None]
+        ab, n_ab = entry
+        aab, abb = sums[alpha].get(ab), sums[beta].get(ab)
+        heavy = [e[0] for e in (aab, abb) if e is not None]
         # alpha-strings are unbroken and, in types A and B, hold at most three
         # roots: nothing lies beyond a missing alpha + beta, and otherwise at
         # most one term of weight three and none of weight four can occur
-        if len(heavy) > 1 or any(r.try_add(alpha) or r.try_add(beta) for r in heavy):
+        if len(heavy) > 1 or any(alpha in sums[r] or beta in sums[r] for r in heavy):
             raise AssertionError(f"unexpected commutator support for {alpha}, {beta}")
-        n = self.structure.n_table
-        n_ab = n[(alpha, beta)]
         out = [CommutatorTerm(1, 1, ab, -n_ab)]
         if aab is not None:
-            out.append(_halved(1, 2, aab, -n_ab * n[(alpha, ab)]))
+            out.append(_halved(1, 2, aab[0], -n_ab * aab[1]))
         if abb is not None:
-            out.append(_halved(2, 1, abb, n_ab * n[(beta, ab)]))
+            out.append(_halved(2, 1, abb[0], n_ab * abb[1]))
         return out
 
 
@@ -299,18 +302,18 @@ def _steps(start: Root, step: Root) -> int:
 
 
 class _StructureConstants:
-    """Chevalley constants for one root system, extraspecial pairs positive."""
+    """Chevalley constants for one root system, extraspecial pairs positive,
+    in the one table ``sums`` that the module docstring describes."""
 
     def __init__(self, system: RootSystem):
         self.system = system
-        self.extraspecial = self._extraspecial_pairs()
-        vectors = self._basis_matrices()
-        raw, coroots = self._brackets(vectors)
+        raw, self.extraspecial, self.coroot_coords = self._brackets(self._basis_matrices())
         eps = self._normalizing_signs(raw)
-        self.n_table = {
-            (a, b): eps[a] * eps[b] * eps[a.try_add(b)] * c for (a, b), c in raw.items()
-        }
-        self.coroot_coords = coroots
+        self.sums: dict[Root, dict[Root, tuple[Root, int]]] = {r: {} for r in system.roots}
+        for (a, b), (total, c) in raw.items():
+            c *= eps[a] * eps[b] * eps[total]
+            self.sums[a][b] = (total, c)
+            self.sums[b][a] = (total, -c)
         self._validate()
 
     # The defining matrices.  Type A: sl(n+1) with e_{pos->neg} elementary.
@@ -349,41 +352,49 @@ class _StructureConstants:
         return out
 
     def _brackets(self, vectors):
+        """Raw constants of the pairs (a, b), a before b, whose sum is a root,
+        the extraspecial pairs and the coroots, checking every bracket."""
         system = self.system
-        raw: dict[tuple[Root, Root], int] = {}
+        raw: dict[tuple[Root, Root], tuple[Root, int]] = {}
+        extraspecial: dict[Root, tuple[Root, Root]] = {}
         coroots: dict[Root, tuple[int, ...]] = {}
         simple_coroot_mats = []
         for i in range(1, system.rank + 1):
             beta = system.simple(i)
             simple_coroot_mats.append(bracket(vectors[beta], vectors[-beta]))
-        for a in system.roots:
-            for b in system.roots:
-                if a is b:
-                    continue
+        roots = system.roots
+        for k, a in enumerate(roots):
+            for b in roots[k + 1 :]:
                 br = bracket(vectors[a], vectors[b])
                 total = a.try_add(b)
                 if total is not None:
                     target = vectors[total]
                     key = next(iter(target))
-                    c, rem = divmod(br[key], target[key])
-                    if rem or br != combine([(c, target)]):
+                    c, rem = divmod(br.get(key, 0), target[key])
+                    if rem or not c or br != combine([(c, target)]):
                         raise AssertionError(f"bracket [{a}; {b}] not a multiple of e_{total}")
-                    raw[(a, b)] = c
+                    raw[(a, b)] = (total, c)
+                    # pairs come by the index of a, which orders the positive
+                    # roots first: the first positive pair is the extraspecial one
+                    if b.is_positive and total not in extraspecial:
+                        extraspecial[total] = (a, b)
                 elif b is -a:
                     coroots[a] = self._coroot(a, br, simple_coroot_mats)
+                    # [e_-a, e_a] = -[e_a, e_-a], so the coroot of -a is negated
+                    coroots[b] = tuple(-c for c in coroots[a])
                 elif br:
                     raise AssertionError(f"bracket [{a}; {b}] should vanish")
-        return raw, coroots
+        return raw, extraspecial, coroots
 
     def _coroot(self, alpha: Root, realized, simple_coroot_mats) -> tuple[int, ...]:
         """Coordinates of alpha-check over the simple coroots, from the closed
         form alpha-check = sum_i a_i |beta_i|^2 / |alpha|^2 beta_i-check, and
         the full realized bracket [e_alpha, e_-alpha] checked against them."""
         system = self.system
-        norm = system.norm_sq(alpha.coeffs)
+        norm = system.norm_sq(alpha)
         coords = []
         for i, a in enumerate(alpha.coeffs, start=1):
-            c, rem = divmod(a * system.norm_sq(system.simple(i).coeffs), norm)
+            c, rem = divmod(a * system.norm_sq(system.simple(i)), norm)
             if rem:
                 raise AssertionError(f"non-integral coroot coordinates for {alpha}")
             coords.append(c)
@@ -391,39 +402,27 @@ class _StructureConstants:
             raise AssertionError(f"[e_{alpha}, e_-{alpha}] is not the coroot {coords}")
         return tuple(coords)
 
-    def _extraspecial_pairs(self) -> dict[Root, tuple[Root, Root]]:
-        # For each positive sum, the pair (r, s) with r + s = total and r
-        # earliest in Carter's total order, which is the index.
-        positive = self.system.positive_roots
-        out = {}
-        for total in positive:
-            for r in positive:
-                s = total.try_add(-r)
-                if s is not None and s.is_positive and r.index < s.index:
-                    out[total] = (r, s)
-                    break
-        return out
-
     def _normalizing_signs(self, raw) -> dict[Root, int]:
         eps: dict[Root, int] = {}
         for total in self.system.positive_roots:
             sign = 1
             if total in self.extraspecial:
                 r, s = self.extraspecial[total]
-                sign = eps[r] * eps[s] * (1 if raw[(r, s)] > 0 else -1)
+                sign = eps[r] * eps[s] * (1 if raw[(r, s)][1] > 0 else -1)
             eps[total] = eps[-total] = sign
         return eps
 
     def _validate(self):
         system = self.system
-        for (a, b), c in self.n_table.items():
-            if self.n_table[(b, a)] != -c:
-                raise AssertionError("antisymmetry failure in structure constants")
-            p, _ = system.root_string(a, b)
-            if abs(c) != p + 1:
-                raise AssertionError(f"|N({a}; {b})| = {abs(c)} != p+1 = {p + 1}")
+        for a, row in self.sums.items():
+            for b, (_, c) in row.items():
+                if self.sums[b][a][1] != -c:
+                    raise AssertionError("antisymmetry failure in structure constants")
+                p, _ = system.root_string(a, b)
+                if abs(c) != p + 1:
+                    raise AssertionError(f"|N({a}; {b})| = {abs(c)} != p+1 = {p + 1}")
         for r, s in self.extraspecial.values():
-            if self.n_table[(r, s)] <= 0:
+            if self.sums[r][s][1] <= 0:
                 raise AssertionError(f"extraspecial pair ({r}; {s}) got a negative sign")
 
 

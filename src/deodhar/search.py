@@ -41,7 +41,7 @@ from .cells import (
     preceq,
     subexpression,
 )
-from .roots import Root, root_system
+from .roots import Root
 from .weyl import ReducedWord, WeylElement, context
 
 CLOSURE_OBSTRUCTION = "closure-obstruction"
@@ -169,7 +169,7 @@ def disjointness_certificate(
     if first.sub.endpoint != second.sub.endpoint:
         raise ValueError("certificate needs equal endpoints")
     ctx = first.sub.word.ctx
-    system = root_system(ctx.family, ctx.rank)
+    system = ctx.system
     for b in range(1, ctx.rank + 1):
         target = -system.simple(b)
         if any(entry.root == target for entry in first.phi):

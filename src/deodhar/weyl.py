@@ -94,7 +94,6 @@ class CoxeterContext:
             self._bruhat_cols[points[r]] = col
         # row * col is 1 in every field
         self._bruhat_guard = row * col << 6
-        self._reduced_word_cache: dict[WeylElement, tuple] = {}
         self.identity = self._intern(tuple(range(1, self.window_size + 1)))
 
     def __repr__(self) -> str:
@@ -295,8 +294,8 @@ class WeylElement:
 
     def act_on_root(self, root: Root) -> Root:
         """Image of a root under the linear action on ambient coordinates."""
-        system = root.system
-        if (system.family, system.rank) != (self.ctx.family, self.ctx.rank):
+        system = self.ctx.system
+        if root.system is not system:
             raise ValueError("root does not belong to this context")
         window = self.window
         moved = [0] * len(root.ambient)
@@ -392,7 +391,9 @@ def all_reduced_words(w: WeylElement) -> list[ReducedWord]:
     """Every reduced word for ``w``, in lexicographic order."""
     if w.length > REDUCED_WORDS_BOUND:
         raise ValueError(f"length {w.length} exceeds the bound {REDUCED_WORDS_BOUND}")
-    cache = w.ctx._reduced_word_cache
+    # the words of every element below w, for this call only: a memo kept
+    # across calls would grow without bound
+    cache: dict[WeylElement, tuple[tuple[int, ...], ...]] = {}
 
     def rec(u: WeylElement) -> tuple[tuple[int, ...], ...]:
         if u.is_identity():

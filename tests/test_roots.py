@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import deodhar
-from deodhar.roots import RootSystem, _StructureConstants, root_system
+from deodhar.roots import CommutatorTerm, RootSystem, _StructureConstants, root_system
 from deodhar.weyl import context
 
 
@@ -191,6 +191,79 @@ def test_corrupted_realization_is_rejected(monkeypatch):
         RootSystem("B", 3).structure
 
 
+def test_bracket_missing_target_entry_is_rejected(monkeypatch):
+    # e_{beta_1+beta_2} of A_2 moved to the matrix unit (2, 0): the bracket
+    # [e_beta_2, e_beta_1] = -E_{0,2} has no entry where that target has its
+    # first one, so it is no multiple of the target
+    realization = _StructureConstants._basis_matrices
+
+    def corrupted(self):
+        vectors = realization(self)
+        vectors[self.system.root((1, 1))] = {(2, 0): 1}
+        return vectors
+
+    monkeypatch.setattr(_StructureConstants, "_basis_matrices", corrupted)
+    with pytest.raises(AssertionError):
+        RootSystem("A", 2).structure
+
+
+def _reference_extraspecial(system):
+    # for each positive sum, the pair (r, s) of positive roots with r + s =
+    # total and r earliest in Carter's total order, by a scan over r
+    positive = system.positive_roots
+    out = {}
+    for total in positive:
+        for r in positive:
+            s = total.try_add(-r)
+            if s is not None and s.is_positive and r.index < s.index:
+                out[total] = (r, s)
+                break
+    return out
+
+
+def _reference_commutator_terms(system, alpha, beta):
+    # the derivation by root sums: each term's root by try_add, each constant
+    # from the structure constants of the pairs met on the way
+    ab = alpha.try_add(beta)
+    if ab is None:
+        return []
+    n_ab = system.structure_constant(alpha, beta)
+    out = [CommutatorTerm(1, 1, ab, -n_ab)]
+    aab, abb = ab.try_add(alpha), ab.try_add(beta)
+    if aab is not None:
+        out.append(CommutatorTerm(1, 2, aab, -n_ab * system.structure_constant(alpha, ab) // 2))
+    if abb is not None:
+        out.append(CommutatorTerm(2, 1, abb, n_ab * system.structure_constant(beta, ab) // 2))
+    return out
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("A", r) for r in range(1, 6)] + [("B", r) for r in range(2, 7)]
+)
+def test_sums_table_matches_references(family, rank):
+    system = root_system(family, rank)
+    table = system.structure
+    for alpha in system.roots:
+        norm = system.norm_sq(alpha)
+        closed_form = tuple(
+            a * system.norm_sq(system.simple(i)) // norm
+            for i, a in enumerate(alpha.coeffs, start=1)
+        )
+        assert system.coroot_coords(alpha) == closed_form
+        for beta in system.roots:
+            total = alpha.try_add(beta)
+            if total is None:
+                assert beta not in table.sums[alpha]
+                with pytest.raises(ValueError):
+                    system.structure_constant(alpha, beta)
+            else:
+                assert table.sums[alpha][beta] == (total, system.structure_constant(alpha, beta))
+            if beta is not alpha and beta is not -alpha:
+                expected = _reference_commutator_terms(system, alpha, beta)
+                assert system.commutator_terms(alpha, beta) == expected
+    assert table.extraspecial == _reference_extraspecial(system)
+
+
 def test_commutator_terms_empty_when_sum_not_root():
     system = root_system("B", 3)
     alpha, beta = -system.simple(1), -system.simple(3)
@@ -275,9 +348,9 @@ def test_cartan_pairing_values():
     system = root_system("B", 3)
     b1, b2 = system.simple(1), system.simple(2)
     # double bond between the first two nodes: <beta_2, beta_1-check> = -2
-    assert system.cartan_pairing(b2.coeffs, 1) == -2
-    assert system.cartan_pairing(b1.coeffs, 2) == -1
-    assert system.cartan_pairing(b1.coeffs, 1) == 2
+    assert system.cartan_pairing(b2, 1) == -2
+    assert system.cartan_pairing(b1, 2) == -1
+    assert system.cartan_pairing(b1, 1) == 2
 
 
 def test_serialization():

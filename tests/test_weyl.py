@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import lifting_bruhat_leq, reduced_letters, subword_lower_set
-from deodhar.roots import root_system
+from deodhar.roots import RootSystem, root_system
 from deodhar.weyl import (
     ReducedWord,
     all_reduced_words,
@@ -128,6 +128,14 @@ def test_bruhat_agrees_with_lifting_walk_at_rank_bound(family):
     verdicts = [bruhat_leq(u, v) for u, v in pairs]
     assert verdicts == [lifting_bruhat_leq(u, v) for u, v in pairs]
     assert 0 < sum(verdicts) < len(pairs)
+
+
+def test_act_on_root_rejects_a_foreign_root():
+    # a root system built outside context() has the same family and rank but
+    # is another system: its roots are none of the context's
+    foreign = RootSystem("B", 3).simple(1)
+    with pytest.raises(ValueError):
+        B3.identity.act_on_root(foreign)
 
 
 def test_act_on_root_examples():
