@@ -1,8 +1,9 @@
 """Sparse exact matrices: a dict ``{(row, col): value}`` of the nonzero entries.
 
 This is the one matrix kernel of the package.  The structure-constant
-realization of :mod:`deodhar.roots` brackets its root vectors here, and the
-adjoint oracle of :mod:`deodhar.chevalley` multiplies its factors here.
+realization of :mod:`deodhar.roots` holds its root vectors in this form and
+brackets the simple coroots here, and the adjoint oracle of
+:mod:`deodhar.chevalley` multiplies its factors here.
 Entries are integers or Fractions; products and linear combinations are
 exact, or reduced modulo a prime when one is given.  No result holds a zero
 entry, so two matrices are equal exactly when their dicts are.  This module

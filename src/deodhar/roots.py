@@ -18,18 +18,26 @@ so the positive roots are exactly the vectors ``e_j`` and ``e_j +- e_k``
 For type A_n we take ``beta_i = e_i - e_{i+1}`` inside R^{n+1}, which matches
 the upper-triangular Borel of SL_{n+1} used by the matrix cross-checks.
 
+Each root also carries one integer ``code``, its coefficients as signed
+base-16 digits; a root's coefficients lie in [-2, 2], so the code of a sum of
+two roots is the sum of their codes, and a root sum is one dict lookup.
+
 Structure constants N(alpha, beta), defined by [e_alpha, e_beta] =
 N(alpha, beta) e_{alpha+beta}, are read off from explicit faithful matrix
 realizations (sl(n+1), and so(2n+1) with the short root vectors rescaled so
-all brackets stay integral), bracketed as sparse matrices of
-:mod:`deodhar.linalg`, and then sign-normalized so that every extraspecial
-pair gets a positive constant, which is Carter's convention.  One pass
-brackets each unordered pair of root vectors once and leaves one table,
+all brackets stay integral), held as sparse matrices of :mod:`deodhar.linalg`,
+and then sign-normalized so that every extraspecial pair gets a positive
+constant, which is Carter's convention.  The brackets come from one sparse
+join per root: the entries of every root vector are indexed by row and by
+column once, and one pass over the entries of e_alpha against those indices
+gives [e_alpha, e_beta] for every later beta whose vector meets e_alpha; a
+pair that never meets brackets to zero.  The pass leaves one table,
 ``structure.sums[alpha][beta] = (alpha + beta, N(alpha, beta))`` for every
 pair whose sum is a root; the structure constants, the commutator terms and
 the adjoint representation of :mod:`deodhar.chevalley` all read it.
 The normalized table is uniquely determined by that convention.  Building it
-checks antisymmetry, |N| = p+1 with p from the root string rather than the
+checks every pair's bracket (a multiple of the sum's vector, the coroot, or
+zero), antisymmetry, |N| = p+1 with p from the root string rather than the
 table, and the positive extraspecial pairs; the test suite checks Jacobi via
 the adjoint representation and compares the table with derivations by root
 sums.
@@ -38,7 +46,6 @@ sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 from typing import Sequence
 
 from .linalg import bracket, combine
@@ -47,7 +54,8 @@ FAMILY_A = "A"
 FAMILY_B = "B"
 
 # Largest rank of a root system; B_16 builds its structure-constant table in
-# 0.7-1.1 s, and every rank the command line accepts goes through here.
+# 0.2-0.3 s (verify closure --n 16 takes 0.35-0.4 s at 22 MB), and every rank
+# the command line accepts goes through here.
 RANK_BOUND = 16
 
 # -- roots -------------------------------------------------------------------
@@ -63,13 +71,17 @@ class Root:
     every interpreter.
     """
 
-    __slots__ = ("system", "coeffs", "ambient", "index")
+    __slots__ = ("system", "coeffs", "ambient", "index", "code")
 
     def __init__(self, system: "RootSystem", coeffs: tuple[int, ...], index: int):
         self.system = system
         self.coeffs = coeffs
         self.ambient = system.to_ambient(coeffs)
         self.index = index
+        # the coefficients as signed base-16 digits: a digit of the sum of two
+        # roots lies in [-4, 4], so the sum of two codes is the code of the sum
+        # of the vectors, and two different vectors never share a code
+        self.code = sum(c << 4 * k for k, c in enumerate(coeffs))
 
     def __hash__(self) -> int:
         return self.index
@@ -91,7 +103,7 @@ class Root:
         return roots[self.index - len(roots) // 2]
 
     def try_add(self, other: "Root") -> "Root | None":
-        return self.system._by_coeffs.get(tuple(map(add, self.coeffs, other.coeffs)))
+        return self.system._by_code.get(self.code + other.code)
 
     def serialize(self) -> str:
         return ",".join(str(c) for c in self.coeffs)
@@ -133,6 +145,7 @@ class RootSystem:
         self.roots = tuple(Root(self, t, k) for k, t in enumerate(coeffs))
         self.positive_roots = self.roots[: len(positive)]
         self._by_coeffs = {r.coeffs: r for r in self.roots}
+        self._by_code = {r.code: r for r in self.roots}
         self.by_ambient = {r.ambient: r for r in self.roots}
         self._structure: _StructureConstants | None = None
         self._self_test()
@@ -363,27 +376,35 @@ class _StructureConstants:
             beta = system.simple(i)
             simple_coroot_mats.append(bracket(vectors[beta], vectors[-beta]))
         roots = system.roots
-        for k, a in enumerate(roots):
-            for b in roots[k + 1 :]:
-                br = bracket(vectors[a], vectors[b])
-                total = a.try_add(b)
+        size, half = len(roots), len(system.positive_roots)
+        by_code = system._by_code
+        codes = [r.code for r in roots]
+        for k, row in _bracket_rows(roots, vectors):
+            a, code = roots[k], codes[k]
+            for j in range(k + 1, size):
+                total = by_code.get(code + codes[j])
                 if total is not None:
+                    b = roots[j]
+                    # a pair that never meets in the join brackets to zero,
+                    # which is no nonzero multiple of the target
+                    br = row.get(j, {})
                     target = vectors[total]
                     key = next(iter(target))
                     c, rem = divmod(br.get(key, 0), target[key])
-                    if rem or not c or br != combine([(c, target)]):
+                    if rem or not c or br != {e: c * v for e, v in target.items()}:
                         raise AssertionError(f"bracket [{a}; {b}] not a multiple of e_{total}")
                     raw[(a, b)] = (total, c)
                     # pairs come by the index of a, which orders the positive
                     # roots first: the first positive pair is the extraspecial one
                     if b.is_positive and total not in extraspecial:
                         extraspecial[total] = (a, b)
-                elif b is -a:
-                    coroots[a] = self._coroot(a, br, simple_coroot_mats)
+                elif j == k + half:
+                    # b = -a, which follows a only for a positive a
+                    coroots[a] = self._coroot(a, row.get(j, {}), simple_coroot_mats)
                     # [e_-a, e_a] = -[e_a, e_-a], so the coroot of -a is negated
-                    coroots[b] = tuple(-c for c in coroots[a])
-                elif br:
-                    raise AssertionError(f"bracket [{a}; {b}] should vanish")
+                    coroots[roots[j]] = tuple(-c for c in coroots[a])
+                elif row.get(j):
+                    raise AssertionError(f"bracket [{a}; {roots[j]}] should vanish")
         return raw, extraspecial, coroots
 
     def _coroot(self, alpha: Root, realized, simple_coroot_mats) -> tuple[int, ...]:
@@ -416,6 +437,10 @@ class _StructureConstants:
         system = self.system
         for a, row in self.sums.items():
             for b, (_, c) in row.items():
+                # each unordered pair once: antisymmetry carries |N| = p+1 over
+                # to the other order
+                if b.index < a.index:
+                    continue
                 if self.sums[b][a][1] != -c:
                     raise AssertionError("antisymmetry failure in structure constants")
                 p, _ = system.root_string(a, b)
@@ -424,6 +449,35 @@ class _StructureConstants:
         for r, s in self.extraspecial.values():
             if self.sums[r][s][1] <= 0:
                 raise AssertionError(f"extraspecial pair ({r}; {s}) got a negative sign")
+
+
+def _bracket_rows(roots: Sequence[Root], vectors: dict[Root, dict]):
+    """For each index k, in order, ``(k, row)`` with ``row[j] = [e_a, e_b]``
+    for a = roots[k] and every later b = roots[j] whose vector meets e_a.
+
+    The entries of every vector are indexed by row and by column once; one
+    pass over the entries of e_a then finds the products e_a e_b (a's column
+    meets b's row) and e_b e_a (b's column meets a's row).  A pair missing
+    from the row has bracket exactly zero; a bracket that cancels is empty.
+    """
+    by_row: dict[int, list] = {}
+    by_col: dict[int, list] = {}
+    for j, b in enumerate(roots):
+        for (rb, cb), vb in vectors[b].items():
+            by_row.setdefault(rb, []).append((j, cb, vb))
+            by_col.setdefault(cb, []).append((j, rb, vb))
+    for k, a in enumerate(roots):
+        row: dict[int, dict] = {}
+        for (ra, ca), va in vectors[a].items():
+            for j, cb, vb in by_row.get(ca, ()):
+                if j > k:
+                    br = row.setdefault(j, {})
+                    br[ra, cb] = br.get((ra, cb), 0) + va * vb
+            for j, rb, vb in by_col.get(ra, ()):
+                if j > k:
+                    br = row.setdefault(j, {})
+                    br[rb, ca] = br.get((rb, ca), 0) - vb * va
+        yield k, {j: {key: v for key, v in br.items() if v} for j, br in row.items()}
 
 
 _SYSTEMS: dict[tuple[str, int], RootSystem] = {}

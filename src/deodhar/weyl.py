@@ -51,6 +51,11 @@ from .roots import FAMILY_A, FAMILY_B, Root, root_system
 # Longest element whose reduced words are listed; their number grows
 # exponentially with the length.
 REDUCED_WORDS_BOUND = 12
+# Most reduced words listed for one element.  Commuting letters multiply the
+# count at a fixed length: s_1 s_3 ... s_15 s_2 of B_16 has length 9 and
+# 120,960 words.  Listing costs about 7.5 us and 0.45 KB per word (40,320
+# words in 0.29 s at 32 MB peak RSS, 120,960 in 0.91 s at 68 MB).
+REDUCED_WORDS_COUNT_BOUND = 50000
 
 
 class CoxeterContext:
@@ -388,7 +393,11 @@ def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
 
 
 def all_reduced_words(w: WeylElement) -> list[ReducedWord]:
-    """Every reduced word for ``w``, in lexicographic order."""
+    """Every reduced word for ``w``, in lexicographic order.
+
+    Raises ``ValueError`` if ``w`` is longer than ``REDUCED_WORDS_BOUND`` or
+    has more than ``REDUCED_WORDS_COUNT_BOUND`` reduced words.
+    """
     if w.length > REDUCED_WORDS_BOUND:
         raise ValueError(f"length {w.length} exceeds the bound {REDUCED_WORDS_BOUND}")
     # the words of every element below w, for this call only: a memo kept
@@ -402,8 +411,13 @@ def all_reduced_words(w: WeylElement) -> list[ReducedWord]:
             return cache[u]
         words = []
         for i in u.right_descents():
-            for prefix in rec(u.right_mult_generator(i)):
-                words.append(prefix + (i,))
+            words.extend(prefix + (i,) for prefix in rec(u.right_mult_generator(i)))
+            # every word of an element below w in the weak order extends to
+            # one of w, so this fires exactly when w has too many words
+            if len(words) > REDUCED_WORDS_COUNT_BOUND:
+                raise ValueError(
+                    f"more than {REDUCED_WORDS_COUNT_BOUND} reduced words to list"
+                )
         result = tuple(sorted(words))
         cache[u] = result
         return result

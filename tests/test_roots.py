@@ -1,11 +1,15 @@
 import os
+import re
 import subprocess
 import sys
+from operator import add
 from pathlib import Path
 
 import pytest
 
 import deodhar
+from deodhar import roots as roots_module
+from deodhar.linalg import combine, mat_mul
 from deodhar.roots import CommutatorTerm, RootSystem, _StructureConstants, root_system
 from deodhar.weyl import context
 
@@ -70,6 +74,15 @@ def test_roots_are_interned():
             total = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
             expected = system.root(total) if system.is_root(total) else None
             assert a.try_add(b) is expected
+    # try_add sums integer codes, one signed base-16 digit per coefficient;
+    # at the rank bound every ordered pair agrees with the sum of coefficient
+    # tuples looked up by tuple
+    for family in ("A", "B"):
+        system = root_system(family, roots_module.RANK_BOUND)
+        by_coeffs = {r.coeffs: r for r in system.roots}
+        for a in system.roots:
+            for b in system.roots:
+                assert a.try_add(b) is by_coeffs.get(tuple(map(add, a.coeffs, b.coeffs)))
 
 
 def test_root_hashes_stable_across_interpreters():
@@ -205,6 +218,72 @@ def test_bracket_missing_target_entry_is_rejected(monkeypatch):
     monkeypatch.setattr(_StructureConstants, "_basis_matrices", corrupted)
     with pytest.raises(AssertionError):
         RootSystem("A", 2).structure
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("A", r) for r in range(1, 6)] + [("B", r) for r in range(2, 7)]
+)
+def test_join_brackets_match_matrix_products(family, rank, monkeypatch):
+    # the bracket of every pair as the table build saw it from the sparse
+    # join, against the reference e_a e_b - e_b e_a by two matrix products
+    seen = {}
+    join = roots_module._bracket_rows
+
+    def recorded(roots, vectors):
+        seen["vectors"] = vectors
+        for k, row in join(roots, vectors):
+            seen[k] = row
+            yield k, row
+
+    monkeypatch.setattr(roots_module, "_bracket_rows", recorded)
+    system = RootSystem(family, rank)
+    system.structure
+    vectors = seen["vectors"]
+    roots = system.roots
+    assert len(seen) == len(roots) + 1
+    for k, a in enumerate(roots):
+        for j in range(k + 1, len(roots)):
+            va, vb = vectors[a], vectors[roots[j]]
+            reference = combine([(1, mat_mul(va, vb)), (-1, mat_mul(vb, va))])
+            assert seen[k].get(j, {}) == reference
+
+
+def test_nonvanishing_bracket_is_rejected(monkeypatch):
+    # beta_3 + beta_1 is no root of A_3, so [e_beta_3, e_beta_1] must vanish;
+    # one more entry on each, in rows and columns that no other vector
+    # touches, makes it E_{10,12} and leaves every other bracket as it was
+    realization = _StructureConstants._basis_matrices
+
+    def corrupted(self):
+        vectors = realization(self)
+        vectors[self.system.simple(3)][10, 11] = 1
+        vectors[self.system.simple(1)][11, 12] = 1
+        return vectors
+
+    monkeypatch.setattr(_StructureConstants, "_basis_matrices", corrupted)
+    with pytest.raises(AssertionError, match="should vanish"):
+        RootSystem("A", 3).structure
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3)])
+def test_pair_that_never_meets_is_rejected(family, rank, monkeypatch):
+    # e_beta_1 moved to rows and columns that no partner touches: the pair
+    # (beta_2, beta_1), whose sum is a root, is missing from the join and is
+    # the first pair rejected; a build that skipped it would fail later, on a
+    # pair whose target is e_beta_1
+    realization = _StructureConstants._basis_matrices
+
+    def corrupted(self):
+        vectors = realization(self)
+        beta1 = self.system.simple(1)
+        vectors[beta1] = {(i + 100, j + 100): v for (i, j), v in vectors[beta1].items()}
+        return vectors
+
+    monkeypatch.setattr(_StructureConstants, "_basis_matrices", corrupted)
+    system = root_system(family, rank)
+    pair = f"bracket [{system.simple(2)}; {system.simple(1)}] not a multiple"
+    with pytest.raises(AssertionError, match=re.escape(pair)):
+        RootSystem(family, rank).structure
 
 
 def _reference_extraspecial(system):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import lifting_bruhat_leq, reduced_letters, subword_lower_set
+from deodhar import weyl
 from deodhar.roots import RootSystem, root_system
 from deodhar.weyl import (
     ReducedWord,
@@ -245,6 +246,20 @@ def test_all_reduced_words():
 def test_all_reduced_words_bound():
     with pytest.raises(ValueError):
         all_reduced_words(context("B", 4).longest_element())  # length 16
+
+
+def test_all_reduced_words_count_bound(monkeypatch):
+    # eight commuting letters and one more: length 9, 9!/3 = 120,960 words
+    b16 = context("B", 16)
+    with pytest.raises(ValueError, match="reduced words to list"):
+        all_reduced_words(b16.from_word([1, 3, 5, 7, 9, 11, 13, 15, 2]))
+    # the bound is exact: w0 of B_3 has 42 words
+    w0 = B3.longest_element()
+    monkeypatch.setattr(weyl, "REDUCED_WORDS_COUNT_BOUND", 42)
+    assert len(all_reduced_words(w0)) == 42
+    monkeypatch.setattr(weyl, "REDUCED_WORDS_COUNT_BOUND", 41)
+    with pytest.raises(ValueError, match="reduced words to list"):
+        all_reduced_words(w0)
 
 
 def test_serialization():
