@@ -22,13 +22,15 @@ punctured-line coordinates (``free`` below).
 
 Every consumer of the cells reads the distinguished masks through one walk
 bounded by a count of masks rather than of letters: :func:`enumerate_below`
-walks the masks below one gamma in the closure order defined next, cutting a
-subtree of the prefix trie at the first position where the order fails, and
-:func:`enumerate_subexpressions` is that walk below the all-zeros mask, which
-reaches every distinguished mask.  The linear consumers stream a walk under
+walks the masks below a list of gammas in the closure order defined next,
+once for all of them, carrying at each node of the prefix trie the bitset
+of the gammas still above it and cutting a subtree where that bitset
+empties; :func:`enumerate_subexpressions` is that walk below the all-zeros
+mask, which reaches every distinguished mask, and ``closure_upper_bound``
+the walk below one gamma.  The linear consumers stream a walk under
 ``CELLS_BOUND``.  The pairwise ones hold at most ``PAIRS_BOUND``
-descriptors, one per mask: ``hasse_dot`` and ``find_obstructions`` walk the
-masks below each of them, ``scan_disjointness`` compares every pair of one
+descriptors, one per mask: ``hasse_dot`` and ``find_obstructions`` make one
+walk below all of them, ``scan_disjointness`` compares every pair of one
 endpoint.
 
 Point counts walk no mask: :func:`point_count_polynomial` reads one table
@@ -47,9 +49,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
-from typing import Iterator, Mapping
+from operator import itemgetter, or_
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .laurent import LaurentPoly, Monomial
 from .roots import Root
@@ -59,18 +62,23 @@ from .weyl import ReducedWord, WeylElement, bruhat_leq
 # the cells command and closure_upper_bound (there the masks below gamma).
 # Their cost is about linear in the number of masks: the cells command takes
 # about 0.9 s with --json on the 13,066 masks of the rank-5 catalog word,
-# closure_upper_bound 0.25 s on the 5,167 masks below the rank-6 catalog
-# gamma.  point_count_polynomial
+# closure_upper_bound 0.2-0.3 s on the 5,167 masks below the rank-6 catalog
+# gamma, most of it building their descriptors.  point_count_polynomial
 # walks no mask, since its recursion merges prefixes by partial product, but
 # rejects a word with more masks too.
 CELLS_BOUND = 15000
 # Most distinguished masks a pairwise consumer holds: hasse_dot,
 # find_obstructions and scan_disjointness (there per endpoint).  The first two
-# walk the masks below each mask, so their cost grows with the number of
-# related pairs: hasse_dot takes about 1.0 s on the rank-4 catalog word
-# (1,253 masks), 1.7 s on 2,048 masks and 5.3 s on 4,096 masks (the words
-# 1, ..., n of B_11 and B_12); find_obstructions 6.0 s on the 13,066 masks of
-# the rank-5 catalog word (2-vCPU Xeon, medians of three runs).
+# make one walk below all masks, and hasse_dot then takes the covering
+# relation over the related pairs.  The walk compares keys once per depth and
+# partial product met, against every gamma partial product of that depth, so
+# its cost grows with the number of distinct partial products: hasse_dot
+# takes about 0.15-0.2 s on the rank-4 catalog word (1,253 masks; the walk
+# 0.01 s), 0.7 s on 2,048 masks and 2.4-2.8 s on 4,096 masks (the words
+# 1, ..., n of B_11 and B_12, whose partial products are all distinct; the
+# walk 0.4 and 1.8 s); find_obstructions about 1 s on the 13,066 masks of the
+# rank-5 catalog word, which has 8,995,017 related pairs of distinct masks
+# (2-vCPU Xeon, Python 3.11.7, two or three runs each).
 # scan_disjointness compares every pair of one endpoint.
 PAIRS_BOUND = 1300
 
@@ -141,35 +149,73 @@ def enumerate_subexpressions(word: ReducedWord, bound: int) -> Iterator[Subexpre
     >>> [s.mask_string for s in enumerate_subexpressions(w, CELLS_BOUND)]
     ['000', '001', '010', '011', '101', '110', '111']
     """
-    return enumerate_below(subexpression(word, [0] * len(word)), bound)
+    zeros = subexpression(word, [0] * len(word))
+    return map(itemgetter(0), enumerate_below([zeros], bound))
 
 
 def enumerate_below(
-    gamma: Subexpression, bound: int, max_descents: int | None = None
-) -> Iterator[Subexpression]:
-    """The distinguished masks delta preceq gamma in increasing mask order,
-    optionally only those with at most ``max_descents`` elements in J(delta).
-    Raises ``ValueError`` on reaching yielded mask number bound + 1.
+    gammas: Sequence[Subexpression], bound: int, ceilings: Sequence[int] | None = None
+) -> Iterator[tuple[Subexpression, int]]:
+    """The distinguished masks delta below at least one of ``gammas`` in the
+    closure order, in increasing mask order, each with ``alive``: the bitset
+    of the indices a into ``gammas`` with delta preceq gammas[a] and, given
+    ``ceilings``, at most ``ceilings[a]`` elements in J(delta).  Raises
+    ``ValueError`` on reaching yielded mask number bound + 1.
 
-    A depth-first walk over the prefix trie of distinguished masks that cuts
-    a whole subtree at the first i with gamma^i <= delta^i false.  J only
-    grows along a prefix, by one exactly where a letter is taken without a
-    forced descent, so the ceiling on |J| cuts subtrees too.  A floor e
-    cuts nothing, and its test is skipped.
+    One depth-first walk over the prefix trie of distinguished masks,
+    shared by all gammas: each node carries the bitset of the gammas still
+    above its prefix, and a subtree is cut where that bitset empties.  By the
+    lifting property (Bjorner-Brenti, GTM 231, Prop. 2.2.7), if u <= w then
+    min(u, us) <= min(w, ws) and max(u, us) <= max(w, ws), so from
+    gamma^i <= delta^i the next relation gamma^{i+1} <= delta^{i+1} can fail
+    only where gamma steps up, to max(gamma^i, gamma^i s_i), while delta
+    steps down, to min(delta^i, delta^i s_i).  Only there are Bruhat keys
+    compared, once per depth and element reached (:func:`_above_mask`).
+    J only grows along a prefix, by one exactly where delta takes an ascent,
+    so the ceilings cut there.
     """
-    word, floors = gamma.word, gamma.partials
+    if not gammas:
+        return
+    word = gammas[0].word
+    if any(gamma.word != word for gamma in gammas):
+        raise ValueError("subexpressions of different words are incomparable")
     letters = word.letters
     length = len(letters)
-    ceiling = length if max_descents is None else max_descents
+    size = len(gammas)
+    # risers[k]: gamma^{k+1} -> the gammas that step up to it at position
+    # k + 1, that is take an ascent or skip a descent
+    risers: list[dict[WeylElement, list[int]]] = [{} for _ in range(length)]
+    for a, gamma in enumerate(gammas):
+        for k, (taken, before, after) in enumerate(
+            zip(gamma.mask, gamma.partials, gamma.partials[1:])
+        ):
+            if taken != before.descents >> letters[k] & 1:
+                risers[k].setdefault(after, []).append(a)
+    keyed = [
+        [(x.bruhat_key, _bitset(indices, size)) for x, indices in group.items()]
+        for group in risers
+    ]
+    up = [reduce(or_, (bits for _, bits in group), 0) for group in keyed]
+    # fits[j]: the gammas whose ceiling allows j descents
+    if ceilings is None:
+        fits = [(1 << size) - 1] * (length + 1)
+    else:
+        fits = [
+            _bitset((a for a, c in enumerate(ceilings) if c >= j), size)
+            for j in range(length + 1)
+        ]
+    # masks[k]: delta^{k+1} -> the gammas still below it after a down step
+    masks: list[dict[WeylElement, int]] = [{} for _ in range(length)]
     identity = word.ctx.identity
     mask = [0] * length
     partials = [identity] * (length + 1)
     count = 0
-    # pending trie nodes (depth, last bit, delta^depth, |J| of the prefix);
-    # a node pushes its 1-child first so that its 0-child pops first
-    stack = [(0, 0, identity, 0)]
+    new = object.__new__
+    # pending trie nodes (depth, last bit, delta^depth, |J| of the prefix,
+    # alive); a node pushes its 1-child first so that its 0-child pops first
+    stack = [(0, 0, identity, 0, fits[0])] if fits[0] else []
     while stack:
-        depth, bit, here, descents = stack.pop()
+        depth, bit, here, descents, alive = stack.pop()
         if depth:
             mask[depth - 1] = bit
             partials[depth] = here
@@ -177,20 +223,57 @@ def enumerate_below(
             count += 1
             if count > bound:
                 raise ValueError(f"more than {bound} distinguished masks to walk")
-            yield Subexpression(word, tuple(mask), tuple(partials))
+            # the frozen dataclass __init__ sets each field through
+            # object.__setattr__, about half the cost of a leaf of the
+            # all-zeros walk; the walk's fields need no check
+            delta = new(Subexpression)
+            fields = delta.__dict__
+            fields["word"], fields["mask"] = word, tuple(mask)
+            fields["partials"] = tuple(partials)
+            yield delta, alive
             continue
-        letter, floor = letters[depth], floors[depth + 1]
+        letter = letters[depth]
+        taken = here.succ[letter] or here._successor(letter)
+        # a forced descent takes the letter and steps down; otherwise taking
+        # it steps up and skipping it steps down
         if here.descents >> letter & 1:
-            taken = here.succ[letter] or here._successor(letter)
-            if floor is identity or bruhat_leq(floor, taken):
-                stack.append((depth + 1, 1, taken, descents))
-            continue
-        if descents < ceiling:
-            taken = here.succ[letter] or here._successor(letter)
-            if floor is identity or bruhat_leq(floor, taken):
-                stack.append((depth + 1, 1, taken, descents + 1))
-        if floor is identity or bruhat_leq(floor, here):
-            stack.append((depth + 1, 0, here, descents))
+            down, bit = taken, 1
+        else:
+            down, bit = here, 0
+            rising = alive & fits[descents + 1]
+            if rising:
+                stack.append((depth + 1, 1, taken, descents + 1, rising))
+        if alive & up[depth]:
+            table = masks[depth]
+            kept = table.get(down)
+            if kept is None:
+                kept = table[down] = ~up[depth] | _above_mask(keyed[depth], down)
+            alive &= kept
+            if not alive:
+                continue
+        stack.append((depth + 1, bit, down, descents, alive))
+
+
+def _bitset(indices: Iterable[int], size: int) -> int:
+    """The bitset of ``indices``, all below ``size``; built in a buffer, as
+    one shift and or per index would copy the growing bitset each time."""
+    buffer = bytearray((size + 7) // 8)
+    for a in indices:
+        buffer[a >> 3] |= 1 << (a & 7)
+    return int.from_bytes(buffer, "little")
+
+
+def _above_mask(groups: list[tuple[int, int]], x: WeylElement) -> int:
+    """The union of the bitsets of ``groups``, pairs (Bruhat key of u,
+    bitset), whose u lies below ``x`` in Bruhat order; the comparison of
+    :func:`weyl.bruhat_leq`, one subtraction per pair."""
+    guard = x.ctx._bruhat_guard
+    top = x.bruhat_key | guard
+    union = 0
+    for key, bits in groups:
+        if (top - key) & guard == guard:
+            union |= bits
+    return union
 
 
 def is_distinguished(sub: Subexpression) -> bool:
@@ -284,7 +367,8 @@ def closure_upper_bound(gamma: Subexpression) -> list[CellDescriptor]:
     cell of ``gamma`` is contained in the union of their cells."""
     if not is_distinguished(gamma):
         raise ValueError("closure bounds are computed for distinguished masks")
-    below = list(enumerate_below(gamma, CELLS_BOUND))  # raises before any cell
+    # the walk raises before any cell is built
+    below = [delta for delta, _ in enumerate_below([gamma], CELLS_BOUND)]
     return [cell(sub) for sub in below]
 
 
@@ -352,34 +436,31 @@ def hasse_dot(word: ReducedWord) -> str:
     """DOT digraph of the covering relation of preceq on distinguished masks.
 
     Edges point from the preceq-smaller mask to the larger one; node labels
-    carry the mask and the cell dimension.  The masks are held and each one
-    walks the masks below it, so ``ValueError`` is raised for more than
-    ``PAIRS_BOUND`` masks.
+    carry the mask and the cell dimension.  The masks are held and one walk
+    below all of them finds every related pair, so ``ValueError`` is raised
+    for more than ``PAIRS_BOUND`` masks.
     """
     descs = [cell(sub) for sub in enumerate_subexpressions(word, PAIRS_BOUND)]
-    index = {d.sub.mask: a for a, d in enumerate(descs)}
-    # above[a]: bitset of the b != a with a preceq b
-    above = [0] * len(descs)
-    for b, db in enumerate(descs):
-        for sub in enumerate_below(db.sub, PAIRS_BOUND):
-            a = index[sub.mask]
-            if a != b:
-                above[a] |= 1 << b
+    # the walk below every mask meets each mask once, in the same order, and
+    # each mask a lies below itself; above[a]: bitset of the b != a with
+    # a preceq b
+    walk = enumerate_below([d.sub for d in descs], PAIRS_BOUND)
+    above = [alive & ~(1 << a) for a, (_, alive) in enumerate(walk)]
     lines = ["digraph closure_order {", "  node [shape=box];"]
     for d in descs:
         lines.append(f'  "{d.mask_string}" [label="{d.mask_string} dim={d.dimension}"];')
     for a, da in enumerate(descs):
         # covering: b is above a with no c strictly between them
         between = 0
-        for c in _bits(above[a]):
+        for c in bit_indices(above[a]):
             between |= above[c]
-        for b in _bits(above[a] & ~between):
+        for b in bit_indices(above[a] & ~between):
             lines.append(f'  "{da.mask_string}" -> "{descs[b].mask_string}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _bits(bitset: int) -> Iterator[int]:
+def bit_indices(bitset: int) -> Iterator[int]:
     """The set bits of ``bitset``, in increasing order."""
     while bitset:
         low = bitset & -bitset

@@ -17,11 +17,12 @@ the two optimistic expectations one might have:
   rank n by prefixing a mask of ``t_n ... t_2 t_1 t_2 ... t_n`` that
   multiplies to the identity; the cells then have dimension 2n+2.
 
-Scans build one descriptor per distinguished mask, compare descriptors by
-identity and hand them to the certificate, which reads their ``phi``.  The
-obstruction scan does not compare every pair: for each gamma it walks only
-the masks below gamma in the closure order with at most |J(gamma)| descents
-(:func:`cells.enumerate_below`), and maps each one back to its descriptor.
+Scans build at most one descriptor per distinguished mask, compare
+descriptors by identity and hand them to the certificate, which reads their
+``phi``.  The obstruction scan does not compare every pair: one walk below
+all masks at once (:func:`cells.enumerate_below`) yields each delta with the
+bitset of the gammas above it that allow its number of descents, |J(gamma)|,
+and a descriptor is built only for a mask that some reported pair holds.
 The disjointness scan compares every pair of one endpoint, whose masks are
 few.
 """
@@ -34,6 +35,7 @@ from .cells import (
     PAIRS_BOUND,
     CellDescriptor,
     Subexpression,
+    bit_indices,
     cell,
     cells_with_endpoint,
     enumerate_below,
@@ -126,21 +128,32 @@ def find_obstructions(word: ReducedWord) -> list[ObstructionReport]:
 
     Equal dimensions already qualify: two distinct cells of equal dimension
     cannot be contained in one another's closures either.  Pairs come in
-    increasing (gamma, delta) mask order.  One descriptor is held per mask,
-    so ``ValueError`` is raised for a word with more than ``PAIRS_BOUND``
-    distinguished masks.
+    increasing (gamma, delta) mask order.  One walk below all masks at once,
+    with the ceiling |J(gamma)| on |J(delta)| (dim(delta) >= dim(gamma) iff
+    |J(delta)| <= |J(gamma)|), finds every pair; a descriptor is built only
+    for a mask in some pair, once.  The masks are held, so ``ValueError`` is
+    raised for a word with more than ``PAIRS_BOUND`` distinguished masks.
     """
-    descriptors = [cell(sub) for sub in enumerate_subexpressions(word, PAIRS_BOUND)]
-    by_mask = {d.sub.mask: d for d in descriptors}
-    out = []
-    for gamma in descriptors:
-        # dim(delta) >= dim(gamma) iff |J(delta)| <= |J(gamma)|
-        below = enumerate_below(gamma.sub, PAIRS_BOUND, max_descents=len(gamma.descents))
-        for sub in below:
-            delta = by_mask[sub.mask]
-            if delta is not gamma:
-                out.append(ObstructionReport(first=gamma, second=delta))
-    return out
+    subs = list(enumerate_subexpressions(word, PAIRS_BOUND))
+    ceilings = [len(sub.descent_positions()) for sub in subs]
+    # the walk meets each mask once, in the same order as subs, and each
+    # mask lies below itself; below[a]: the deltas below gamma a, in order
+    below: list[list[int]] = [[] for _ in subs]
+    for d, (_, alive) in enumerate(enumerate_below(subs, PAIRS_BOUND, ceilings)):
+        for a in bit_indices(alive & ~(1 << d)):
+            below[a].append(d)
+    descriptors: dict[int, CellDescriptor] = {}
+
+    def descriptor(a: int) -> CellDescriptor:
+        if a not in descriptors:
+            descriptors[a] = cell(subs[a])
+        return descriptors[a]
+
+    return [
+        ObstructionReport(first=descriptor(a), second=descriptor(d))
+        for a, deltas in enumerate(below)
+        for d in deltas
+    ]
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from collections import Counter
@@ -181,50 +182,81 @@ def test_closure_upper_bound_against_brute_force():
         assert mask in [d.mask_string for d in bound]
 
 
+def _filtered_walk(walk, gammas, ceilings):
+    """The reference for enumerate_below: each distinguished delta with the
+    bitset of the a with delta preceq gammas[a] and, given ceilings, at most
+    ceilings[a] elements in J(delta); deltas below no gamma are left out."""
+    out = []
+    for delta in walk:
+        size = len(delta.descent_positions())
+        alive = sum(
+            1 << a
+            for a, gamma in enumerate(gammas)
+            if preceq(delta, gamma) and (ceilings is None or size <= ceilings[a])
+        )
+        if alive:
+            out.append((delta.mask, delta.partials, alive))
+    return out
+
+
 @pytest.mark.parametrize(
     "word",
-    [catalog(CLOSURE_OBSTRUCTION, 3).word, parse_word(B3, "3,2,1,2,3,2,1,2,1")],
-    ids=["catalog-3", "b3-w0"],
+    [
+        catalog(CLOSURE_OBSTRUCTION, 3).word,
+        parse_word(B3, "3,2,1,2,3,2,1,2,1"),
+        parse_word(context("A", 3), "1,2,3,1,2,1"),
+        parse_word(context("A", 4), "2,1,3,2,4,3,1,2"),
+    ],
+    ids=["catalog-3", "b3-w0", "a3-w0", "a4"],
 )
 def test_enumerate_below_matches_filtered_walk(word):
     walk = list(enumerate_subexpressions(word, CELLS_BOUND))
-    sizes = {s.mask: len(s.descent_positions()) for s in walk}
-    for gamma in walk:
-        below = [(s.mask, s.partials) for s in walk if preceq(s, gamma)]
-        pruned = [(s.mask, s.partials) for s in enumerate_below(gamma, CELLS_BOUND)]
-        assert pruned == below
-        ceiling = sizes[gamma.mask]
-        capped = enumerate_below(gamma, CELLS_BOUND, max_descents=ceiling)
-        assert [(s.mask, s.partials) for s in capped] == [
-            entry for entry in below if sizes[entry[0]] <= ceiling
-        ]
+    # every fifth mask of the word: a non-distinguished gamma skips a
+    # descent, where it steps up in Bruhat order
+    mixed = all_subexpressions(word)[::5]
+    assert any(is_distinguished(g) for g in mixed)
+    assert not all(is_distinguished(g) for g in mixed)
+    cases = [
+        (walk, None),
+        (walk, [len(g.descent_positions()) for g in walk]),
+        (mixed, None),
+        (mixed, [a % (len(word) + 1) for a in range(len(mixed))]),
+    ]
+    for gammas, ceilings in cases:
+        shared = enumerate_below(gammas, CELLS_BOUND, ceilings)
+        assert [(s.mask, s.partials, alive) for s, alive in shared] == _filtered_walk(
+            walk, gammas, ceilings
+        )
 
 
 def test_enumerate_below_bound():
     gamma = subexpression(STS, "101")  # 101, 110 and 111 lie below it
-    assert len(list(enumerate_below(gamma, 3))) == 3
+    assert len(list(enumerate_below([gamma], 3))) == 3
     walked = 0
     with pytest.raises(ValueError, match="more than 2 distinguished masks"):
-        for _ in enumerate_below(gamma, 2):
+        for _ in enumerate_below([gamma], 2):
             walked += 1
     assert walked == 2
 
 
 def test_closure_upper_bound_prunes(monkeypatch):
+    # the walk compares Bruhat keys inline, in _above_mask, one comparison
+    # per group it is handed
     calls = 0
-    original = cells.bruhat_leq
+    original = cells._above_mask
 
-    def counting(u, v):
+    def counting(groups, x):
         nonlocal calls
-        calls += 1
-        return original(u, v)
+        calls += len(groups)
+        return original(groups, x)
 
-    monkeypatch.setattr(cells, "bruhat_leq", counting)
+    monkeypatch.setattr(cells, "_above_mask", counting)
     bound = closure_upper_bound(catalog(CLOSURE_OBSTRUCTION, 5).first)
     assert len(bound) == 907
-    # the cut keeps the Bruhat checks near the cells found (2,622); filtering
-    # all 13,066 masks of the word by preceq makes 46,481
-    assert calls <= 3 * len(bound)
+    # the cut and the lifting property keep the Bruhat checks near the cells
+    # found (144, against 1,660 bruhat_leq calls of a walk that tests every
+    # step); filtering all 13,066 masks of the word by preceq makes 46,481
+    assert 0 < calls <= 3 * len(bound)
 
 
 def test_closure_upper_bound_rank_6():
@@ -347,6 +379,20 @@ def test_hasse_dot_matches_triple_loop():
                 lines.append(f'  "{subs[a].mask_string}" -> "{subs[b].mask_string}";')
     lines.append("}")
     assert hasse_dot(word) == "\n".join(lines) + "\n"
+
+
+# regression anchors, not derivations: SHA-256 of hasse_dot on the catalog
+# words, as the per-mask walk wrote them before the shared walk replaced it
+HASSE_DIGESTS = {
+    3: "14cd6c9c94da58a93894f3441ad41040d5e7bcadbc29c7098762bc6f05193660",
+    4: "2a6127b2e5d086ff7ffd5a862d2bc916e6d8adfc2292675b1c21fa0c2dd932cb",
+}
+
+
+@pytest.mark.parametrize("n", sorted(HASSE_DIGESTS))
+def test_hasse_dot_digest(n):
+    dot = hasse_dot(catalog(CLOSURE_OBSTRUCTION, n).word)
+    assert hashlib.sha256(dot.encode()).hexdigest() == HASSE_DIGESTS[n]
 
 
 def test_hasse_dot_shapes():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from conftest import expected_neg_phi_first, expected_neg_phi_second
@@ -175,6 +177,17 @@ def test_find_obstructions_pair_counts(n, pairs, deeper):
     assert sum(r.second.dimension > r.first.dimension for r in reports) == deeper
 
 
+def test_find_obstructions_digest_n4():
+    # regression anchor, not a derivation: SHA-256 of the (first, second)
+    # mask list at n=4, as the per-gamma walks reported it before the
+    # shared walk replaced them
+    reports = find_obstructions(catalog(CLOSURE_OBSTRUCTION, 4).word)
+    pairs = repr([(r.first.mask_string, r.second.mask_string) for r in reports])
+    assert hashlib.sha256(pairs.encode()).hexdigest() == (
+        "3c5cf13e6a0904a7a79a3e3516f411dc0dfb57cb7ab242afbcfea9b1653d3bc9"
+    )
+
+
 def test_find_obstructions_contains_catalog_pair_n4():
     entry = catalog(CLOSURE_OBSTRUCTION, 4)
     reports = find_obstructions(entry.word)
@@ -218,3 +231,26 @@ def test_scan_disjointness_builds_one_descriptor_per_mask(monkeypatch):
     masks = [s.mask for s in enumerate_subexpressions(word, CELLS_BOUND)]
     assert len(built) == len(masks) == 200
     assert sorted(built) == masks
+
+
+def test_find_obstructions_builds_one_descriptor_per_reported_mask(monkeypatch):
+    built = []
+    original = cells.cell
+
+    def counting(sub):
+        built.append(sub.mask)
+        return original(sub)
+
+    for module in (cells, search):
+        monkeypatch.setattr(module, "cell", counting)
+    reports = find_obstructions(catalog(CLOSURE_OBSTRUCTION, 4).word)
+    shared = {}
+    for report in reports:
+        for desc in (report.first, report.second):
+            assert shared.setdefault(desc.sub.mask, desc) is desc
+    assert len(built) == len(set(built)) == len(shared)
+    assert set(built) == set(shared)
+    # masks recur across the 452 reports, and most of the 1,253 masks of the
+    # word are in none
+    assert len(shared) < 2 * len(reports)
+    assert len(shared) < 1253
