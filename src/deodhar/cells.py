@@ -27,11 +27,14 @@ once for all of them, carrying at each node of the prefix trie the bitset
 of the gammas still above it and cutting a subtree where that bitset
 empties; :func:`enumerate_subexpressions` is that walk below the all-zeros
 mask, which reaches every distinguished mask, and ``closure_upper_bound``
-the walk below one gamma.  The linear consumers stream a walk under
-``CELLS_BOUND``.  The pairwise ones hold at most ``PAIRS_BOUND``
-descriptors, one per mask: ``hasse_dot`` and ``find_obstructions`` make one
-walk below all of them, ``scan_disjointness`` compares every pair of one
-endpoint.
+the walk below one gamma.  The walk builds the descriptor of each mask it
+yields, sharing the phi entry of a trie node among all leaves below it;
+:func:`cell` is the checked constructor for a single mask.  The linear
+consumers stream a walk under ``CELLS_BOUND``; ``cells_with_endpoint``
+reads one table per word, the descriptors of one walk grouped by endpoint.
+The pairwise ones hold at most ``PAIRS_BOUND`` descriptors, one per mask:
+``hasse_dot`` and ``find_obstructions`` make one walk below all of them,
+``scan_disjointness`` compares every pair of one endpoint.
 
 Point counts walk no mask: :func:`point_count_polynomial` reads one table
 per word, the number of cells of each endpoint and shape, which Deodhar's
@@ -50,6 +53,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from itertools import compress
 from math import comb
 from operator import itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -60,12 +64,13 @@ from .weyl import ReducedWord, WeylElement, bruhat_leq
 
 # Most distinguished masks a linear consumer walks: cells_with_endpoint,
 # the cells command and closure_upper_bound (there the masks below gamma).
-# Their cost is about linear in the number of masks: the cells command takes
-# about 0.9 s with --json on the 13,066 masks of the rank-5 catalog word,
-# closure_upper_bound 0.2-0.3 s on the 5,167 masks below the rank-6 catalog
-# gamma, most of it building their descriptors.  point_count_polynomial
-# walks no mask, since its recursion merges prefixes by partial product, but
-# rejects a word with more masks too.
+# Their cost is about linear in the number of masks, the walk building one
+# descriptor per mask: the cells command takes about 0.5-0.6 s with --json
+# on the 13,066 masks of the rank-5 catalog word, most of it writing JSON,
+# closure_upper_bound 0.04-0.09 s on the 5,167 masks below the rank-6
+# catalog gamma, and the table of cells_with_endpoint 0.2 s and 17 MB on the
+# rank-5 word.  point_count_polynomial walks no mask, since its recursion
+# merges prefixes by partial product, but rejects a word with more masks too.
 CELLS_BOUND = 15000
 # Most distinguished masks a pairwise consumer holds: hasse_dot,
 # find_obstructions and scan_disjointness (there per endpoint).  The first two
@@ -137,16 +142,16 @@ def subexpression(word: ReducedWord, mask) -> Subexpression:
     return Subexpression(word, bits, tuple(partials))
 
 
-def enumerate_subexpressions(word: ReducedWord, bound: int) -> Iterator[Subexpression]:
-    """The distinguished masks in increasing mask order: the walk of
-    :func:`enumerate_below` under the all-zeros mask, which lies above every
-    distinguished mask (its partial products are all e).  Raises
+def enumerate_subexpressions(word: ReducedWord, bound: int) -> Iterator[CellDescriptor]:
+    """The descriptors of the distinguished masks in increasing mask order:
+    the walk of :func:`enumerate_below` under the all-zeros mask, which lies
+    above every distinguished mask (its partial products are all e).  Raises
     ``ValueError`` on reaching mask number bound + 1, so at most ``bound``
     masks are ever yielded.
 
     >>> from deodhar.weyl import context, parse_word
     >>> w = parse_word(context("A", 2), "1,2,1")
-    >>> [s.mask_string for s in enumerate_subexpressions(w, CELLS_BOUND)]
+    >>> [d.mask_string for d in enumerate_subexpressions(w, CELLS_BOUND)]
     ['000', '001', '010', '011', '101', '110', '111']
     """
     zeros = subexpression(word, [0] * len(word))
@@ -155,12 +160,13 @@ def enumerate_subexpressions(word: ReducedWord, bound: int) -> Iterator[Subexpre
 
 def enumerate_below(
     gammas: Sequence[Subexpression], bound: int, ceilings: Sequence[int] | None = None
-) -> Iterator[tuple[Subexpression, int]]:
-    """The distinguished masks delta below at least one of ``gammas`` in the
-    closure order, in increasing mask order, each with ``alive``: the bitset
-    of the indices a into ``gammas`` with delta preceq gammas[a] and, given
-    ``ceilings``, at most ``ceilings[a]`` elements in J(delta).  Raises
-    ``ValueError`` on reaching yielded mask number bound + 1.
+) -> Iterator[tuple[CellDescriptor, int]]:
+    """The descriptors of the distinguished masks delta below at least one of
+    ``gammas`` in the closure order, in increasing mask order, each with
+    ``alive``: the bitset of the indices a into ``gammas`` with
+    delta preceq gammas[a] and, given ``ceilings``, at most ``ceilings[a]``
+    elements in J(delta).  Raises ``ValueError`` on reaching yielded mask
+    number bound + 1.
 
     One depth-first walk over the prefix trie of distinguished masks,
     shared by all gammas: each node carries the bitset of the gammas still
@@ -173,6 +179,14 @@ def enumerate_below(
     compared, once per depth and element reached (:func:`_above_mask`).
     J only grows along a prefix, by one exactly where delta takes an ascent,
     so the ceilings cut there.
+
+    The descriptors are built along the walk.  Position i is in J(delta)
+    exactly where delta takes an ascent, and then delta^i(alpha_i) < 0;
+    elsewhere delta^i(alpha_i) > 0 and entry i of phi is its negative.  So
+    each trie node makes its phi entry once, shared by every leaf below it,
+    and a leaf only gathers the per-depth parts; :func:`cell` computes the
+    same descriptor from a single mask, and the test suite checks that the
+    two routes agree.
     """
     if not gammas:
         return
@@ -207,30 +221,54 @@ def enumerate_below(
     # masks[k]: delta^{k+1} -> the gammas still below it after a down step
     masks: list[dict[WeylElement, int]] = [{} for _ in range(length)]
     identity = word.ctx.identity
+    positions = tuple(range(1, length + 1))
+    # the parts of the current prefix, by depth: its bits, the positions of
+    # J, its partial products and its phi entries (None on J)
     mask = [0] * length
+    ascents = [0] * length
     partials = [identity] * (length + 1)
+    entries: list[PhiEntry | None] = [None] * length
     count = 0
     new = object.__new__
-    # pending trie nodes (depth, last bit, delta^depth, |J| of the prefix,
-    # alive); a node pushes its 1-child first so that its 0-child pops first
-    stack = [(0, 0, identity, 0, fits[0])] if fits[0] else []
+    # pending trie nodes (depth, last bit, whether it took an ascent,
+    # delta^depth, |J| of the prefix, alive); a node pushes its 1-child first
+    # so that its 0-child pops first
+    stack = [(0, 0, 0, identity, 0, fits[0])] if fits[0] else []
     while stack:
-        depth, bit, here, descents, alive = stack.pop()
+        depth, bit, ascent, here, descents, alive = stack.pop()
         if depth:
-            mask[depth - 1] = bit
+            k = depth - 1
+            mask[k] = bit
+            ascents[k] = ascent
             partials[depth] = here
+            if ascent:
+                entries[k] = None
+            else:
+                last = letters[k]
+                image = here.images[last] or here._simple_image(last)
+                # the frozen dataclass __init__ sets each field through
+                # object.__setattr__; the walk's fields need no check
+                entry = entries[k] = new(PhiEntry)
+                fields = entry.__dict__
+                fields["index"], fields["root"], fields["free"] = depth, -image, not bit
         if depth == length:
             count += 1
             if count > bound:
                 raise ValueError(f"more than {bound} distinguished masks to walk")
-            # the frozen dataclass __init__ sets each field through
-            # object.__setattr__, about half the cost of a leaf of the
-            # all-zeros walk; the walk's fields need no check
             delta = new(Subexpression)
             fields = delta.__dict__
             fields["word"], fields["mask"] = word, tuple(mask)
             fields["partials"] = tuple(partials)
-            yield delta, alive
+            chosen = tuple(compress(positions, mask))
+            desc = new(CellDescriptor)
+            fields = desc.__dict__
+            fields["sub"], fields["chosen"] = delta, chosen
+            fields["descents"] = tuple(compress(positions, ascents))
+            fields["affine_rank"] = len(chosen) - descents
+            fields["torus_rank"] = length - len(chosen)
+            fields["dimension"] = length - descents
+            fields["phi"] = tuple(filter(None, entries))
+            yield desc, alive
             continue
         letter = letters[depth]
         taken = here.succ[letter] or here._successor(letter)
@@ -242,7 +280,7 @@ def enumerate_below(
             down, bit = here, 0
             rising = alive & fits[descents + 1]
             if rising:
-                stack.append((depth + 1, 1, taken, descents + 1, rising))
+                stack.append((depth + 1, 1, 1, taken, descents + 1, rising))
         if alive & up[depth]:
             table = masks[depth]
             kept = table.get(down)
@@ -251,7 +289,7 @@ def enumerate_below(
             alive &= kept
             if not alive:
                 continue
-        stack.append((depth + 1, bit, down, descents, alive))
+        stack.append((depth + 1, bit, 0, down, descents, alive))
 
 
 def _bitset(indices: Iterable[int], size: int) -> int:
@@ -344,12 +382,25 @@ def cell(sub: Subexpression) -> CellDescriptor:
 
 def cells_with_endpoint(word: ReducedWord, v: WeylElement) -> list[CellDescriptor]:
     """Descriptors of the distinguished subexpressions with endpoint ``v``,
-    in mask order; these are exactly the cells of one double Schubert cell."""
-    return [
-        cell(sub)
-        for sub in enumerate_subexpressions(word, CELLS_BOUND)
-        if sub.endpoint is v
-    ]
+    in mask order; these are exactly the cells of one double Schubert cell.
+    Read from the table of :func:`_cells_by_endpoint`, a new list per call;
+    raises ``ValueError`` for an endpoint of another group."""
+    if v.ctx is not word.ctx:
+        raise ValueError("endpoint and word from different contexts")
+    return list(_cells_by_endpoint(word).get(v, ()))
+
+
+# Every caller asks for all endpoints of one word in a row (scan_disjointness
+# over the double cells of a word), so one table is kept, as for
+# endpoint_shapes.
+@lru_cache(maxsize=1)
+def _cells_by_endpoint(word: ReducedWord) -> dict[WeylElement, tuple[CellDescriptor, ...]]:
+    """The descriptors of one walk over all distinguished masks, grouped by
+    endpoint, each group in mask order."""
+    groups: dict[WeylElement, list[CellDescriptor]] = {}
+    for desc in enumerate_subexpressions(word, CELLS_BOUND):
+        groups.setdefault(desc.sub.endpoint, []).append(desc)
+    return {v: tuple(descs) for v, descs in groups.items()}
 
 
 def preceq(delta: Subexpression, gamma: Subexpression) -> bool:
@@ -367,9 +418,7 @@ def closure_upper_bound(gamma: Subexpression) -> list[CellDescriptor]:
     cell of ``gamma`` is contained in the union of their cells."""
     if not is_distinguished(gamma):
         raise ValueError("closure bounds are computed for distinguished masks")
-    # the walk raises before any cell is built
-    below = [delta for delta, _ in enumerate_below([gamma], CELLS_BOUND)]
-    return [cell(sub) for sub in below]
+    return [desc for desc, _ in enumerate_below([gamma], CELLS_BOUND)]
 
 
 def point_count(shapes: Mapping[tuple[int, int], int]) -> LaurentPoly:
@@ -387,7 +436,8 @@ def point_count(shapes: Mapping[tuple[int, int], int]) -> LaurentPoly:
 def point_count_polynomial(word: ReducedWord, v: WeylElement) -> LaurentPoly:
     """Sum of q^affine (q-1)^torus over the cells with endpoint ``v``;
     counts the F_q-points of the double Schubert cell.  Reads the table of
-    :func:`endpoint_shapes`, which walks no mask.
+    :func:`endpoint_shapes`, which walks no mask; raises ``ValueError`` for
+    an endpoint of another group.
 
     The open cell of ``1,2,1`` in A_2 has (q-1)^3 + q(q-1) points:
 
@@ -395,6 +445,8 @@ def point_count_polynomial(word: ReducedWord, v: WeylElement) -> LaurentPoly:
     ...     point_count_polynomial(ReducedWord(A2, (1, 2, 1)), A2.identity))
     -1 + 2*q - 2*q^2 + q^3
     """
+    if v.ctx is not word.ctx:
+        raise ValueError("endpoint and word from different contexts")
     return point_count(endpoint_shapes(word).get(v, {}))
 
 
@@ -440,7 +492,7 @@ def hasse_dot(word: ReducedWord) -> str:
     below all of them finds every related pair, so ``ValueError`` is raised
     for more than ``PAIRS_BOUND`` masks.
     """
-    descs = [cell(sub) for sub in enumerate_subexpressions(word, PAIRS_BOUND)]
+    descs = list(enumerate_subexpressions(word, PAIRS_BOUND))
     # the walk below every mask meets each mask once, in the same order, and
     # each mask a lies below itself; above[a]: bitset of the b != a with
     # a preceq b

@@ -50,9 +50,9 @@ def _cmd_cells(args) -> int:
     # raises past CELLS_BOUND, so such an input prints nothing
     shapes = cells_mod.endpoint_shapes(word)
     descriptors = (
-        cells_mod.cell(sub)
-        for sub in cells_mod.enumerate_subexpressions(word, cells_mod.CELLS_BOUND)
-        if end is None or sub.endpoint is end
+        d
+        for d in cells_mod.enumerate_subexpressions(word, cells_mod.CELLS_BOUND)
+        if end is None or d.sub.endpoint is end
     )
     if args.json:
         # the bytes of json.dumps(list, sort_keys=True), one item at a time

@@ -17,14 +17,15 @@ the two optimistic expectations one might have:
   rank n by prefixing a mask of ``t_n ... t_2 t_1 t_2 ... t_n`` that
   multiplies to the identity; the cells then have dimension 2n+2.
 
-Scans build at most one descriptor per distinguished mask, compare
-descriptors by identity and hand them to the certificate, which reads their
-``phi``.  The obstruction scan does not compare every pair: one walk below
-all masks at once (:func:`cells.enumerate_below`) yields each delta with the
-bitset of the gammas above it that allow its number of descents, |J(gamma)|,
-and a descriptor is built only for a mask that some reported pair holds.
-The disjointness scan compares every pair of one endpoint, whose masks are
-few.
+Scans take the descriptors that the walks build, one per distinguished
+mask, compare them by identity and hand them to the certificate, which
+reads their ``phi``.  The obstruction scan does not compare every pair: one
+walk below all masks at once (:func:`cells.enumerate_below`) yields each
+delta with the bitset of the gammas above it that allow its number of
+descents, |J(gamma)|, and the reports hold the descriptors of the first
+walk.  The disjointness scan compares every pair of one endpoint, whose
+masks are few, read from the table of :func:`cells.cells_with_endpoint`,
+which one walk builds for all endpoints of a word.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .cells import (
     CellDescriptor,
     Subexpression,
     bit_indices,
-    cell,
     cells_with_endpoint,
     enumerate_below,
     enumerate_subexpressions,
@@ -130,27 +130,22 @@ def find_obstructions(word: ReducedWord) -> list[ObstructionReport]:
     cannot be contained in one another's closures either.  Pairs come in
     increasing (gamma, delta) mask order.  One walk below all masks at once,
     with the ceiling |J(gamma)| on |J(delta)| (dim(delta) >= dim(gamma) iff
-    |J(delta)| <= |J(gamma)|), finds every pair; a descriptor is built only
-    for a mask in some pair, once.  The masks are held, so ``ValueError`` is
-    raised for a word with more than ``PAIRS_BOUND`` distinguished masks.
+    |J(delta)| <= |J(gamma)|), finds every pair; the reports share the
+    descriptors of the walk over all masks.  The masks are held, so
+    ``ValueError`` is raised for a word with more than ``PAIRS_BOUND``
+    distinguished masks.
     """
-    subs = list(enumerate_subexpressions(word, PAIRS_BOUND))
-    ceilings = [len(sub.descent_positions()) for sub in subs]
-    # the walk meets each mask once, in the same order as subs, and each
+    descs = list(enumerate_subexpressions(word, PAIRS_BOUND))
+    ceilings = [len(d.descents) for d in descs]
+    # the walk meets each mask once, in the same order as descs, and each
     # mask lies below itself; below[a]: the deltas below gamma a, in order
-    below: list[list[int]] = [[] for _ in subs]
-    for d, (_, alive) in enumerate(enumerate_below(subs, PAIRS_BOUND, ceilings)):
+    below: list[list[int]] = [[] for _ in descs]
+    walk = enumerate_below([d.sub for d in descs], PAIRS_BOUND, ceilings)
+    for d, (_, alive) in enumerate(walk):
         for a in bit_indices(alive & ~(1 << d)):
             below[a].append(d)
-    descriptors: dict[int, CellDescriptor] = {}
-
-    def descriptor(a: int) -> CellDescriptor:
-        if a not in descriptors:
-            descriptors[a] = cell(subs[a])
-        return descriptors[a]
-
     return [
-        ObstructionReport(first=descriptor(a), second=descriptor(d))
+        ObstructionReport(first=descs[a], second=descs[d])
         for a, deltas in enumerate(below)
         for d in deltas
     ]
@@ -206,7 +201,8 @@ def scan_disjointness(word: ReducedWord, v: WeylElement) -> list[CertifiedPair]:
     instance of the closure-intersection question.  Pairs come in increasing
     (first, second) mask order.  Every pair of the descriptors with endpoint
     ``v`` is compared and handed to :func:`disjointness_certificate` as is,
-    so ``ValueError`` is raised for more than ``PAIRS_BOUND`` of them."""
+    so ``ValueError`` is raised for more than ``PAIRS_BOUND`` of them, and
+    for an endpoint of another group."""
     descriptors = cells_with_endpoint(word, v)
     if len(descriptors) > PAIRS_BOUND:
         raise ValueError(f"more than {PAIRS_BOUND} cells end at {v.serialize()}")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
@@ -9,6 +10,7 @@ from conftest import all_subexpressions
 from deodhar import cells
 from deodhar.cells import (
     CELLS_BOUND,
+    CellDescriptor,
     cell,
     cell_to_obj,
     cells_with_endpoint,
@@ -34,11 +36,11 @@ STS = parse_word(A2, "1,2,1")
 def test_enumeration_counts_and_order():
     word1 = parse_word(B3, "1")
     assert [s.mask for s in all_subexpressions(word1)] == [(0,), (1,)]
-    assert [s.mask for s in enumerate_subexpressions(word1, CELLS_BOUND)] == [(0,), (1,)]
+    assert [d.sub.mask for d in enumerate_subexpressions(word1, CELLS_BOUND)] == [(0,), (1,)]
     subs = all_subexpressions(STS)
     assert len(subs) == 8
     assert [s.mask for s in subs] == sorted(s.mask for s in subs)
-    walked = list(enumerate_subexpressions(STS, CELLS_BOUND))
+    walked = [d.sub for d in enumerate_subexpressions(STS, CELLS_BOUND)]
     assert [s.mask for s in walked] == sorted(s.mask for s in walked)
     for s in walked:
         fresh = subexpression(STS, s.mask)  # recomputes the partial products
@@ -49,7 +51,7 @@ def test_enumeration_counts_and_order():
     word12 = parse_word(ctx4, ",".join(map(str, block + block)))
     everything = all_subexpressions(word12)
     assert len(everything) == 4096
-    walked = [s.mask for s in enumerate_subexpressions(word12, CELLS_BOUND)]
+    walked = [d.sub.mask for d in enumerate_subexpressions(word12, CELLS_BOUND)]
     assert walked == [s.mask for s in everything if is_distinguished(s)]
 
 
@@ -95,7 +97,7 @@ def test_distinguished_enumeration_prunes_exactly():
             s.mask for s in all_subexpressions(word) if is_distinguished(s)
         ]
         via_prune = [
-            s.mask for s in enumerate_subexpressions(word, CELLS_BOUND)
+            d.sub.mask for d in enumerate_subexpressions(word, CELLS_BOUND)
         ]
         assert via_filter == via_prune
 
@@ -115,9 +117,10 @@ def test_cell_descriptor_examples():
 
 def test_empty_word_degenerate_case():
     empty = parse_word(B3, "")
-    subs = list(enumerate_subexpressions(empty, CELLS_BOUND))
-    assert len(subs) == 1
-    desc = cell(subs[0])
+    descs = list(enumerate_subexpressions(empty, CELLS_BOUND))
+    assert len(descs) == 1
+    desc = descs[0]
+    assert desc == cell(desc.sub)
     assert desc.dimension == 0 and desc.phi == ()
 
 
@@ -162,8 +165,8 @@ def test_cell_requires_distinguished():
 
 
 def test_root_sequence_all_negative_and_sized():
-    for sub in enumerate_subexpressions(STS, CELLS_BOUND):
-        entries = cell(sub).phi
+    for desc in enumerate_subexpressions(STS, CELLS_BOUND):
+        sub, entries = desc.sub, desc.phi
         assert all(e.root.is_negative for e in entries)
         assert len(entries) == len(sub) - len(sub.descent_positions())
         assert [e.index for e in entries] == sorted(e.index for e in entries)
@@ -210,7 +213,7 @@ def _filtered_walk(walk, gammas, ceilings):
     ids=["catalog-3", "b3-w0", "a3-w0", "a4"],
 )
 def test_enumerate_below_matches_filtered_walk(word):
-    walk = list(enumerate_subexpressions(word, CELLS_BOUND))
+    walk = [d.sub for d in enumerate_subexpressions(word, CELLS_BOUND)]
     # every fifth mask of the word: a non-distinguished gamma skips a
     # descent, where it steps up in Bruhat order
     mixed = all_subexpressions(word)[::5]
@@ -224,9 +227,90 @@ def test_enumerate_below_matches_filtered_walk(word):
     ]
     for gammas, ceilings in cases:
         shared = enumerate_below(gammas, CELLS_BOUND, ceilings)
-        assert [(s.mask, s.partials, alive) for s, alive in shared] == _filtered_walk(
+        assert [(d.sub.mask, d.sub.partials, alive) for d, alive in shared] == _filtered_walk(
             walk, gammas, ceilings
         )
+
+
+WALK_WORDS = [
+    catalog(CLOSURE_OBSTRUCTION, 3).word,
+    catalog(CLOSURE_OBSTRUCTION, 4).word,
+    parse_word(B3, "3,2,1,2,3,2,1,2,1"),
+    parse_word(context("A", 3), "1,2,3,1,2,1"),
+    parse_word(context("A", 4), "2,1,3,2,4,3,1,2"),
+]
+WALK_IDS = ["catalog-3", "catalog-4", "b3-w0", "a3-w0", "a4"]
+
+
+def _assert_matches_cell(desc):
+    """``desc`` equals ``cell(desc.sub)`` field for field, partial products
+    included."""
+    fresh = cell(desc.sub)
+    for f in fields(CellDescriptor):
+        assert getattr(desc, f.name) == getattr(fresh, f.name), (desc.mask_string, f.name)
+    assert desc.sub.partials == fresh.sub.partials
+
+
+@pytest.mark.parametrize("word", WALK_WORDS, ids=WALK_IDS)
+def test_walk_descriptors_match_cell(word):
+    descs = list(enumerate_subexpressions(word, CELLS_BOUND))
+    for desc in descs:
+        _assert_matches_cell(desc)
+    subs = [d.sub for d in descs]
+    # every fifth mask of the word mixes in non-distinguished gammas
+    mixed = all_subexpressions(word)[::5]
+    cases = [(subs, [len(d.descents) for d in descs]), (mixed, None)]
+    for gammas, ceilings in cases:
+        for desc, _ in enumerate_below(gammas, CELLS_BOUND, ceilings):
+            _assert_matches_cell(desc)
+
+
+@pytest.mark.parametrize("word", WALK_WORDS, ids=WALK_IDS)
+def test_walk_shares_phi_entries_of_a_prefix(word):
+    # leaves in walk order: two leaves with a common prefix of length k have
+    # every leaf between them on it too, so neighbours suffice
+    descs = list(enumerate_subexpressions(word, CELLS_BOUND))
+    shared = 0
+    for before, after in zip(descs, descs[1:]):
+        k = 0
+        while before.sub.mask[k] == after.sub.mask[k]:
+            k += 1
+        early = [e for e in before.phi if e.index <= k]
+        assert [e for e in after.phi if e.index <= k] == early
+        assert all(x is y for x, y in zip(early, after.phi))
+        shared += len(early)
+    assert shared > 0
+
+
+@pytest.mark.parametrize("word", WALK_WORDS, ids=WALK_IDS)
+def test_cells_with_endpoint_groups_partition_the_walk(word):
+    masks = [d.sub.mask for d in enumerate_subexpressions(word, CELLS_BOUND)]
+    grouped = []
+    for v in word.ctx.elements():
+        group = cells_with_endpoint(word, v)
+        again = cells_with_endpoint(word, v)
+        assert group == again and group is not again
+        group.clear()  # a caller's list is its own
+        assert cells_with_endpoint(word, v) == again
+        assert all(d.sub.endpoint is v for d in again)
+        assert [d.sub.mask for d in again] == sorted(d.sub.mask for d in again)
+        grouped += [d.sub.mask for d in again]
+    assert sorted(grouped) == masks
+
+
+FOREIGN_ENDPOINTS = [context("B", 4).identity, context("A", 3).identity]
+
+
+@pytest.mark.parametrize("v", FOREIGN_ENDPOINTS, ids=["b4", "a3"])
+def test_cells_with_endpoint_rejects_other_group(v):
+    with pytest.raises(ValueError, match="different contexts"):
+        cells_with_endpoint(parse_word(B3, "3,2,1,2,3,2,1,2,1"), v)
+
+
+@pytest.mark.parametrize("v", FOREIGN_ENDPOINTS, ids=["b4", "a3"])
+def test_point_count_polynomial_rejects_other_group(v):
+    with pytest.raises(ValueError, match="different contexts"):
+        point_count_polynomial(parse_word(B3, "3,2,1,2,3,2,1,2,1"), v)
 
 
 def test_enumerate_below_bound():
@@ -265,6 +349,20 @@ def test_closure_upper_bound_rank_6():
     masks = [d.mask_string for d in closure_upper_bound(entry.first)]
     assert len(masks) == 5167
     assert entry.second.mask_string in masks
+
+
+def test_closure_upper_bound_digest_n5():
+    # regression anchor, not a derivation: SHA-256 of the (mask, dimension,
+    # phi) list below the rank-5 catalog gamma, as closure_upper_bound
+    # returned it when cell() built each descriptor
+    bound = closure_upper_bound(catalog(CLOSURE_OBSTRUCTION, 5).first)
+    text = repr([
+        (d.mask_string, d.dimension, [(e.index, e.root.coeffs, e.free) for e in d.phi])
+        for d in bound
+    ])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "36e65e8cafa8810a92a62679c5f6b53697b352307393e60e68d1ac23e073e107"
+    )
 
 
 def test_closure_upper_bound_bound():
@@ -344,12 +442,13 @@ def test_point_count_polynomial_keys_on_context():
     a3, b3 = context("A", 3), context("B", 3)
     word_a, word_b = ReducedWord(a3, (1, 2)), ReducedWord(b3, (1, 2))
     assert hash(word_a) == hash(word_b) and word_a != word_b
-    zero = LaurentPoly.zero()
     for _ in range(2):
         for word, other in ((word_a, b3), (word_b, a3)):
             expected = {v: _walked_point_count(word, v) for v in word.ctx.elements()}
             assert {v: point_count_polynomial(word, v) for v in expected} == expected
-            assert all(point_count_polynomial(word, v) == zero for v in other.elements())
+            for v in other.elements():
+                with pytest.raises(ValueError, match="different contexts"):
+                    point_count_polynomial(word, v)
 
 
 def test_point_count_invariance_across_words():
@@ -367,7 +466,7 @@ def test_hasse_dot_bound():
 
 def test_hasse_dot_matches_triple_loop():
     word = catalog(CLOSURE_OBSTRUCTION, 3).word
-    subs = list(enumerate_subexpressions(word, CELLS_BOUND))
+    subs = [d.sub for d in enumerate_subexpressions(word, CELLS_BOUND)]
     size = len(subs)
     below = [[a != b and preceq(subs[a], subs[b]) for b in range(size)] for a in range(size)]
     lines = ["digraph closure_order {", "  node [shape=box];"]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -40,6 +41,18 @@ def test_cells_json(capsys):
     assert code == 0
     parsed = json.loads(out)
     assert [c["mask"] for c in parsed] == ["000", "101"]
+
+
+def test_cells_json_digest_rank4(capsys):
+    # regression anchor, not a derivation: SHA-256 of the --json output on
+    # the rank-4 catalog word (1,253 masks), as the command wrote it when
+    # cell() built each descriptor
+    code, out = run(capsys, "cells", "--word", "4,3,2,1,2,3,4,3,2,1,2,3", "--json")
+    assert code == 0
+    assert len(json.loads(out)) == 1253
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "857fe88983bbed4a8d87be97f05f1c6bb7915674c26e253527f67eda93e58f17"
+    )
 
 
 def test_distinguished_example(capsys):

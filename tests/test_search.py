@@ -155,7 +155,7 @@ def test_find_obstructions_equal_dimension_boundary():
 @pytest.mark.parametrize("n", [3, 4])
 def test_find_obstructions_matches_all_pairs(n):
     word = catalog(CLOSURE_OBSTRUCTION, n).word
-    descriptors = [cell(sub) for sub in enumerate_subexpressions(word, CELLS_BOUND)]
+    descriptors = list(enumerate_subexpressions(word, CELLS_BOUND))
     expected = [
         (gamma.mask_string, delta.mask_string)
         for gamma in descriptors
@@ -213,43 +213,75 @@ def test_scan_disjointness():
     assert scan_disjointness(parse_word(ctx, "1"), ctx.identity) == []
 
 
-def test_scan_disjointness_builds_one_descriptor_per_mask(monkeypatch):
-    built = []
-    original = cells.cell
+def _forbid_cell(monkeypatch):
+    """Make a call of cell() fail: the scans take the walk's descriptors."""
 
-    def counting(sub):
-        built.append(sub.mask)
-        return original(sub)
+    def forbidden(sub):
+        raise AssertionError(f"cell() called on {sub.mask_string}")
 
     for module in (cells, search):
-        monkeypatch.setattr(module, "cell", counting)
+        monkeypatch.setattr(module, "cell", forbidden, raising=False)
+
+
+def test_scan_disjointness_builds_one_descriptor_per_mask(monkeypatch):
+    walks = []
+    original = cells.enumerate_below
+
+    def counting(*args, **kwargs):
+        walks.append(0)
+        for item in original(*args, **kwargs):
+            walks[-1] += 1
+            yield item
+
+    monkeypatch.setattr(cells, "enumerate_below", counting)
+    _forbid_cell(monkeypatch)
+    cells._cells_by_endpoint.cache_clear()
     word = catalog(DISJOINTNESS, 3).word  # a reduced word of w0 in B_3
     endpoints = list(context("B", 3).elements())
     assert len(endpoints) == 48
+    scans = [scan_disjointness(word, v) for v in endpoints]
+    # all 48 endpoints read one table, built by one walk over the 200 masks
+    assert walks == [200]
+    by_mask = {}
     for v in endpoints:
-        scan_disjointness(word, v)
-    masks = [s.mask for s in enumerate_subexpressions(word, CELLS_BOUND)]
-    assert len(built) == len(masks) == 200
-    assert sorted(built) == masks
+        for desc in cells_with_endpoint(word, v):
+            assert by_mask.setdefault(desc.sub.mask, desc) is desc
+    assert walks == [200]
+    assert len(by_mask) == 200
+    # the certified pairs hold the table's descriptors, one per mask
+    assert sum(map(len, scans)) > 0
+    for pairs in scans:
+        for p in pairs:
+            assert by_mask[p.first.sub.mask] is p.first
+            assert by_mask[p.second.sub.mask] is p.second
+
+
+def test_scan_disjointness_rejects_other_group():
+    word = catalog(DISJOINTNESS, 3).word
+    for v in (context("B", 4).identity, context("A", 3).identity):
+        with pytest.raises(ValueError, match="different contexts"):
+            scan_disjointness(word, v)
 
 
 def test_find_obstructions_builds_one_descriptor_per_reported_mask(monkeypatch):
-    built = []
-    original = cells.cell
+    first_walk = []
+    original = search.enumerate_subexpressions
 
-    def counting(sub):
-        built.append(sub.mask)
-        return original(sub)
+    def recording(word, bound):
+        first_walk.extend(original(word, bound))
+        return iter(first_walk)
 
-    for module in (cells, search):
-        monkeypatch.setattr(module, "cell", counting)
+    monkeypatch.setattr(search, "enumerate_subexpressions", recording)
+    _forbid_cell(monkeypatch)
     reports = find_obstructions(catalog(CLOSURE_OBSTRUCTION, 4).word)
+    assert len(first_walk) == 1253
+    by_mask = {desc.sub.mask: desc for desc in first_walk}
     shared = {}
     for report in reports:
         for desc in (report.first, report.second):
+            # the reports hold the first walk's descriptors by identity
+            assert by_mask[desc.sub.mask] is desc
             assert shared.setdefault(desc.sub.mask, desc) is desc
-    assert len(built) == len(set(built)) == len(shared)
-    assert set(built) == set(shared)
     # masks recur across the 452 reports, and most of the 1,253 masks of the
     # word are in none
     assert len(shared) < 2 * len(reports)
