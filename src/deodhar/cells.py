@@ -28,13 +28,14 @@ of the gammas still above it and cutting a subtree where that bitset
 empties; :func:`enumerate_subexpressions` is that walk below the all-zeros
 mask, which reaches every distinguished mask, and ``closure_upper_bound``
 the walk below one gamma.  The walk builds the descriptor of each mask it
-yields, sharing the phi entry of a trie node among all leaves below it;
-:func:`cell` is the checked constructor for a single mask.  The linear
-consumers stream a walk under ``CELLS_BOUND``; ``cells_with_endpoint``
-reads one table per word, the descriptors of one walk grouped by endpoint.
-The pairwise ones hold at most ``PAIRS_BOUND`` descriptors, one per mask:
-``hasse_dot`` and ``find_obstructions`` make one walk below all of them,
-``scan_disjointness`` compares every pair of one endpoint.
+yields, the mask and its phi, sharing the phi entry of a trie node among
+all leaves below it; :func:`cell` is the checked constructor for one mask.
+The linear consumers stream a walk under ``CELLS_BOUND``;
+``cells_with_endpoint`` reads one table per word, the descriptors of one
+walk grouped by endpoint.  The pairwise ones hold at most ``PAIRS_BOUND``
+descriptors: ``hasse_dot`` and ``find_obstructions`` read
+:func:`closure_pairs`, one walk below all of them, ``scan_disjointness``
+compares every pair of one endpoint.
 
 Point counts walk no mask: :func:`point_count_polynomial` reads one table
 per word, the number of cells of each endpoint and shape, which Deodhar's
@@ -53,7 +54,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import compress
 from math import comb
 from operator import itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -74,17 +74,16 @@ from .weyl import ReducedWord, WeylElement, bruhat_leq
 CELLS_BOUND = 15000
 # Most distinguished masks a pairwise consumer holds: hasse_dot,
 # find_obstructions and scan_disjointness (there per endpoint).  The first two
-# make one walk below all masks, and hasse_dot then takes the covering
-# relation over the related pairs.  The walk compares keys once per depth and
-# partial product met, against every gamma partial product of that depth, so
-# its cost grows with the number of distinct partial products: hasse_dot
-# takes about 0.15-0.2 s on the rank-4 catalog word (1,253 masks; the walk
-# 0.01 s), 0.7 s on 2,048 masks and 2.4-2.8 s on 4,096 masks (the words
-# 1, ..., n of B_11 and B_12, whose partial products are all distinct; the
-# walk 0.4 and 1.8 s); find_obstructions about 1 s on the 13,066 masks of the
-# rank-5 catalog word, which has 8,995,017 related pairs of distinct masks
-# (2-vCPU Xeon, Python 3.11.7, two or three runs each).
-# scan_disjointness compares every pair of one endpoint.
+# read closure_pairs, one walk below all masks that streams one bitset per
+# mask, and hasse_dot then takes the covering relation over the related
+# pairs.  The walk compares keys once per depth and partial product met,
+# against every gamma partial product of that depth, so its cost grows with
+# the number of distinct partial products: hasse_dot takes about 0.1-0.2 s
+# on the rank-4 catalog word (1,253 masks), 0.7-0.9 s on 2,048 masks and
+# 2.4-3.5 s on 4,096 masks (the words 1, ..., n of B_11 and B_12, whose partial
+# products are all distinct; the walk 0.4 and 1.8 s); find_obstructions
+# 0.5-0.9 s and 49 MB on the 13,066 masks of the rank-5 catalog word, which
+# has 8,995,017 related pairs of distinct masks (2-vCPU Xeon, Python 3.11.7).
 PAIRS_BOUND = 1300
 
 
@@ -159,13 +158,12 @@ def enumerate_subexpressions(word: ReducedWord, bound: int) -> Iterator[CellDesc
 
 
 def enumerate_below(
-    gammas: Sequence[Subexpression], bound: int, ceilings: Sequence[int] | None = None
+    gammas: Sequence[Subexpression], bound: int
 ) -> Iterator[tuple[CellDescriptor, int]]:
     """The descriptors of the distinguished masks delta below at least one of
     ``gammas`` in the closure order, in increasing mask order, each with
     ``alive``: the bitset of the indices a into ``gammas`` with
-    delta preceq gammas[a] and, given ``ceilings``, at most ``ceilings[a]``
-    elements in J(delta).  Raises ``ValueError`` on reaching yielded mask
+    delta preceq gammas[a].  Raises ``ValueError`` on reaching yielded mask
     number bound + 1.
 
     One depth-first walk over the prefix trie of distinguished masks,
@@ -177,16 +175,14 @@ def enumerate_below(
     only where gamma steps up, to max(gamma^i, gamma^i s_i), while delta
     steps down, to min(delta^i, delta^i s_i).  Only there are Bruhat keys
     compared, once per depth and element reached (:func:`_above_mask`).
-    J only grows along a prefix, by one exactly where delta takes an ascent,
-    so the ceilings cut there.
 
     The descriptors are built along the walk.  Position i is in J(delta)
     exactly where delta takes an ascent, and then delta^i(alpha_i) < 0;
     elsewhere delta^i(alpha_i) > 0 and entry i of phi is its negative.  So
     each trie node makes its phi entry once, shared by every leaf below it,
-    and a leaf only gathers the per-depth parts; :func:`cell` computes the
-    same descriptor from a single mask, and the test suite checks that the
-    two routes agree.
+    and a leaf only gathers its bits, partial products and entries;
+    :func:`cell` computes the same descriptor from a single mask, and the
+    test suite checks that the two routes agree.
     """
     if not gammas:
         return
@@ -210,36 +206,25 @@ def enumerate_below(
         for group in risers
     ]
     up = [reduce(or_, (bits for _, bits in group), 0) for group in keyed]
-    # fits[j]: the gammas whose ceiling allows j descents
-    if ceilings is None:
-        fits = [(1 << size) - 1] * (length + 1)
-    else:
-        fits = [
-            _bitset((a for a, c in enumerate(ceilings) if c >= j), size)
-            for j in range(length + 1)
-        ]
     # masks[k]: delta^{k+1} -> the gammas still below it after a down step
     masks: list[dict[WeylElement, int]] = [{} for _ in range(length)]
     identity = word.ctx.identity
-    positions = tuple(range(1, length + 1))
-    # the parts of the current prefix, by depth: its bits, the positions of
-    # J, its partial products and its phi entries (None on J)
+    # the parts of the current prefix, by depth: its bits, its partial
+    # products and its phi entries (None on J)
     mask = [0] * length
-    ascents = [0] * length
     partials = [identity] * (length + 1)
     entries: list[PhiEntry | None] = [None] * length
     count = 0
     new = object.__new__
     # pending trie nodes (depth, last bit, whether it took an ascent,
-    # delta^depth, |J| of the prefix, alive); a node pushes its 1-child first
-    # so that its 0-child pops first
-    stack = [(0, 0, 0, identity, 0, fits[0])] if fits[0] else []
+    # delta^depth, alive); a node pushes its 1-child first so that its
+    # 0-child pops first
+    stack = [(0, 0, 0, identity, (1 << size) - 1)]
     while stack:
-        depth, bit, ascent, here, descents, alive = stack.pop()
+        depth, bit, ascent, here, alive = stack.pop()
         if depth:
             k = depth - 1
             mask[k] = bit
-            ascents[k] = ascent
             partials[depth] = here
             if ascent:
                 entries[k] = None
@@ -259,15 +244,9 @@ def enumerate_below(
             fields = delta.__dict__
             fields["word"], fields["mask"] = word, tuple(mask)
             fields["partials"] = tuple(partials)
-            chosen = tuple(compress(positions, mask))
             desc = new(CellDescriptor)
             fields = desc.__dict__
-            fields["sub"], fields["chosen"] = delta, chosen
-            fields["descents"] = tuple(compress(positions, ascents))
-            fields["affine_rank"] = len(chosen) - descents
-            fields["torus_rank"] = length - len(chosen)
-            fields["dimension"] = length - descents
-            fields["phi"] = tuple(filter(None, entries))
+            fields["sub"], fields["phi"] = delta, tuple(filter(None, entries))
             yield desc, alive
             continue
         letter = letters[depth]
@@ -278,9 +257,7 @@ def enumerate_below(
             down, bit = taken, 1
         else:
             down, bit = here, 0
-            rising = alive & fits[descents + 1]
-            if rising:
-                stack.append((depth + 1, 1, 1, taken, descents + 1, rising))
+            stack.append((depth + 1, 1, 1, taken, alive))
         if alive & up[depth]:
             table = masks[depth]
             kept = table.get(down)
@@ -289,7 +266,7 @@ def enumerate_below(
             alive &= kept
             if not alive:
                 continue
-        stack.append((depth + 1, bit, 0, down, descents, alive))
+        stack.append((depth + 1, bit, 0, down, alive))
 
 
 def _bitset(indices: Iterable[int], size: int) -> int:
@@ -335,20 +312,39 @@ class PhiEntry:
 
 @dataclass(frozen=True)
 class CellDescriptor:
-    """All combinatorial data of one nonempty Deodhar cell; build it with
-    :func:`cell`."""
+    """One nonempty Deodhar cell: its mask and its root sequence; build it
+    with :func:`cell`.  The rest is derived: ``chosen`` is I, ``descents``
+    is J, the positions where gamma^i(alpha_i) < 0, which are exactly those
+    with no phi entry, ``dimension`` is l - |J|, ``affine_rank`` |I| - |J|
+    and ``torus_rank`` l - |I|."""
 
     sub: Subexpression
-    chosen: tuple[int, ...]
-    descents: tuple[int, ...]
-    affine_rank: int
-    torus_rank: int
-    dimension: int
     phi: tuple[PhiEntry, ...]
 
     @property
     def mask_string(self) -> str:
         return self.sub.mask_string
+
+    @property
+    def chosen(self) -> tuple[int, ...]:
+        return self.sub.chosen_positions()
+
+    @property
+    def descents(self) -> tuple[int, ...]:
+        present = {entry.index for entry in self.phi}
+        return tuple(i for i in range(1, len(self.sub) + 1) if i not in present)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.phi)
+
+    @property
+    def affine_rank(self) -> int:
+        return sum(self.sub.mask) - len(self.sub) + len(self.phi)
+
+    @property
+    def torus_rank(self) -> int:
+        return len(self.sub) - sum(self.sub.mask)
 
 
 def cell(sub: Subexpression) -> CellDescriptor:
@@ -359,25 +355,14 @@ def cell(sub: Subexpression) -> CellDescriptor:
     computed by acting on simple roots, independently of the window descent
     rule used for J; the test suite checks that the two routes agree.
     """
-    chosen = sub.chosen_positions()
-    descents = sub.descent_positions()
-    if not all(sub.mask[i - 1] for i in descents):
+    if not all(sub.mask[i - 1] for i in sub.descent_positions()):
         raise ValueError(f"mask {sub.mask_string} is not distinguished: its cell is empty")
-    length = len(sub)
     phi = []
     for i, (partial, letter) in enumerate(zip(sub.partials[1:], sub.word.letters), start=1):
         image = partial.images[letter] or partial._simple_image(letter)
         if image.is_positive:
             phi.append(PhiEntry(index=i, root=-image, free=not sub.mask[i - 1]))
-    return CellDescriptor(
-        sub=sub,
-        chosen=chosen,
-        descents=descents,
-        affine_rank=len(chosen) - len(descents),
-        torus_rank=length - len(chosen),
-        dimension=length - len(descents),
-        phi=tuple(phi),
-    )
+    return CellDescriptor(sub, tuple(phi))
 
 
 def cells_with_endpoint(word: ReducedWord, v: WeylElement) -> list[CellDescriptor]:
@@ -492,12 +477,8 @@ def hasse_dot(word: ReducedWord) -> str:
     below all of them finds every related pair, so ``ValueError`` is raised
     for more than ``PAIRS_BOUND`` masks.
     """
-    descs = list(enumerate_subexpressions(word, PAIRS_BOUND))
-    # the walk below every mask meets each mask once, in the same order, and
-    # each mask a lies below itself; above[a]: bitset of the b != a with
-    # a preceq b
-    walk = enumerate_below([d.sub for d in descs], PAIRS_BOUND)
-    above = [alive & ~(1 << a) for a, (_, alive) in enumerate(walk)]
+    descs, stream = closure_pairs(word)
+    above = list(stream)
     lines = ["digraph closure_order {", "  node [shape=box];"]
     for d in descs:
         lines.append(f'  "{d.mask_string}" [label="{d.mask_string} dim={d.dimension}"];')
@@ -510,6 +491,19 @@ def hasse_dot(word: ReducedWord) -> str:
             lines.append(f'  "{da.mask_string}" -> "{descs[b].mask_string}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def closure_pairs(word: ReducedWord) -> tuple[list[CellDescriptor], Iterator[int]]:
+    """The descriptors of the distinguished masks of ``word`` in mask order,
+    and a stream of bitsets, one per descriptor a in the same order: the b
+    with b != a and a preceq b.  One walk below all the masks makes the
+    stream, read as it is consumed; the masks are held, so ``ValueError`` is
+    raised for more than ``PAIRS_BOUND`` of them."""
+    descs = list(enumerate_subexpressions(word, PAIRS_BOUND))
+    # the walk below every mask meets each mask once, in the same order, and
+    # each mask a lies below itself
+    walk = enumerate_below([d.sub for d in descs], PAIRS_BOUND)
+    return descs, (alive & ~(1 << a) for a, (_, alive) in enumerate(walk))
 
 
 def bit_indices(bitset: int) -> Iterator[int]:

@@ -239,6 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a window such as -1,2,3 for an option: --end W as --end=W
+    for k in range(len(argv) - 1, 0, -1):
+        if argv[k - 1] == "--end" and argv[k][:1] == "-" and argv[k][1:2].isdigit():
+            argv[k - 1 : k + 1] = [f"--end={argv[k]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

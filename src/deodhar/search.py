@@ -19,13 +19,13 @@ the two optimistic expectations one might have:
 
 Scans take the descriptors that the walks build, one per distinguished
 mask, compare them by identity and hand them to the certificate, which
-reads their ``phi``.  The obstruction scan does not compare every pair: one
-walk below all masks at once (:func:`cells.enumerate_below`) yields each
-delta with the bitset of the gammas above it that allow its number of
-descents, |J(gamma)|, and the reports hold the descriptors of the first
-walk.  The disjointness scan compares every pair of one endpoint, whose
-masks are few, read from the table of :func:`cells.cells_with_endpoint`,
-which one walk builds for all endpoints of a word.
+reads their ``phi``.  The obstruction scan does not compare every pair: it
+reads :func:`cells.closure_pairs`, the descriptors of a word and, for each
+delta, the bitset of the gammas above it, keeps the gammas of dimension at
+most dim(delta), and the reports hold those descriptors.  The disjointness
+scan compares every pair of one endpoint, whose masks are few, read from
+the table of :func:`cells.cells_with_endpoint`, which one walk builds for
+all endpoints of a word.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ from .cells import (
     Subexpression,
     bit_indices,
     cells_with_endpoint,
-    enumerate_below,
-    enumerate_subexpressions,
+    closure_pairs,
     preceq,
     subexpression,
 )
@@ -128,21 +127,23 @@ def find_obstructions(word: ReducedWord) -> list[ObstructionReport]:
 
     Equal dimensions already qualify: two distinct cells of equal dimension
     cannot be contained in one another's closures either.  Pairs come in
-    increasing (gamma, delta) mask order.  One walk below all masks at once,
-    with the ceiling |J(gamma)| on |J(delta)| (dim(delta) >= dim(gamma) iff
-    |J(delta)| <= |J(gamma)|), finds every pair; the reports share the
-    descriptors of the walk over all masks.  The masks are held, so
-    ``ValueError`` is raised for a word with more than ``PAIRS_BOUND``
-    distinguished masks.
+    increasing (gamma, delta) mask order.  Each delta's bitset of the gammas
+    above it, from :func:`cells.closure_pairs`, is cut to the gammas of
+    dimension at most dim(delta); the reports share the descriptors of the
+    walk over all masks.  The masks are held, so ``ValueError`` is raised
+    for a word with more than ``PAIRS_BOUND`` distinguished masks.
     """
-    descs = list(enumerate_subexpressions(word, PAIRS_BOUND))
-    ceilings = [len(d.descents) for d in descs]
-    # the walk meets each mask once, in the same order as descs, and each
-    # mask lies below itself; below[a]: the deltas below gamma a, in order
+    descs, above = closure_pairs(word)
+    # within[k]: the gammas of dimension at most k
+    within = [0] * (len(word) + 1)
+    for a, desc in enumerate(descs):
+        within[desc.dimension] |= 1 << a
+    for k in range(1, len(within)):
+        within[k] |= within[k - 1]
+    # below[a]: the deltas below gamma a, in order
     below: list[list[int]] = [[] for _ in descs]
-    walk = enumerate_below([d.sub for d in descs], PAIRS_BOUND, ceilings)
-    for d, (_, alive) in enumerate(walk):
-        for a in bit_indices(alive & ~(1 << d)):
+    for d, (desc, gammas) in enumerate(zip(descs, above)):
+        for a in bit_indices(gammas & within[desc.dimension]):
             below[a].append(d)
     return [
         ObstructionReport(first=descs[a], second=descs[d])

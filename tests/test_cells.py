@@ -185,18 +185,13 @@ def test_closure_upper_bound_against_brute_force():
         assert mask in [d.mask_string for d in bound]
 
 
-def _filtered_walk(walk, gammas, ceilings):
+def _filtered_walk(walk, gammas):
     """The reference for enumerate_below: each distinguished delta with the
-    bitset of the a with delta preceq gammas[a] and, given ceilings, at most
-    ceilings[a] elements in J(delta); deltas below no gamma are left out."""
+    bitset of the a with delta preceq gammas[a]; deltas below no gamma are
+    left out."""
     out = []
     for delta in walk:
-        size = len(delta.descent_positions())
-        alive = sum(
-            1 << a
-            for a, gamma in enumerate(gammas)
-            if preceq(delta, gamma) and (ceilings is None or size <= ceilings[a])
-        )
+        alive = sum(1 << a for a, gamma in enumerate(gammas) if preceq(delta, gamma))
         if alive:
             out.append((delta.mask, delta.partials, alive))
     return out
@@ -219,16 +214,10 @@ def test_enumerate_below_matches_filtered_walk(word):
     mixed = all_subexpressions(word)[::5]
     assert any(is_distinguished(g) for g in mixed)
     assert not all(is_distinguished(g) for g in mixed)
-    cases = [
-        (walk, None),
-        (walk, [len(g.descent_positions()) for g in walk]),
-        (mixed, None),
-        (mixed, [a % (len(word) + 1) for a in range(len(mixed))]),
-    ]
-    for gammas, ceilings in cases:
-        shared = enumerate_below(gammas, CELLS_BOUND, ceilings)
+    for gammas in (walk, mixed):
+        shared = enumerate_below(gammas, CELLS_BOUND)
         assert [(d.sub.mask, d.sub.partials, alive) for d, alive in shared] == _filtered_walk(
-            walk, gammas, ceilings
+            walk, gammas
         )
 
 
@@ -244,11 +233,15 @@ WALK_IDS = ["catalog-3", "catalog-4", "b3-w0", "a3-w0", "a4"]
 
 def _assert_matches_cell(desc):
     """``desc`` equals ``cell(desc.sub)`` field for field, partial products
-    included."""
+    and derived values included, and its J, read from the positions phi
+    skips, is J by the window descent rule."""
     fresh = cell(desc.sub)
-    for f in fields(CellDescriptor):
-        assert getattr(desc, f.name) == getattr(fresh, f.name), (desc.mask_string, f.name)
+    assert [f.name for f in fields(CellDescriptor)] == ["sub", "phi"]
+    derived = ["descents", "chosen", "dimension", "affine_rank", "torus_rank"]
+    for name in ["sub", "phi"] + derived:
+        assert getattr(desc, name) == getattr(fresh, name), (desc.mask_string, name)
     assert desc.sub.partials == fresh.sub.partials
+    assert desc.descents == desc.sub.descent_positions()
 
 
 @pytest.mark.parametrize("word", WALK_WORDS, ids=WALK_IDS)
@@ -259,9 +252,8 @@ def test_walk_descriptors_match_cell(word):
     subs = [d.sub for d in descs]
     # every fifth mask of the word mixes in non-distinguished gammas
     mixed = all_subexpressions(word)[::5]
-    cases = [(subs, [len(d.descents) for d in descs]), (mixed, None)]
-    for gammas, ceilings in cases:
-        for desc, _ in enumerate_below(gammas, CELLS_BOUND, ceilings):
+    for gammas in (subs, mixed):
+        for desc, _ in enumerate_below(gammas, CELLS_BOUND):
             _assert_matches_cell(desc)
 
 

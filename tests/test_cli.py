@@ -163,6 +163,20 @@ def test_parse_errors_report_positions(capsys):
     assert code == 2 and "token 'y' at position 2" in err
 
 
+def test_cells_end_with_negative_window(capsys):
+    # a window that starts with a minus sign, given as the next argument
+    expected = [
+        "mask=001 end=-1,2,3 dim=2 affine=0 torus=2",
+        "point count: 1 - 2*q + q^2",
+    ]
+    for end in (["--end", "-1,2,3"], ["--end=-1,2,3"]):
+        code, out = run(
+            capsys, "cells", "--family", "B", "--rank", "3", "--word", "1,2,1", *end
+        )
+        assert code == 0
+        assert out.splitlines() == expected
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["cells"])  # missing --word

@@ -265,13 +265,13 @@ def test_scan_disjointness_rejects_other_group():
 
 def test_find_obstructions_builds_one_descriptor_per_reported_mask(monkeypatch):
     first_walk = []
-    original = search.enumerate_subexpressions
+    original = cells.enumerate_subexpressions
 
     def recording(word, bound):
         first_walk.extend(original(word, bound))
         return iter(first_walk)
 
-    monkeypatch.setattr(search, "enumerate_subexpressions", recording)
+    monkeypatch.setattr(cells, "enumerate_subexpressions", recording)
     _forbid_cell(monkeypatch)
     reports = find_obstructions(catalog(CLOSURE_OBSTRUCTION, 4).word)
     assert len(first_walk) == 1253
