@@ -82,7 +82,7 @@ CELLS_BOUND = 15000
 # on the rank-4 catalog word (1,253 masks), 0.7-0.9 s on 2,048 masks and
 # 2.4-3.5 s on 4,096 masks (the words 1, ..., n of B_11 and B_12, whose partial
 # products are all distinct; the walk 0.4 and 1.8 s); find_obstructions
-# 0.5-0.9 s and 49 MB on the 13,066 masks of the rank-5 catalog word, which
+# 0.5-1.1 s and 49 MB on the 13,066 masks of the rank-5 catalog word, which
 # has 8,995,017 related pairs of distinct masks (2-vCPU Xeon, Python 3.11.7).
 PAIRS_BOUND = 1300
 
