@@ -8,9 +8,14 @@ stratification and closure-intersection expectations.
 """
 
 from .cells import (
+    CLOSURE_OBSTRUCTION,
+    DISJOINTNESS,
+    DISJOINTNESS_EXTENDED,
+    CatalogEntry,
     CellDescriptor,
     PhiEntry,
     Subexpression,
+    catalog,
     cell,
     cells_with_endpoint,
     closure_upper_bound,
@@ -38,13 +43,8 @@ from .chevalley import (
 from .laurent import LaurentPoly, Monomial
 from .roots import CommutatorTerm, Root, root_system
 from .search import (
-    CLOSURE_OBSTRUCTION,
-    DISJOINTNESS,
-    DISJOINTNESS_EXTENDED,
-    CatalogEntry,
     DisjointnessCertificate,
     ObstructionReport,
-    catalog,
     disjointness_certificate,
     find_obstructions,
     scan_disjointness,

@@ -35,7 +35,7 @@ The linear consumers stream a walk under ``CELLS_BOUND``;
 walk grouped by endpoint.  The pairwise ones hold at most ``PAIRS_BOUND``
 descriptors: ``hasse_dot`` and ``find_obstructions`` read
 :func:`closure_pairs`, one walk below all of them, ``scan_disjointness``
-compares every pair of one endpoint.
+compares each mask of one endpoint with the later ones.
 
 Point counts walk no mask: :func:`point_count_polynomial` reads one table
 per word, the number of cells of each endpoint and shape, which Deodhar's
@@ -47,6 +47,23 @@ iff ``gamma^i <= delta^i`` in Bruhat order for every ``i``.  Note the
 reversal: the *smaller* cell in this order has the *larger* partial products.
 Closures satisfy ``closure(D_gamma) subset union of D_delta`` over
 ``delta preceq gamma``, which is only an upper bound.
+
+The catalog at the end stores, as letters and mask strings, the known
+reduced words and masks in type B that defeat the two optimistic
+expectations one might have:
+
+* ``closure-obstruction`` (any rank n >= 3): a 4n-4 letter word with two
+  distinguished masks, one of cell dimension 2n and one of dimension 3n-3,
+  related by the closure order.  For n >= 4 the deeper cell cannot lie in
+  the closure of the shallower one, so the partition is not a stratification.
+* ``disjointness`` (rank 3): two distinguished masks of the longest word
+  with equal endpoint t_2 and dimension 6, comparable in the closure order,
+  whose cells nevertheless have disjoint closures.  The certificate is a
+  negative simple root missing from one coordinate sequence and forced
+  nonzero in the other.
+* ``disjointness-extended`` (rank n >= 4): the same pair transported to
+  rank n by prefixing a mask of ``t_n ... t_2 t_1 t_2 ... t_n`` that
+  multiplies to the identity; the cells then have dimension 2n+2.
 """
 
 from __future__ import annotations
@@ -60,7 +77,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .laurent import LaurentPoly, Monomial
 from .roots import Root
-from .weyl import ReducedWord, WeylElement, bruhat_leq
+from .weyl import ReducedWord, WeylElement, bruhat_leq, context
 
 # Most distinguished masks a linear consumer walks: cells_with_endpoint,
 # the cells command and closure_upper_bound (there the masks below gamma).
@@ -120,20 +137,19 @@ class Subexpression:
             if partials[i].descents >> letter & 1
         )
 
-    def concat(self, other: "Subexpression") -> "Subexpression":
-        """Concatenate words and masks (the combined word must be reduced)."""
-        combined = ReducedWord(self.word.ctx, self.word.letters + other.word.letters)
-        return subexpression(combined, self.mask + other.mask)
+
+_BITS = {"0": 0, "1": 1, 0: 0, 1: 1}
 
 
 def subexpression(word: ReducedWord, mask) -> Subexpression:
     """The checked constructor: a mask given as a 0/1 string or bit sequence
     of the word's length, with its partial products."""
-    bits = tuple(int(bit) for bit in mask)
+    bits = tuple(map(_BITS.get, mask))
+    if None in bits:
+        pos = bits.index(None)
+        raise ValueError(f"mask character {mask[pos]!r} at position {pos + 1} (expected 0 or 1)")
     if len(bits) != len(word):
         raise ValueError("mask length does not match the word")
-    if any(bit not in (0, 1) for bit in bits):
-        raise ValueError("mask entries must be 0 or 1")
     partials = [word.ctx.identity]
     for bit, letter in zip(bits, word.letters):
         prev = partials[-1]
@@ -496,9 +512,13 @@ def hasse_dot(word: ReducedWord) -> str:
 def closure_pairs(word: ReducedWord) -> tuple[list[CellDescriptor], Iterator[int]]:
     """The descriptors of the distinguished masks of ``word`` in mask order,
     and a stream of bitsets, one per descriptor a in the same order: the b
-    with b != a and a preceq b.  One walk below all the masks makes the
-    stream, read as it is consumed; the masks are held, so ``ValueError`` is
-    raised for more than ``PAIRS_BOUND`` of them."""
+    with b != a and a preceq b.  Each bitset holds only b < a: at the first
+    position k where the masks of a and b differ, with common partial
+    product x before it, if a skips the letter and b takes it then
+    x s_k > x, as a is distinguished, and b^k = x s_k is not below
+    a^k = x.  One walk below all the masks makes the stream, read as it is
+    consumed; the masks are held, so ``ValueError`` is raised for more than
+    ``PAIRS_BOUND`` of them."""
     descs = list(enumerate_subexpressions(word, PAIRS_BOUND))
     # the walk below every mask meets each mask once, in the same order, and
     # each mask a lies below itself
@@ -531,3 +551,56 @@ def cell_to_obj(desc: CellDescriptor) -> dict:
 def phi_entry_to_obj(entry: PhiEntry) -> dict:
     """JSON-ready form of one coordinate of the root sequence."""
     return {"i": entry.index, "root": list(entry.root.coeffs), "free": entry.free}
+
+
+CLOSURE_OBSTRUCTION = "closure-obstruction"
+DISJOINTNESS = "disjointness"
+DISJOINTNESS_EXTENDED = "disjointness-extended"
+
+# the disjointness pair: a reduced word of w0 in B_3 and its masks sigma, tau
+_B3_W0 = (3, 2, 1, 2, 3, 2, 1, 2, 1)
+_SIGMA, _TAU = "010101101", "011001011"
+
+
+@dataclass(frozen=True)
+class CatalogEntry:
+    """A named word with its distinguished pair; ``second preceq first``."""
+
+    name: str
+    n: int
+    first: Subexpression
+    second: Subexpression
+
+    @property
+    def word(self) -> ReducedWord:
+        return self.first.word
+
+
+def catalog(name: str, n: int = 3) -> CatalogEntry:
+    """Exact transliterations of the known counterexample words and masks."""
+    if name == CLOSURE_OBSTRUCTION:
+        if n < 3:
+            raise ValueError("closure-obstruction needs n >= 3")
+        block = tuple(range(n, 1, -1)) + (1,) + tuple(range(2, n))
+        # gamma skips positions 1, n, 2n-1 and 3n-2, delta 1 and n+1..3n-3
+        letters = block + block
+        first = ("0" + "1" * (n - 2)) * 4
+        second = "0" + "1" * (n - 1) + "0" * (2 * n - 3) + "1" * (n - 1)
+    elif name == DISJOINTNESS:
+        if n != 3:
+            raise ValueError("disjointness is a rank 3 catalog entry")
+        letters, first, second = _B3_W0, _SIGMA, _TAU
+    elif name == DISJOINTNESS_EXTENDED:
+        if n < 4:
+            raise ValueError(
+                "disjointness-extended needs n >= 4 (at n = 3 the prefixed "
+                "word is no longer reduced)"
+            )
+        # eta takes both t_2 of t_n ... t_2 t_1 t_2 ... t_n: its product is e
+        letters = tuple(range(n, 0, -1)) + tuple(range(2, n + 1)) + _B3_W0
+        eta = "0" * (n - 2) + "101" + "0" * (n - 2)
+        first, second = eta + _SIGMA, eta + _TAU
+    else:
+        raise ValueError(f"unknown catalog entry {name!r}")
+    word = ReducedWord(context("B", n), letters)
+    return CatalogEntry(name, n, subexpression(word, first), subexpression(word, second))

@@ -35,11 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .cells import cell
+from .cells import CLOSURE_OBSTRUCTION, catalog, cell
 from .laurent import LaurentPoly, Monomial
 from .linalg import Matrix, combine, dense, identity, mat_mul
 from .roots import Root, root_system
-from .search import CLOSURE_OBSTRUCTION, catalog
 
 
 class VerificationError(Exception):

@@ -35,15 +35,6 @@ def _word(args) -> ReducedWord:
     return ReducedWord(context(args.family, rank), letters)
 
 
-def _parse_mask(text: str) -> str:
-    for pos, ch in enumerate(text, start=1):
-        if ch not in "01":
-            raise ValueError(
-                f"mask character {ch!r} at position {pos} (expected 0 or 1)"
-            )
-    return text
-
-
 def _cmd_cells(args) -> int:
     word = _word(args)
     end = None if args.end is None else word.ctx.parse_element(args.end)
@@ -74,14 +65,14 @@ def _cmd_cells(args) -> int:
 
 def _cmd_distinguished(args) -> int:
     word = _word(args)
-    sub = cells_mod.subexpression(word, _parse_mask(args.mask))
+    sub = cells_mod.subexpression(word, args.mask)
     print("true" if cells_mod.is_distinguished(sub) else "false")
     return 0
 
 
 def _cmd_phi(args) -> int:
     word = _word(args)
-    sub = cells_mod.subexpression(word, _parse_mask(args.mask))
+    sub = cells_mod.subexpression(word, args.mask)
     entries = cells_mod.cell(sub).phi
     if args.json:
         print(json.dumps([cells_mod.phi_entry_to_obj(e) for e in entries], sort_keys=True))
@@ -93,8 +84,8 @@ def _cmd_phi(args) -> int:
 
 def _cmd_order(args) -> int:
     word = _word(args)
-    first = cells_mod.subexpression(word, _parse_mask(args.mask))
-    second = cells_mod.subexpression(word, _parse_mask(args.mask2))
+    first = cells_mod.subexpression(word, args.mask)
+    second = cells_mod.subexpression(word, args.mask2)
     print("true" if cells_mod.preceq(first, second) else "false")
     return 0
 
@@ -165,8 +156,8 @@ def _cmd_verify(args) -> int:
             print(line)
         print("PASS")
         return 0
-    name = search.DISJOINTNESS if args.n == 3 else search.DISJOINTNESS_EXTENDED
-    entry = search.catalog(name, args.n)
+    name = cells_mod.DISJOINTNESS if args.n == 3 else cells_mod.DISJOINTNESS_EXTENDED
+    entry = cells_mod.catalog(name, args.n)
     first, second = cells_mod.cell(entry.first), cells_mod.cell(entry.second)
     certificate = search.disjointness_certificate(first, second)
     if certificate is None:

@@ -18,6 +18,10 @@ from conftest import (
     random_unipotent_word,
 )
 from deodhar.cells import (
+    CLOSURE_OBSTRUCTION,
+    DISJOINTNESS,
+    DISJOINTNESS_EXTENDED,
+    catalog,
     cell,
     cells_with_endpoint,
     is_distinguished,
@@ -29,13 +33,7 @@ from deodhar.chevalley import collect, evaluate_adjoint, verify_closure_witness
 from deodhar.laurent import LaurentPoly
 from deodhar.matrixgrp import count_cells
 from deodhar.roots import root_system
-from deodhar.search import (
-    CLOSURE_OBSTRUCTION,
-    DISJOINTNESS,
-    DISJOINTNESS_EXTENDED,
-    catalog,
-    disjointness_certificate,
-)
+from deodhar.search import disjointness_certificate
 from deodhar.weyl import all_reduced_words, context, parse_word
 
 A2 = context("A", 2)

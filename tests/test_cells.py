@@ -10,10 +10,15 @@ from conftest import all_subexpressions
 from deodhar import cells
 from deodhar.cells import (
     CELLS_BOUND,
+    CLOSURE_OBSTRUCTION,
+    DISJOINTNESS,
+    CatalogEntry,
     CellDescriptor,
+    catalog,
     cell,
     cell_to_obj,
     cells_with_endpoint,
+    closure_pairs,
     closure_upper_bound,
     enumerate_below,
     enumerate_subexpressions,
@@ -25,7 +30,6 @@ from deodhar.cells import (
     subexpression,
 )
 from deodhar.laurent import LaurentPoly
-from deodhar.search import CLOSURE_OBSTRUCTION, DISJOINTNESS, catalog
 from deodhar.weyl import ReducedWord, all_reduced_words, bruhat_leq, context, parse_word
 
 A2 = context("A", 2)
@@ -78,6 +82,12 @@ def test_subexpression_checks_mask():
         subexpression(STS, "10")
     with pytest.raises(ValueError):
         subexpression(STS, (1, 2, 0))
+
+
+def test_subexpression_names_bad_mask_character():
+    message = r"^mask character 'x' at position 2 \(expected 0 or 1\)$"
+    with pytest.raises(ValueError, match=message):
+        subexpression(STS, "1x0")
 
 
 def test_distinguished_examples():
@@ -142,6 +152,12 @@ def test_preceq_reflexive_and_catalog_pairs():
         assert preceq(entry.second, entry.first)
     entry = catalog(DISJOINTNESS, 3)
     assert preceq(entry.second, entry.first)
+
+
+def test_catalog_entry_reads_its_word_from_the_pair():
+    assert [f.name for f in fields(CatalogEntry)] == ["name", "n", "first", "second"]
+    entry = catalog(CLOSURE_OBSTRUCTION, 3)
+    assert entry.word is entry.first.word and entry.word == entry.second.word
 
 
 def test_preceq_word_mismatch():
@@ -255,6 +271,15 @@ def test_walk_descriptors_match_cell(word):
     for gammas in (subs, mixed):
         for desc, _ in enumerate_below(gammas, CELLS_BOUND):
             _assert_matches_cell(desc)
+
+
+@pytest.mark.parametrize("word", WALK_WORDS[:3], ids=WALK_IDS[:3])
+def test_closure_pairs_hold_earlier_masks_only(word):
+    descs, stream = closure_pairs(word)
+    above = list(stream)
+    assert len(above) == len(descs) and any(above)
+    for a, bits in enumerate(above):
+        assert bits >> a == 0, descs[a].mask_string
 
 
 @pytest.mark.parametrize("word", WALK_WORDS, ids=WALK_IDS)
@@ -450,8 +475,6 @@ def test_point_count_invariance_across_words():
 
 
 def test_hasse_dot_bound():
-    from deodhar.search import catalog
-
     with pytest.raises(ValueError):
         hasse_dot(catalog(CLOSURE_OBSTRUCTION, 6).word)  # 136,563 masks
 

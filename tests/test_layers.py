@@ -18,8 +18,7 @@ LAYERS = {
     "cells": {"laurent", "roots", "weyl"},
     "search": {"cells", "roots", "weyl"},
     "matrixgrp": {"weyl"},
-    # the witness lives in chevalley and reads the catalog of search
-    "chevalley": {"cells", "laurent", "linalg", "roots", "search"},
+    "chevalley": {"cells", "laurent", "linalg", "roots"},
     "cli": {"cells", "chevalley", "matrixgrp", "search", "weyl"},
     "__init__": {"cells", "chevalley", "laurent", "roots", "search", "weyl"},
 }

@@ -6,6 +6,10 @@ from conftest import expected_neg_phi_first, expected_neg_phi_second
 from deodhar import cells, search
 from deodhar.cells import (
     CELLS_BOUND,
+    CLOSURE_OBSTRUCTION,
+    DISJOINTNESS,
+    DISJOINTNESS_EXTENDED,
+    catalog,
     cell,
     cells_with_endpoint,
     enumerate_subexpressions,
@@ -14,10 +18,6 @@ from deodhar.cells import (
 )
 from deodhar.roots import root_system
 from deodhar.search import (
-    CLOSURE_OBSTRUCTION,
-    DISJOINTNESS,
-    DISJOINTNESS_EXTENDED,
-    catalog,
     disjointness_certificate,
     find_obstructions,
     scan_disjointness,
@@ -211,6 +211,29 @@ def test_scan_disjointness():
         fresh = disjointness_certificate(cell(p.first.sub), cell(p.second.sub))
         assert fresh == p.certificate
     assert scan_disjointness(parse_word(ctx, "1"), ctx.identity) == []
+
+
+def test_scan_disjointness_matches_all_pairs():
+    word = catalog(DISJOINTNESS, 3).word  # a reduced word of w0 in B_3
+    endpoints = list(context("B", 3).elements())
+    assert len(endpoints) == 48
+    walk = list(enumerate_subexpressions(word, CELLS_BOUND))
+    found, expected = [], []
+    for v in endpoints:
+        found += [
+            (p.first.mask_string, p.second.mask_string, p.certificate)
+            for p in scan_disjointness(word, v)
+        ]
+        # every ordered pair of distinct descriptors with endpoint v
+        descriptors = [d for d in walk if d.sub.endpoint is v]
+        for first in descriptors:
+            for second in descriptors:
+                if first is not second and preceq(second.sub, first.sub):
+                    certificate = disjointness_certificate(first, second)
+                    if certificate is not None:
+                        expected.append((first.mask_string, second.mask_string, certificate))
+    assert found == expected
+    assert len(found) == 2
 
 
 def _forbid_cell(monkeypatch):
