@@ -15,9 +15,10 @@ equivalently iff the mask is distinguished (a forced descent
 product of ``|I| - |J|`` affine lines and ``l - |I|`` punctured lines.
 
 Only a nonempty cell has a descriptor: :func:`cell` raises on a mask that
-is not distinguished.  The coordinates of a nonempty cell are indexed by its
-root sequence ``cell(sub).phi``, the roots ``gamma^i(-alpha_i)`` over the
-positions where ``gamma^i(alpha_i) > 0``; those with ``gamma_i = 1`` carry
+is not distinguished.  A descriptor is one record, the distinguished
+subexpression itself with one more field: the root sequence ``phi``, the
+roots ``gamma^i(-alpha_i)`` over the positions where ``gamma^i(alpha_i) > 0``,
+which index the coordinates of the cell; those with ``gamma_i = 1`` carry
 punctured-line coordinates (``free`` below).
 
 Every consumer of the cells reads the distinguished masks through one walk
@@ -27,9 +28,10 @@ once for all of them, carrying at each node of the prefix trie the bitset
 of the gammas still above it and cutting a subtree where that bitset
 empties; :func:`enumerate_subexpressions` is that walk below the all-zeros
 mask, which reaches every distinguished mask, and ``closure_upper_bound``
-the walk below one gamma.  The walk builds the descriptor of each mask it
-yields, the mask and its phi, sharing the phi entry of a trie node among
-all leaves below it; :func:`cell` is the checked constructor for one mask.
+the walk below one gamma.  The walk yields the descriptor of each mask,
+one record per leaf, sharing the phi entry of a trie node among all leaves
+below it; :func:`cell` is the checked constructor for one mask.  A
+descriptor is a subexpression, so it can be passed back as a gamma.
 The linear consumers stream a walk under ``CELLS_BOUND``;
 ``cells_with_endpoint`` reads one table per word, the descriptors of one
 walk grouped by endpoint.  The pairwise ones hold at most ``PAIRS_BOUND``
@@ -73,7 +75,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from math import comb
 from operator import itemgetter, or_
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .laurent import LaurentPoly, Monomial
 from .roots import Root
@@ -84,10 +86,11 @@ from .weyl import ReducedWord, WeylElement, bruhat_leq, context
 # Their cost is about linear in the number of masks, the walk building one
 # descriptor per mask: the cells command takes about 0.5-0.6 s with --json
 # on the 13,066 masks of the rank-5 catalog word, most of it writing JSON,
-# closure_upper_bound 0.04-0.09 s on the 5,167 masks below the rank-6
-# catalog gamma, and the table of cells_with_endpoint 0.2 s and 17 MB on the
-# rank-5 word.  point_count_polynomial walks no mask, since its recursion
-# merges prefixes by partial product, but rejects a word with more masks too.
+# closure_upper_bound 0.03-0.05 s on the 5,167 masks below the rank-6
+# catalog gamma, and the table of cells_with_endpoint 0.08-0.09 s and 9.8 MB
+# on the rank-5 word.  point_count_polynomial walks no mask, since its
+# recursion merges prefixes by partial product, but rejects a word with more
+# masks too.
 CELLS_BOUND = 15000
 # Most distinguished masks a pairwise consumer holds: hasse_dot,
 # find_obstructions and scan_disjointness (there per endpoint).  The first two
@@ -247,22 +250,17 @@ def enumerate_below(
             else:
                 last = letters[k]
                 image = here.images[last] or here._simple_image(last)
-                # the frozen dataclass __init__ sets each field through
-                # object.__setattr__; the walk's fields need no check
-                entry = entries[k] = new(PhiEntry)
-                fields = entry.__dict__
-                fields["index"], fields["root"], fields["free"] = depth, -image, not bit
+                entries[k] = PhiEntry(depth, -image, not bit)
         if depth == length:
             count += 1
             if count > bound:
                 raise ValueError(f"more than {bound} distinguished masks to walk")
-            delta = new(Subexpression)
-            fields = delta.__dict__
-            fields["word"], fields["mask"] = word, tuple(mask)
-            fields["partials"] = tuple(partials)
+            # the frozen dataclass __init__ sets each field through
+            # object.__setattr__; the walk's fields need no check
             desc = new(CellDescriptor)
             fields = desc.__dict__
-            fields["sub"], fields["phi"] = delta, tuple(filter(None, entries))
+            fields["word"], fields["mask"] = word, tuple(mask)
+            fields["partials"], fields["phi"] = tuple(partials), tuple(filter(None, entries))
             yield desc, alive
             continue
         letter = letters[depth]
@@ -316,8 +314,7 @@ def is_distinguished(sub: Subexpression) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PhiEntry:
+class PhiEntry(NamedTuple):
     """One coordinate of the canonical expression: position, root, and
     whether the coordinate ranges over the punctured line."""
 
@@ -327,28 +324,20 @@ class PhiEntry:
 
 
 @dataclass(frozen=True)
-class CellDescriptor:
-    """One nonempty Deodhar cell: its mask and its root sequence; build it
-    with :func:`cell`.  The rest is derived: ``chosen`` is I, ``descents``
-    is J, the positions where gamma^i(alpha_i) < 0, which are exactly those
-    with no phi entry, ``dimension`` is l - |J|, ``affine_rank`` |I| - |J|
-    and ``torus_rank`` l - |I|."""
+class CellDescriptor(Subexpression):
+    """One nonempty Deodhar cell: its distinguished subexpression and its
+    root sequence ``phi``; build it with :func:`cell`.  The rest is derived:
+    ``chosen_positions()`` is I, ``descents`` is J, the positions where
+    gamma^i(alpha_i) < 0, which are exactly those with no phi entry,
+    ``dimension`` is l - |J|, ``affine_rank`` |I| - |J| and ``torus_rank``
+    l - |I|."""
 
-    sub: Subexpression
     phi: tuple[PhiEntry, ...]
-
-    @property
-    def mask_string(self) -> str:
-        return self.sub.mask_string
-
-    @property
-    def chosen(self) -> tuple[int, ...]:
-        return self.sub.chosen_positions()
 
     @property
     def descents(self) -> tuple[int, ...]:
         present = {entry.index for entry in self.phi}
-        return tuple(i for i in range(1, len(self.sub) + 1) if i not in present)
+        return tuple(i for i in range(1, len(self) + 1) if i not in present)
 
     @property
     def dimension(self) -> int:
@@ -356,11 +345,11 @@ class CellDescriptor:
 
     @property
     def affine_rank(self) -> int:
-        return sum(self.sub.mask) - len(self.sub) + len(self.phi)
+        return sum(self.mask) - len(self) + len(self.phi)
 
     @property
     def torus_rank(self) -> int:
-        return len(self.sub) - sum(self.sub.mask)
+        return len(self) - sum(self.mask)
 
 
 def cell(sub: Subexpression) -> CellDescriptor:
@@ -377,8 +366,8 @@ def cell(sub: Subexpression) -> CellDescriptor:
     for i, (partial, letter) in enumerate(zip(sub.partials[1:], sub.word.letters), start=1):
         image = partial.images[letter] or partial._simple_image(letter)
         if image.is_positive:
-            phi.append(PhiEntry(index=i, root=-image, free=not sub.mask[i - 1]))
-    return CellDescriptor(sub, tuple(phi))
+            phi.append(PhiEntry(i, -image, not sub.mask[i - 1]))
+    return CellDescriptor(sub.word, sub.mask, sub.partials, tuple(phi))
 
 
 def cells_with_endpoint(word: ReducedWord, v: WeylElement) -> list[CellDescriptor]:
@@ -400,7 +389,7 @@ def _cells_by_endpoint(word: ReducedWord) -> dict[WeylElement, tuple[CellDescrip
     endpoint, each group in mask order."""
     groups: dict[WeylElement, list[CellDescriptor]] = {}
     for desc in enumerate_subexpressions(word, CELLS_BOUND):
-        groups.setdefault(desc.sub.endpoint, []).append(desc)
+        groups.setdefault(desc.endpoint, []).append(desc)
     return {v: tuple(descs) for v, descs in groups.items()}
 
 
@@ -522,7 +511,7 @@ def closure_pairs(word: ReducedWord) -> tuple[list[CellDescriptor], Iterator[int
     descs = list(enumerate_subexpressions(word, PAIRS_BOUND))
     # the walk below every mask meets each mask once, in the same order, and
     # each mask a lies below itself
-    walk = enumerate_below([d.sub for d in descs], PAIRS_BOUND)
+    walk = enumerate_below(descs, PAIRS_BOUND)
     return descs, (alive & ~(1 << a) for a, (_, alive) in enumerate(walk))
 
 
@@ -538,8 +527,8 @@ def cell_to_obj(desc: CellDescriptor) -> dict:
     """JSON-ready form of a cell descriptor."""
     return {
         "mask": desc.mask_string,
-        "end": desc.sub.endpoint.serialize(),
-        "I": list(desc.chosen),
+        "end": desc.endpoint.serialize(),
+        "I": list(desc.chosen_positions()),
         "J": list(desc.descents),
         "dim": desc.dimension,
         "affine": desc.affine_rank,

@@ -43,7 +43,7 @@ def _cmd_cells(args) -> int:
     descriptors = (
         d
         for d in cells_mod.enumerate_subexpressions(word, cells_mod.CELLS_BOUND)
-        if end is None or d.sub.endpoint is end
+        if end is None or d.endpoint is end
     )
     if args.json:
         # the bytes of json.dumps(list, sort_keys=True), one item at a time
@@ -55,7 +55,7 @@ def _cmd_cells(args) -> int:
     else:
         for d in descriptors:
             print(
-                f"mask={d.mask_string} end={d.sub.endpoint.serialize()} "
+                f"mask={d.mask_string} end={d.endpoint.serialize()} "
                 f"dim={d.dimension} affine={d.affine_rank} torus={d.torus_rank}"
             )
         if end is not None:
@@ -156,6 +156,8 @@ def _cmd_verify(args) -> int:
             print(line)
         print("PASS")
         return 0
+    if args.n < 3:
+        raise ValueError("verify disjoint needs n >= 3")
     name = cells_mod.DISJOINTNESS if args.n == 3 else cells_mod.DISJOINTNESS_EXTENDED
     entry = cells_mod.catalog(name, args.n)
     first, second = cells_mod.cell(entry.first), cells_mod.cell(entry.second)

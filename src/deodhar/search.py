@@ -89,11 +89,11 @@ def disjointness_certificate(
 ) -> DisjointnessCertificate | None:
     """Search for a certificate that the closure of the cell ``first`` misses
     the cell ``second``, reading their root sequences."""
-    if first.sub.word != second.sub.word:
+    if first.word != second.word:
         raise ValueError("certificate needs cells of one word")
-    if first.sub.endpoint != second.sub.endpoint:
+    if first.endpoint != second.endpoint:
         raise ValueError("certificate needs equal endpoints")
-    ctx = first.sub.word.ctx
+    ctx = first.word.ctx
     system = ctx.system
     for b in range(1, ctx.rank + 1):
         target = -system.simple(b)
@@ -127,7 +127,7 @@ def scan_disjointness(word: ReducedWord, v: WeylElement) -> list[CertifiedPair]:
     out = []
     for k, first in enumerate(descriptors, start=1):
         for second in descriptors[k:]:
-            if not preceq(second.sub, first.sub):
+            if not preceq(second, first):
                 continue
             certificate = disjointness_certificate(first, second)
             if certificate is not None:

@@ -14,6 +14,8 @@ from deodhar.cells import (
     DISJOINTNESS,
     CatalogEntry,
     CellDescriptor,
+    PhiEntry,
+    Subexpression,
     catalog,
     cell,
     cell_to_obj,
@@ -40,11 +42,11 @@ STS = parse_word(A2, "1,2,1")
 def test_enumeration_counts_and_order():
     word1 = parse_word(B3, "1")
     assert [s.mask for s in all_subexpressions(word1)] == [(0,), (1,)]
-    assert [d.sub.mask for d in enumerate_subexpressions(word1, CELLS_BOUND)] == [(0,), (1,)]
+    assert [d.mask for d in enumerate_subexpressions(word1, CELLS_BOUND)] == [(0,), (1,)]
     subs = all_subexpressions(STS)
     assert len(subs) == 8
     assert [s.mask for s in subs] == sorted(s.mask for s in subs)
-    walked = [d.sub for d in enumerate_subexpressions(STS, CELLS_BOUND)]
+    walked = list(enumerate_subexpressions(STS, CELLS_BOUND))
     assert [s.mask for s in walked] == sorted(s.mask for s in walked)
     for s in walked:
         fresh = subexpression(STS, s.mask)  # recomputes the partial products
@@ -55,7 +57,7 @@ def test_enumeration_counts_and_order():
     word12 = parse_word(ctx4, ",".join(map(str, block + block)))
     everything = all_subexpressions(word12)
     assert len(everything) == 4096
-    walked = [d.sub.mask for d in enumerate_subexpressions(word12, CELLS_BOUND)]
+    walked = [d.mask for d in enumerate_subexpressions(word12, CELLS_BOUND)]
     assert walked == [s.mask for s in everything if is_distinguished(s)]
 
 
@@ -107,7 +109,7 @@ def test_distinguished_enumeration_prunes_exactly():
             s.mask for s in all_subexpressions(word) if is_distinguished(s)
         ]
         via_prune = [
-            d.sub.mask for d in enumerate_subexpressions(word, CELLS_BOUND)
+            d.mask for d in enumerate_subexpressions(word, CELLS_BOUND)
         ]
         assert via_filter == via_prune
 
@@ -115,14 +117,14 @@ def test_distinguished_enumeration_prunes_exactly():
 def test_cell_descriptor_examples():
     full_torus = cell(subexpression(STS, "000"))
     assert full_torus.torus_rank == 3 and full_torus.dimension == 3
-    assert full_torus.sub.endpoint == A2.identity
+    assert full_torus.endpoint == A2.identity
 
     mixed = cell(subexpression(STS, "101"))
-    assert mixed.chosen == (1, 3) and mixed.descents == (1,)
+    assert mixed.chosen_positions() == (1, 3) and mixed.descents == (1,)
     assert (mixed.affine_rank, mixed.torus_rank) == (1, 1)
 
     point = cell(subexpression(STS, "111"))
-    assert point.dimension == 0 and point.sub.endpoint == A2.from_word([1, 2, 1])
+    assert point.dimension == 0 and point.endpoint == A2.from_word([1, 2, 1])
 
 
 def test_empty_word_degenerate_case():
@@ -130,7 +132,7 @@ def test_empty_word_degenerate_case():
     descs = list(enumerate_subexpressions(empty, CELLS_BOUND))
     assert len(descs) == 1
     desc = descs[0]
-    assert desc == cell(desc.sub)
+    assert desc == cell(desc)
     assert desc.dimension == 0 and desc.phi == ()
 
 
@@ -182,9 +184,9 @@ def test_cell_requires_distinguished():
 
 def test_root_sequence_all_negative_and_sized():
     for desc in enumerate_subexpressions(STS, CELLS_BOUND):
-        sub, entries = desc.sub, desc.phi
+        entries = desc.phi
         assert all(e.root.is_negative for e in entries)
-        assert len(entries) == len(sub) - len(sub.descent_positions())
+        assert len(entries) == len(desc) - len(desc.descent_positions())
         assert [e.index for e in entries] == sorted(e.index for e in entries)
 
 
@@ -224,7 +226,7 @@ def _filtered_walk(walk, gammas):
     ids=["catalog-3", "b3-w0", "a3-w0", "a4"],
 )
 def test_enumerate_below_matches_filtered_walk(word):
-    walk = [d.sub for d in enumerate_subexpressions(word, CELLS_BOUND)]
+    walk = list(enumerate_subexpressions(word, CELLS_BOUND))
     # every fifth mask of the word: a non-distinguished gamma skips a
     # descent, where it steps up in Bruhat order
     mixed = all_subexpressions(word)[::5]
@@ -232,7 +234,7 @@ def test_enumerate_below_matches_filtered_walk(word):
     assert not all(is_distinguished(g) for g in mixed)
     for gammas in (walk, mixed):
         shared = enumerate_below(gammas, CELLS_BOUND)
-        assert [(d.sub.mask, d.sub.partials, alive) for d, alive in shared] == _filtered_walk(
+        assert [(d.mask, d.partials, alive) for d, alive in shared] == _filtered_walk(
             walk, gammas
         )
 
@@ -248,16 +250,19 @@ WALK_IDS = ["catalog-3", "catalog-4", "b3-w0", "a3-w0", "a4"]
 
 
 def _assert_matches_cell(desc):
-    """``desc`` equals ``cell(desc.sub)`` field for field, partial products
-    and derived values included, and its J, read from the positions phi
-    skips, is J by the window descent rule."""
-    fresh = cell(desc.sub)
-    assert [f.name for f in fields(CellDescriptor)] == ["sub", "phi"]
-    derived = ["descents", "chosen", "dimension", "affine_rank", "torus_rank"]
-    for name in ["sub", "phi"] + derived:
+    """``desc`` is one record, a subexpression with its phi, and equals
+    ``cell(desc)`` field for field, partial products and derived values
+    included; its J, read from the positions phi skips, is J by the window
+    descent rule."""
+    fresh = cell(desc)
+    assert [f.name for f in fields(CellDescriptor)] == ["word", "mask", "partials", "phi"]
+    assert isinstance(desc, Subexpression) and not hasattr(desc, "sub")
+    assert all(type(entry) is PhiEntry for entry in desc.phi)
+    derived = ["descents", "dimension", "affine_rank", "torus_rank"]
+    for name in ["word", "mask", "partials", "phi"] + derived:
         assert getattr(desc, name) == getattr(fresh, name), (desc.mask_string, name)
-    assert desc.sub.partials == fresh.sub.partials
-    assert desc.descents == desc.sub.descent_positions()
+    assert desc.chosen_positions() == fresh.chosen_positions()
+    assert desc.descents == desc.descent_positions()
 
 
 @pytest.mark.parametrize("word", WALK_WORDS, ids=WALK_IDS)
@@ -265,12 +270,27 @@ def test_walk_descriptors_match_cell(word):
     descs = list(enumerate_subexpressions(word, CELLS_BOUND))
     for desc in descs:
         _assert_matches_cell(desc)
-    subs = [d.sub for d in descs]
     # every fifth mask of the word mixes in non-distinguished gammas
     mixed = all_subexpressions(word)[::5]
-    for gammas in (subs, mixed):
+    for gammas in (descs, mixed):
         for desc, _ in enumerate_below(gammas, CELLS_BOUND):
             _assert_matches_cell(desc)
+
+
+@pytest.mark.parametrize("word", WALK_WORDS[:3], ids=WALK_IDS[:3])
+def test_descriptors_walk_as_their_subexpressions(word):
+    # a descriptor passed as a gamma is read as the subexpression it is
+    descs = list(enumerate_subexpressions(word, CELLS_BOUND))
+    bare = [subexpression(word, d.mask) for d in descs]
+    assert all(type(s) is Subexpression for s in bare)
+    as_descs = [(d.mask, alive) for d, alive in enumerate_below(descs, CELLS_BOUND)]
+    as_bare = [(d.mask, alive) for d, alive in enumerate_below(bare, CELLS_BOUND)]
+    assert as_descs == as_bare and len(as_descs) == len(descs)
+    # every 40th mask as a single gamma, and the last, the deepest cell
+    for desc, sub in list(zip(descs, bare))[::40] + [(descs[-1], bare[-1])]:
+        below = [d.mask for d in closure_upper_bound(desc)]
+        assert below == [d.mask for d in closure_upper_bound(sub)]
+        assert desc.mask in below
 
 
 @pytest.mark.parametrize("word", WALK_WORDS[:3], ids=WALK_IDS[:3])
@@ -290,7 +310,7 @@ def test_walk_shares_phi_entries_of_a_prefix(word):
     shared = 0
     for before, after in zip(descs, descs[1:]):
         k = 0
-        while before.sub.mask[k] == after.sub.mask[k]:
+        while before.mask[k] == after.mask[k]:
             k += 1
         early = [e for e in before.phi if e.index <= k]
         assert [e for e in after.phi if e.index <= k] == early
@@ -301,7 +321,7 @@ def test_walk_shares_phi_entries_of_a_prefix(word):
 
 @pytest.mark.parametrize("word", WALK_WORDS, ids=WALK_IDS)
 def test_cells_with_endpoint_groups_partition_the_walk(word):
-    masks = [d.sub.mask for d in enumerate_subexpressions(word, CELLS_BOUND)]
+    masks = [d.mask for d in enumerate_subexpressions(word, CELLS_BOUND)]
     grouped = []
     for v in word.ctx.elements():
         group = cells_with_endpoint(word, v)
@@ -309,9 +329,9 @@ def test_cells_with_endpoint_groups_partition_the_walk(word):
         assert group == again and group is not again
         group.clear()  # a caller's list is its own
         assert cells_with_endpoint(word, v) == again
-        assert all(d.sub.endpoint is v for d in again)
-        assert [d.sub.mask for d in again] == sorted(d.sub.mask for d in again)
-        grouped += [d.sub.mask for d in again]
+        assert all(d.endpoint is v for d in again)
+        assert [d.mask for d in again] == sorted(d.mask for d in again)
+        grouped += [d.mask for d in again]
     assert sorted(grouped) == masks
 
 
@@ -481,7 +501,7 @@ def test_hasse_dot_bound():
 
 def test_hasse_dot_matches_triple_loop():
     word = catalog(CLOSURE_OBSTRUCTION, 3).word
-    subs = [d.sub for d in enumerate_subexpressions(word, CELLS_BOUND)]
+    subs = list(enumerate_subexpressions(word, CELLS_BOUND))
     size = len(subs)
     below = [[a != b and preceq(subs[a], subs[b]) for b in range(size)] for a in range(size)]
     lines = ["digraph closure_order {", "  node [shape=box];"]

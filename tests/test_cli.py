@@ -130,6 +130,15 @@ def test_verify_disjoint(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("n", ["2", "0"])
+def test_verify_disjoint_below_rank_3(capsys, n):
+    # the rank-3 entry is the smallest: a smaller n names no catalog entry
+    code = main(["verify", "disjoint", "--n", n])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: verify disjoint needs n >= 3\n"
+
+
 def test_verify_failure_exit_codes(capsys, monkeypatch):
     from deodhar import chevalley as chev
     from deodhar import cli as cli_mod

@@ -34,7 +34,7 @@ def test_closure_obstruction_catalog(n):
     first, second = cell(entry.first), cell(entry.second)
     assert first.dimension == 2 * n
     assert second.dimension == 3 * n - 3
-    assert first.sub.endpoint.is_identity() and second.sub.endpoint.is_identity()
+    assert first.endpoint.is_identity() and second.endpoint.is_identity()
     assert [-e.root for e in first.phi] == expected_neg_phi_first(n)
     assert [-e.root for e in second.phi] == expected_neg_phi_second(n)
     # the deeper cell has its 2n-2 punctured-line coordinates first
@@ -64,7 +64,7 @@ def test_disjointness_catalog_masks_and_sequences():
     assert [-e.root for e in both[1].phi] == expected_neg_phi_tau()
     assert {c.dimension for c in both} == {6}
     t2 = context("B", 3).from_word([2])
-    assert {c.sub.endpoint for c in both} == {t2}
+    assert {c.endpoint for c in both} == {t2}
 
 
 def test_disjointness_certificate_base_pair():
@@ -105,7 +105,7 @@ def test_extended_pairs_certify(n):
     assert is_distinguished(entry.first) and is_distinguished(entry.second)
     assert len(entry.word) == 2 * n + 8
     first, second = cell(entry.first), cell(entry.second)
-    assert first.sub.endpoint == second.sub.endpoint
+    assert first.endpoint == second.endpoint
     assert first.dimension == second.dimension == 2 * n + 4
     assert preceq(entry.second, entry.first)
     certificate = disjointness_certificate(first, second)
@@ -141,15 +141,14 @@ def test_find_obstructions_equal_dimension_boundary():
     entry = catalog(CLOSURE_OBSTRUCTION, 3)
     reports = find_obstructions(entry.word)
     assert any(
-        rep.first.sub == entry.first
-        and rep.second.sub == entry.second
+        (rep.first.mask, rep.second.mask) == (entry.first.mask, entry.second.mask)
         and (rep.first.dimension, rep.second.dimension) == (6, 6)
         for rep in reports
     )
     for rep in reports:
         assert rep.second.dimension >= rep.first.dimension
-        assert rep.first.sub != rep.second.sub
-        assert preceq(rep.second.sub, rep.first.sub)
+        assert rep.first.mask != rep.second.mask
+        assert preceq(rep.second, rep.first)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -162,7 +161,7 @@ def test_find_obstructions_matches_all_pairs(n):
         for delta in descriptors
         if gamma is not delta
         and delta.dimension >= gamma.dimension
-        and preceq(delta.sub, gamma.sub)
+        and preceq(delta, gamma)
     ]
     reports = find_obstructions(word)
     assert [(r.first.mask_string, r.second.mask_string) for r in reports] == expected
@@ -192,8 +191,7 @@ def test_find_obstructions_contains_catalog_pair_n4():
     entry = catalog(CLOSURE_OBSTRUCTION, 4)
     reports = find_obstructions(entry.word)
     assert any(
-        rep.first.sub == entry.first
-        and rep.second.sub == entry.second
+        (rep.first.mask, rep.second.mask) == (entry.first.mask, entry.second.mask)
         and (rep.first.dimension, rep.second.dimension) == (8, 9)
         for rep in reports
     )
@@ -204,11 +202,11 @@ def test_scan_disjointness():
     entry = catalog(DISJOINTNESS, 3)
     pairs = scan_disjointness(entry.word, ctx.from_word([2]))
     assert any(
-        p.first.sub == entry.first and p.second.sub == entry.second for p in pairs
+        (p.first.mask, p.second.mask) == (entry.first.mask, entry.second.mask) for p in pairs
     )
     for p in pairs:
         # re-validate every emitted certificate from scratch
-        fresh = disjointness_certificate(cell(p.first.sub), cell(p.second.sub))
+        fresh = disjointness_certificate(cell(p.first), cell(p.second))
         assert fresh == p.certificate
     assert scan_disjointness(parse_word(ctx, "1"), ctx.identity) == []
 
@@ -225,10 +223,10 @@ def test_scan_disjointness_matches_all_pairs():
             for p in scan_disjointness(word, v)
         ]
         # every ordered pair of distinct descriptors with endpoint v
-        descriptors = [d for d in walk if d.sub.endpoint is v]
+        descriptors = [d for d in walk if d.endpoint is v]
         for first in descriptors:
             for second in descriptors:
-                if first is not second and preceq(second.sub, first.sub):
+                if first is not second and preceq(second, first):
                     certificate = disjointness_certificate(first, second)
                     if certificate is not None:
                         expected.append((first.mask_string, second.mask_string, certificate))
@@ -268,15 +266,15 @@ def test_scan_disjointness_builds_one_descriptor_per_mask(monkeypatch):
     by_mask = {}
     for v in endpoints:
         for desc in cells_with_endpoint(word, v):
-            assert by_mask.setdefault(desc.sub.mask, desc) is desc
+            assert by_mask.setdefault(desc.mask, desc) is desc
     assert walks == [200]
     assert len(by_mask) == 200
     # the certified pairs hold the table's descriptors, one per mask
     assert sum(map(len, scans)) > 0
     for pairs in scans:
         for p in pairs:
-            assert by_mask[p.first.sub.mask] is p.first
-            assert by_mask[p.second.sub.mask] is p.second
+            assert by_mask[p.first.mask] is p.first
+            assert by_mask[p.second.mask] is p.second
 
 
 def test_scan_disjointness_rejects_other_group():
@@ -298,13 +296,13 @@ def test_find_obstructions_builds_one_descriptor_per_reported_mask(monkeypatch):
     _forbid_cell(monkeypatch)
     reports = find_obstructions(catalog(CLOSURE_OBSTRUCTION, 4).word)
     assert len(first_walk) == 1253
-    by_mask = {desc.sub.mask: desc for desc in first_walk}
+    by_mask = {desc.mask: desc for desc in first_walk}
     shared = {}
     for report in reports:
         for desc in (report.first, report.second):
             # the reports hold the first walk's descriptors by identity
-            assert by_mask[desc.sub.mask] is desc
-            assert shared.setdefault(desc.sub.mask, desc) is desc
+            assert by_mask[desc.mask] is desc
+            assert shared.setdefault(desc.mask, desc) is desc
     # masks recur across the 452 reports, and most of the 1,253 masks of the
     # word are in none
     assert len(shared) < 2 * len(reports)
