@@ -267,13 +267,8 @@ class AdjointRep:
         return self._divided[root]
 
     def exp_factor(self, root: Root, value, prime: int | None = None) -> Matrix:
-        value = Fraction(value)
-        if prime is not None:
-            scalar = _mod_fraction(value, prime)
-        elif value.denominator == 1:
-            scalar = value.numerator  # integer fast path
-        else:
-            scalar = value
+        """Σ value^k ad^k/k! for an exact ``value``, mod ``prime`` if given."""
+        scalar = value if prime is None else _mod_fraction(value, prime)
         return combine(
             ((scalar ** k, mat) for k, mat in enumerate(self.divided_powers(root))),
             prime,
@@ -285,6 +280,8 @@ class AdjointRep:
         assignment: Mapping[str, Fraction] | None = None,
         prime: int | None = None,
     ) -> tuple[tuple, ...]:
+        """Matrix of ``word`` at ``assignment``: ``int`` entries when every
+        coefficient evaluates to an integer, residues when ``prime`` is given."""
         assignment = assignment or {}
         result = identity(self.dim)
         for f in word.factors:
@@ -293,7 +290,7 @@ class AdjointRep:
         return dense(result, self.dim)
 
 
-def _mod_fraction(value: Fraction, prime: int) -> int:
+def _mod_fraction(value: Fraction | int, prime: int) -> int:
     den = value.denominator % prime
     if den == 0:
         raise ValueError(f"denominator divisible by {prime}")

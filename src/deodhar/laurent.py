@@ -1,8 +1,9 @@
 """Exact Laurent polynomials in named variables over the rationals.
 
 Coefficients of one-parameter subgroup factors live here: finitely many
-monomials ``y1^2 * t^-1`` with ``Fraction`` coefficients.  All arithmetic is
-exact; nothing in this package ever touches floating point.
+monomials ``y1^2 * t^-1`` with exact rational coefficients, each stored as an
+``int`` when it is integral and as a ``Fraction`` only when it is not.  All
+arithmetic is exact; nothing in this package ever touches floating point.
 """
 
 from __future__ import annotations
@@ -32,16 +33,13 @@ class Monomial:
             merged[var] = merged.get(var, 0) + exp
         return Monomial.from_mapping(merged)
 
-    def __pow__(self, k: int) -> "Monomial":
-        return Monomial(tuple((v, e * k) for v, e in self.powers)) if k else ONE_MONOMIAL
-
     def exponent(self, var: str) -> int:
         return dict(self.powers).get(var, 0)
 
-    def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
-        value = Fraction(1)
+    def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction | int:
+        value = 1
         for var, exp in self.powers:
-            base = Fraction(assignment[var])
+            base = Fraction(assignment[var])  # a negative exponent stays exact
             if exp < 0 and base == 0:
                 raise ZeroDivisionError(f"variable {var} is 0 with exponent {exp}")
             value *= base ** exp
@@ -57,16 +55,18 @@ class Monomial:
 ONE_MONOMIAL = Monomial(())
 
 
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _coerce(value) -> Fraction | int:
+    """The one canonical coefficient: an ``int`` if integral, else a ``Fraction``."""
+    if isinstance(value, Fraction) and value.denominator != 1:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, (int, Fraction)):
+        return int(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
 class LaurentPoly:
-    """Immutable Laurent polynomial: a finite Monomial -> Fraction map."""
+    """Immutable Laurent polynomial: a finite map from Monomial to a nonzero
+    coefficient, an ``int`` when integral and a ``Fraction`` otherwise."""
 
     __slots__ = ("_terms", "_hash")
 
@@ -88,7 +88,7 @@ class LaurentPoly:
 
     @staticmethod
     def constant(value) -> "LaurentPoly":
-        return LaurentPoly({ONE_MONOMIAL: _coerce(value)})
+        return LaurentPoly({ONE_MONOMIAL: value})
 
     @staticmethod
     def one() -> "LaurentPoly":
@@ -96,7 +96,7 @@ class LaurentPoly:
 
     @staticmethod
     def variable(name: str, exp: int = 1, coeff=1) -> "LaurentPoly":
-        return LaurentPoly({Monomial.of(**{name: exp}): _coerce(coeff)})
+        return LaurentPoly({Monomial.of(**{name: exp}): coeff})
 
     # -- inspection --------------------------------------------------------
 
@@ -118,7 +118,7 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         result = dict(self._terms)
         for mono, coeff in other._terms.items():
-            total = result.get(mono, Fraction(0)) + coeff
+            total = result.get(mono, 0) + coeff
             if total:
                 result[mono] = total
             else:
@@ -133,13 +133,12 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
-            scalar = _coerce(other)
-            return LaurentPoly({m: c * scalar for m, c in self._terms.items()})
+            return LaurentPoly({m: c * other for m, c in self._terms.items()})
         result: dict[Monomial, Fraction] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 mono = m1 * m2
-                total = result.get(mono, Fraction(0)) + c1 * c2
+                total = result.get(mono, 0) + c1 * c2
                 if total:
                     result[mono] = total
                 else:
@@ -176,11 +175,11 @@ class LaurentPoly:
 
     # -- evaluation and slicing --------------------------------------------
 
-    def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
-        total = Fraction(0)
+    def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction | int:
+        total = 0
         for mono, coeff in self._terms.items():
             total += coeff * mono.evaluate(assignment)
-        return total
+        return _coerce(total)
 
     def terms_with_exponent(self, var: str, exp: int) -> "LaurentPoly":
         """Sub-polynomial made of the terms whose exponent of ``var`` is ``exp``."""
@@ -215,7 +214,7 @@ class LaurentPoly:
                 exponents = {str(k): _strict_int(v) for k, v in item["mono"].items()}
                 coeff = Fraction(_strict_int(item["num"]), _strict_int(item.get("den", 1)))
                 mono = Monomial.from_mapping(exponents)
-                terms[mono] = terms.get(mono, Fraction(0)) + coeff
+                terms[mono] = terms.get(mono, 0) + coeff
         except (AttributeError, KeyError, TypeError, ZeroDivisionError):
             raise ValueError(
                 'a coefficient is a list of {"mono": {var: int}, "num": int, "den": int != 0}'

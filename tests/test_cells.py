@@ -452,6 +452,13 @@ def test_point_count_polynomial_matches_cell_walk():
         assert total == q ** len(word), word.serialize()
 
 
+def test_point_count_coefficients_are_int():
+    for word in (STS, catalog(CLOSURE_OBSTRUCTION, 3).word):
+        for v in word.ctx.elements():
+            poly = point_count_polynomial(word, v)
+            assert {type(c) for _, c in poly.terms()} <= {int}, v.window
+
+
 B16_W0 = parse_word(context("B", 16), ",".join(map(str, list(range(1, 17)) * 16)))
 
 

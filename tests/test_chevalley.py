@@ -126,6 +126,20 @@ def test_collect_preserves_group_element(rng, family, rank, trials):
         assert evaluate_adjoint(ctx, w) == evaluate_adjoint(ctx, cw)
 
 
+def test_integer_words_stay_in_int(rng):
+    # Chevalley's structure constants are integers, so collecting and
+    # evaluating a word with integer coefficients never leaves ``int``
+    for _ in range(20):
+        w = random_unipotent_word(B3, rng)
+        cw = collect(w)
+        assert {type(c) for f in cw.factors for _, c in f.coeff.terms()} <= {int}
+        for word in (w, cw):
+            assert {type(v) for row in evaluate_adjoint(B3, word) for v in row} == {int}
+    symbolic = UnipotentWord((Factor(neg((1, 0, 0)), X), Factor(neg((0, 1, 0)), Y)))
+    matrix = evaluate_adjoint(B3, symbolic, {"x": Fraction(2), "y": Fraction(-3)})
+    assert {type(v) for row in matrix for v in row} == {int}
+
+
 def test_collect_symbolic_then_specialize(rng):
     # collecting with symbolic coefficients commutes with numeric substitution
     negatives = [r for r in SYS3.all_roots() if r.is_negative]

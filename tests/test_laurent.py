@@ -59,6 +59,50 @@ def test_json_roundtrip():
     ]
 
 
+def _coefficient_types(poly):
+    return [type(c) for _, c in poly.terms()]
+
+
+def test_coefficients_are_int_when_integral():
+    x = LaurentPoly.variable("x")
+    assert _coefficient_types(LaurentPoly.constant(Fraction(4, 2))) == [int]
+    assert _coefficient_types(LaurentPoly.constant(Fraction(2, 3))) == [Fraction]
+    assert _coefficient_types(x * Fraction(1, 2) * 2) == [int]
+    half = LaurentPoly.constant(Fraction(1, 2))
+    assert _coefficient_types(half + half) == [int]
+    parsed = LaurentPoly.from_obj(
+        [{"mono": {"x": 1}, "num": 6, "den": 3}, {"mono": {}, "num": 5, "den": 1}]
+    )
+    assert _coefficient_types(parsed) == [int, int]
+    assert parsed == 2 * x + 5 * LaurentPoly.one()
+    one = LaurentPoly.one()
+    assert _coefficient_types(((x + one) * (x - 2 * one)) ** 3) == [int] * 7
+
+
+def test_coefficient_coercion():
+    assert str(LaurentPoly.constant(True)) == "1"
+    assert _coefficient_types(LaurentPoly.constant(True)) == [int]
+    for bad in (1.5, "3", None):
+        with pytest.raises(TypeError):
+            LaurentPoly.constant(bad)
+
+
+def test_evaluation_stays_exact():
+    value = LaurentPoly.variable("t", -2).evaluate({"t": 2})
+    assert value == Fraction(1, 4) and type(value) is Fraction
+    value = LaurentPoly.variable("t", 2, coeff=3).evaluate({"t": Fraction(2)})
+    assert value == 12 and type(value) is int
+
+
+def test_int_and_fraction_built_polynomials_agree():
+    mono = Monomial.of(x=2, y=-1)
+    from_int = LaurentPoly({mono: 3, Monomial(()): -2})
+    from_fraction = LaurentPoly({mono: Fraction(6, 2), Monomial(()): Fraction(-2)})
+    assert from_int == from_fraction
+    assert hash(from_int) == hash(from_fraction)
+    assert str(from_int) == str(from_fraction) == "-2 + 3*x^2*y^-1"
+
+
 def test_str_forms():
     q = LaurentPoly.variable("q")
     poly = q ** 3 - 2 * q ** 2 + 2 * q - LaurentPoly.one()

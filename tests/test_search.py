@@ -22,7 +22,7 @@ from deodhar.search import (
     find_obstructions,
     scan_disjointness,
 )
-from deodhar.weyl import context, parse_word
+from deodhar.weyl import bruhat_leq, context, parse_word
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -151,11 +151,10 @@ def test_find_obstructions_equal_dimension_boundary():
         assert preceq(rep.second, rep.first)
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_find_obstructions_matches_all_pairs(n):
-    word = catalog(CLOSURE_OBSTRUCTION, n).word
-    descriptors = list(enumerate_subexpressions(word, CELLS_BOUND))
-    expected = [
+def _obstruction_pairs_by_preceq(descriptors):
+    """Every ordered pair (gamma, delta) with delta preceq gamma and
+    dim delta >= dim gamma, by ``preceq`` on each pair."""
+    return [
         (gamma.mask_string, delta.mask_string)
         for gamma in descriptors
         for delta in descriptors
@@ -163,6 +162,46 @@ def test_find_obstructions_matches_all_pairs(n):
         and delta.dimension >= gamma.dimension
         and preceq(delta, gamma)
     ]
+
+
+def _obstruction_pairs_by_depth(descriptors):
+    """The same pairs from the definition of preceq: gamma^i <= delta^i at
+    every depth i.  Each depth compares each pair of its distinct partial
+    products once and gives, per gamma, the bitset of the deltas above it;
+    delta preceq gamma iff its bit survives the AND over all depths."""
+    below = [(1 << len(descriptors)) - 1] * len(descriptors)
+    for i in range(1, len(descriptors[0]) + 1):
+        holders = {}  # partial product at depth i -> bitset of its descriptors
+        for k, d in enumerate(descriptors):
+            holders[d.partials[i]] = holders.get(d.partials[i], 0) | 1 << k
+        above = {}
+        for x in holders:
+            bits = 0
+            for y, held in holders.items():
+                if x is y or bruhat_leq(x, y):
+                    bits |= held
+            above[x] = bits
+        for k, d in enumerate(descriptors):
+            below[k] &= above[d.partials[i]]
+    pairs = []
+    for gamma, bits in zip(descriptors, below):
+        while bits:
+            low = bits & -bits
+            delta = descriptors[low.bit_length() - 1]
+            if delta is not gamma and delta.dimension >= gamma.dimension:
+                pairs.append((gamma.mask_string, delta.mask_string))
+            bits ^= low
+    return pairs
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_find_obstructions_matches_all_pairs(n):
+    word = catalog(CLOSURE_OBSTRUCTION, n).word
+    descriptors = list(enumerate_subexpressions(word, CELLS_BOUND))
+    expected = _obstruction_pairs_by_depth(descriptors)
+    if n == 3:
+        # the two references agree where the pairwise one is cheap
+        assert expected == _obstruction_pairs_by_preceq(descriptors)
     reports = find_obstructions(word)
     assert [(r.first.mask_string, r.second.mask_string) for r in reports] == expected
 
