@@ -115,7 +115,12 @@ class LaurentPoly:
 
     # -- arithmetic --------------------------------------------------------
 
+    # An operand that is no LaurentPoly (nor, for *, an int or Fraction) gives
+    # NotImplemented, so Python raises TypeError.
+
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         result = dict(self._terms)
         for mono, coeff in other._terms.items():
             total = result.get(mono, 0) + coeff
@@ -129,11 +134,15 @@ class LaurentPoly:
         return LaurentPoly({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
             return LaurentPoly({m: c * other for m, c in self._terms.items()})
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         result: dict[Monomial, Fraction] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():

@@ -20,7 +20,9 @@ the upper-triangular Borel of SL_{n+1} used by the matrix cross-checks.
 
 Each root also carries one integer ``code``, its coefficients as signed
 base-16 digits; a root's coefficients lie in [-2, 2], so the code of a sum of
-two roots is the sum of their codes, and a root sum is one dict lookup.
+two roots is the sum of their codes, and a root sum is one dict lookup.  The
+check that the roots are closed under the simple reflections runs on codes
+too: t_i(r) is the lookup of r.code - <r, beta_i-check> beta_i.code.
 
 Structure constants N(alpha, beta), defined by [e_alpha, e_beta] =
 N(alpha, beta) e_{alpha+beta}, are read off from explicit faithful matrix
@@ -31,21 +33,25 @@ constant, which is Carter's convention.  The brackets come from one sparse
 join per root: the entries of every root vector are indexed by row and by
 column once, and one pass over the entries of e_alpha against those indices
 gives [e_alpha, e_beta] for every later beta whose vector meets e_alpha; a
-pair that never meets brackets to zero.  The pass leaves one table,
+pair that never meets brackets to zero.  The build runs on root indices and
+codes: each root's later partners whose sum is a root are found by codes,
+the constants are collected as index tuples, and the tables keyed by roots
+are made once at the end.  It leaves one table,
 ``structure.sums[alpha][beta] = (alpha + beta, N(alpha, beta))`` for every
 pair whose sum is a root; the structure constants, the commutator terms and
 the adjoint representation of :mod:`deodhar.chevalley` all read it.
 The normalized table is uniquely determined by that convention.  Building it
 checks every pair's bracket (a multiple of the sum's vector, the coroot, or
-zero), antisymmetry, |N| = p+1 with p from the root string rather than the
-table, and the positive extraspecial pairs; the test suite checks Jacobi via
-the adjoint representation and compares the table with derivations by root
-sums.
+zero), antisymmetry, |N| = p+1 with p from the root string (stepped on
+codes) rather than the table, and the positive extraspecial pairs; the test
+suite checks Jacobi via the adjoint representation and compares the table
+with derivations by root sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 from .linalg import bracket, combine
@@ -54,8 +60,8 @@ FAMILY_A = "A"
 FAMILY_B = "B"
 
 # Largest rank of a root system; B_16 builds its structure-constant table in
-# 0.2-0.3 s (verify closure --n 16 takes 0.35-0.4 s at 22 MB), and every rank
-# the command line accepts goes through here.
+# 0.1-0.17 s (verify closure --n 16 takes 0.25-0.39 s at 21.5 MB; 2-vCPU
+# Xeon, Python 3.11), and every rank the command line accepts goes through here.
 RANK_BOUND = 16
 
 # -- roots -------------------------------------------------------------------
@@ -177,23 +183,39 @@ class RootSystem:
         # The realization must be closed under the simple reflections, and in
         # type B must reproduce s_1(beta_2) = 2 beta_1 + beta_2 and
         # s_2(beta_1) = beta_1 + beta_2.
+        reflections = [self._reflection(i) for i in range(1, self.rank + 1)]
         for r in self.roots:
-            for i in range(1, self.rank + 1):
-                if self._reflect(r, i) is None:
+            for i, reflect in enumerate(reflections, start=1):
+                if reflect(r) is None:
                     raise AssertionError(f"reflection t_{i} breaks root {r}")
         if self.family == FAMILY_B:
             beta1, beta2 = self.simple(1), self.simple(2)
             sum12 = beta1.try_add(beta2)
-            if self._reflect(beta1, 2) is not sum12:
+            if reflections[1](beta1) is not sum12:
                 raise AssertionError("s_2(beta_1) != beta_1 + beta_2")
-            if self._reflect(beta2, 1) is not beta1.try_add(sum12):
+            if reflections[0](beta2) is not beta1.try_add(sum12):
                 raise AssertionError("s_1(beta_2) != 2 beta_1 + beta_2")
 
-    def _reflect(self, root: Root, i: int) -> Root | None:
-        """t_i(root), or None if the image is missing from the table."""
-        pairing = self.cartan_pairing(root, i)
-        beta = self.simple(i).coeffs
-        return self._by_coeffs.get(tuple(c - pairing * b for c, b in zip(root.coeffs, beta)))
+    def _reflection(self, i: int):
+        """t_i on codes: root -> t_i(root), or None if the image is missing
+        from the table.
+
+        <r, beta_i-check> is read from the at most two nonzero ambient entries
+        of beta_i.  A root's digits lie in [-2, 2] and the pairing in [-2, 2],
+        so the digits of r - <r, beta_i-check> beta_i stay in [-4, 4] and the
+        difference of codes is the code of the image."""
+        beta = self.simple(i)
+        support = [(k, v) for k, v in enumerate(beta.ambient) if v]
+        norm, step, by_code = self.norm_sq(beta), beta.code, self._by_code
+
+        def reflect(root: Root) -> Root | None:
+            ambient = root.ambient
+            pairing, rem = divmod(2 * sum(ambient[k] * v for k, v in support), norm)
+            if rem:
+                raise AssertionError("non-integral Cartan pairing")
+            return by_code.get(root.code - pairing * step)
+
+        return reflect
 
     # -- ambient coordinates --------------------------------------------------
 
@@ -320,14 +342,25 @@ class _StructureConstants:
 
     def __init__(self, system: RootSystem):
         self.system = system
-        raw, self.extraspecial, self.coroot_coords = self._brackets(self._basis_matrices())
-        eps = self._normalizing_signs(raw)
-        self.sums: dict[Root, dict[Root, tuple[Root, int]]] = {r: {} for r in system.roots}
-        for (a, b), (total, c) in raw.items():
-            c *= eps[a] * eps[b] * eps[total]
-            self.sums[a][b] = (total, c)
-            self.sums[b][a] = (total, -c)
-        self._validate()
+        roots = system.roots
+        raw, extraspecial, self.coroot_coords = self._brackets(self._basis_matrices())
+        eps = self._normalizing_signs(extraspecial)
+        # rows by index: row m gets its entries (k, m), k < m, before its own
+        # (m, j), j > m, so every row is in ascending index order
+        rows: list[dict[int, tuple[Root, int]]] = [{} for _ in roots]
+        for k, j, t, c in raw:
+            c *= eps[k] * eps[j] * eps[t]
+            total = roots[t]
+            rows[k][j] = (total, c)
+            rows[j][k] = (total, -c)
+        self._validate(rows, extraspecial)
+        self.extraspecial: dict[Root, tuple[Root, Root]] = {
+            roots[t]: (roots[k], roots[j]) for t, (k, j, _, _) in extraspecial.items()
+        }
+        self.sums: dict[Root, dict[Root, tuple[Root, int]]] = {}
+        for m, row in enumerate(rows):
+            self.sums[roots[m]] = {roots[j]: entry for j, entry in row.items()}
+            row.clear()  # so that the table is held once, not twice, at its peak
 
     # The defining matrices.  Type A: sl(n+1) with e_{pos->neg} elementary.
     # Type B: so(2n+1) for the antidiagonal form, conjugated so that the short
@@ -365,89 +398,115 @@ class _StructureConstants:
         return out
 
     def _brackets(self, vectors):
-        """Raw constants of the pairs (a, b), a before b, whose sum is a root,
-        the extraspecial pairs and the coroots, checking every bracket."""
+        """Raw constants ``(k, j, t, c)`` by index of the pairs a = roots[k]
+        before b = roots[j] whose sum roots[t] is a root, with [e_a, e_b] =
+        c e_{a+b}; the extraspecial pairs, each sum's first such tuple of two
+        positive roots; and the coroots.  Every bracket is checked."""
         system = self.system
-        raw: dict[tuple[Root, Root], tuple[Root, int]] = {}
-        extraspecial: dict[Root, tuple[Root, Root]] = {}
-        coroots: dict[Root, tuple[int, ...]] = {}
-        simple_coroot_mats = []
-        for i in range(1, system.rank + 1):
-            beta = system.simple(i)
-            simple_coroot_mats.append(bracket(vectors[beta], vectors[-beta]))
         roots = system.roots
         size, half = len(roots), len(system.positive_roots)
-        by_code = system._by_code
+        vecs = [vectors[r] for r in roots]
         codes = [r.code for r in roots]
+        index = {code: k for k, code in enumerate(codes)}
+        simple_coroots = []
+        for i in range(1, system.rank + 1):
+            beta = system.simple(i)
+            k = beta.index
+            simple_coroots.append((system.norm_sq(beta), bracket(vecs[k], vecs[k + half])))
+        raw: list[tuple[int, int, int, int]] = []
+        extraspecial: dict[int, tuple[int, int, int, int]] = {}
+        coroots: dict[Root, tuple[int, ...]] = {}
         for k, row in _bracket_rows(roots, vectors):
-            a, code = roots[k], codes[k]
-            for j in range(k + 1, size):
-                total = by_code.get(code + codes[j])
-                if total is not None:
-                    b = roots[j]
-                    # a pair that never meets in the join brackets to zero,
-                    # which is no nonzero multiple of the target
-                    br = row.get(j, {})
-                    target = vectors[total]
-                    key = next(iter(target))
-                    c, rem = divmod(br.get(key, 0), target[key])
-                    if rem or not c or br != {e: c * v for e, v in target.items()}:
-                        raise AssertionError(f"bracket [{a}; {b}] not a multiple of e_{total}")
-                    raw[(a, b)] = (total, c)
-                    # pairs come by the index of a, which orders the positive
-                    # roots first: the first positive pair is the extraspecial one
-                    if b.is_positive and total not in extraspecial:
-                        extraspecial[total] = (a, b)
-                elif j == k + half:
-                    # b = -a, which follows a only for a positive a
-                    coroots[a] = self._coroot(a, row.get(j, {}), simple_coroot_mats)
-                    # [e_-a, e_a] = -[e_a, e_-a], so the coroot of -a is negated
-                    coroots[roots[j]] = tuple(-c for c in coroots[a])
-                elif row.get(j):
-                    raise AssertionError(f"bracket [{a}; {roots[j]}] should vanish")
+            code = codes[k]
+            # the later roots whose sum with a is a root, in one C-level pass
+            totals = map(code.__add__, codes[k + 1 :])
+            for j in compress(range(k + 1, size), map(index.__contains__, totals)):
+                t = index[code + codes[j]]
+                # a pair that never meets in the join brackets to zero, which
+                # is no nonzero multiple of the target
+                br = row.get(j, {})
+                target = vecs[t]
+                key = next(iter(target))
+                c, rem = divmod(br.get(key, 0), target[key])
+                if rem or not c or br != {e: c * v for e, v in target.items()}:
+                    raise AssertionError(
+                        f"bracket [{roots[k]}; {roots[j]}] not a multiple of e_{roots[t]}"
+                    )
+                entry = (k, j, t, c)
+                raw.append(entry)
+                # pairs come by the index of a, which orders the positive
+                # roots first: the first positive pair is the extraspecial one
+                if j < half and t not in extraspecial:
+                    extraspecial[t] = entry
+            if k < half:
+                # b = -a follows a only for a positive a
+                a, j = roots[k], k + half
+                coroots[a] = self._coroot(a, row.get(j, {}), simple_coroots)
+                # [e_-a, e_a] = -[e_a, e_-a], so the coroot of -a is negated
+                coroots[roots[j]] = tuple(-c for c in coroots[a])
+            # the join holds only the pairs that meet: of those, every one
+            # whose sum is neither a root nor zero must bracket to zero
+            vanishing = [
+                j for j, br in row.items() if br and j != k + half and code + codes[j] not in index
+            ]
+            if vanishing:
+                raise AssertionError(f"bracket [{roots[k]}; {roots[min(vanishing)]}] should vanish")
         return raw, extraspecial, coroots
 
-    def _coroot(self, alpha: Root, realized, simple_coroot_mats) -> tuple[int, ...]:
+    def _coroot(self, alpha: Root, realized, simple_coroots) -> tuple[int, ...]:
         """Coordinates of alpha-check over the simple coroots, from the closed
         form alpha-check = sum_i a_i |beta_i|^2 / |alpha|^2 beta_i-check, and
-        the full realized bracket [e_alpha, e_-alpha] checked against them."""
-        system = self.system
-        norm = system.norm_sq(alpha)
+        the full realized bracket [e_alpha, e_-alpha] checked against them;
+        ``simple_coroots`` holds (|beta_i|^2, [e_beta_i, e_-beta_i]) by i."""
+        norm = self.system.norm_sq(alpha)
         coords = []
-        for i, a in enumerate(alpha.coeffs, start=1):
-            c, rem = divmod(a * system.norm_sq(system.simple(i)), norm)
+        for a, (simple_norm, _) in zip(alpha.coeffs, simple_coroots):
+            c, rem = divmod(a * simple_norm, norm)
             if rem:
                 raise AssertionError(f"non-integral coroot coordinates for {alpha}")
             coords.append(c)
-        if realized != combine(zip(coords, simple_coroot_mats)):
+        if realized != combine(zip(coords, (mat for _, mat in simple_coroots))):
             raise AssertionError(f"[e_{alpha}, e_-{alpha}] is not the coroot {coords}")
         return tuple(coords)
 
-    def _normalizing_signs(self, raw) -> dict[Root, int]:
-        eps: dict[Root, int] = {}
-        for total in self.system.positive_roots:
-            sign = 1
-            if total in self.extraspecial:
-                r, s = self.extraspecial[total]
-                sign = eps[r] * eps[s] * (1 if raw[(r, s)][1] > 0 else -1)
-            eps[total] = eps[-total] = sign
+    def _normalizing_signs(self, extraspecial) -> list[int]:
+        """eps by index: each positive sum's sign makes its extraspecial
+        constant positive, and -r shares the sign of r."""
+        half = len(self.system.positive_roots)
+        eps = [1] * (2 * half)
+        # an extraspecial pair precedes its sum in the height order, so its
+        # signs are set first
+        for t in range(half):
+            entry = extraspecial.get(t)
+            if entry is not None:
+                k, j, _, c = entry
+                eps[t] = eps[t + half] = eps[k] * eps[j] * (1 if c > 0 else -1)
         return eps
 
-    def _validate(self):
-        system = self.system
-        for a, row in self.sums.items():
-            for b, (_, c) in row.items():
+    def _validate(self, rows, extraspecial):
+        roots = self.system.roots
+        codes = [r.code for r in roots]
+        by_code = self.system._by_code
+        for k, row in enumerate(rows):
+            step = codes[k]
+            for j, (_, c) in row.items():
                 # each unordered pair once: antisymmetry carries |N| = p+1 over
                 # to the other order
-                if b.index < a.index:
+                if j < k:
                     continue
-                if self.sums[b][a][1] != -c:
+                if rows[j][k][1] != -c:
                     raise AssertionError("antisymmetry failure in structure constants")
-                p, _ = system.root_string(a, b)
+                # p of the a-string through b, stepping codes as root_string does
+                p, code = 0, codes[j] - step
+                while code in by_code:
+                    p, code = p + 1, code - step
                 if abs(c) != p + 1:
-                    raise AssertionError(f"|N({a}; {b})| = {abs(c)} != p+1 = {p + 1}")
-        for r, s in self.extraspecial.values():
-            if self.sums[r][s][1] <= 0:
+                    raise AssertionError(
+                        f"|N({roots[k]}; {roots[j]})| = {abs(c)} != p+1 = {p + 1}"
+                    )
+        for k, j, _, _ in extraspecial.values():
+            if rows[k][j][1] <= 0:
+                r, s = roots[k], roots[j]
                 raise AssertionError(f"extraspecial pair ({r}; {s}) got a negative sign")
 
 

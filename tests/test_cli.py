@@ -263,6 +263,8 @@ GOLDEN_COMMANDS = {
     "count_q7": ["count", "--q", "7"],
     "collect": ["collect", "--input", str(GOLDEN / "word.json")],
     "verify_closure_4": ["verify", "closure", "--n", "4"],
+    # its sign lines read the B_16 structure-constant table
+    "verify_closure_16": ["verify", "closure", "--n", "16"],
     "verify_disjoint_5": ["verify", "disjoint", "--n", "5"],
     "cells_b3_json": ["cells", "--family", "B", "--rank", "3", "--word", B3_WORD, "--json"],
 }

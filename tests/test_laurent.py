@@ -87,6 +87,20 @@ def test_coefficient_coercion():
             LaurentPoly.constant(bad)
 
 
+def test_foreign_operands_raise_type_error():
+    # a constant is added as LaurentPoly.constant(c); a plain number is no
+    # polynomial, and a float is no coefficient
+    x = LaurentPoly.variable("x")
+    for bad in (lambda: x + 1, lambda: 1 + x, lambda: x - 2, lambda: 2 - x,
+                lambda: x * 0.5, lambda: 0.5 * x, lambda: x + "x", lambda: x * None):
+        with pytest.raises(TypeError):
+            bad()
+    assert x * 2 == 2 * x == LaurentPoly.variable("x", coeff=2)
+    half = Fraction(1, 2)
+    assert x * half == half * x == LaurentPoly.variable("x", coeff=half)
+    assert x + LaurentPoly.constant(1) - LaurentPoly.constant(1) == x
+
+
 def test_evaluation_stays_exact():
     value = LaurentPoly.variable("t", -2).evaluate({"t": 2})
     assert value == Fraction(1, 4) and type(value) is Fraction

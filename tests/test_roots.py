@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -110,6 +111,15 @@ def test_root_hashes_stable_across_interpreters():
     assert len(outputs) == 1
 
 
+def test_dropped_root_breaks_reflection_closure(monkeypatch):
+    # without the highest root of B_3 the table is no longer closed under the
+    # simple reflections; nothing but the reflection check rejects it
+    generate = RootSystem._generate_positive
+    monkeypatch.setattr(RootSystem, "_generate_positive", lambda self: generate(self)[:-1])
+    with pytest.raises(AssertionError, match="breaks root"):
+        RootSystem("B", 3)
+
+
 def test_roots_closed_under_weyl_action():
     system = root_system("B", 3)
     ctx = context("B", 3)
@@ -185,6 +195,28 @@ def test_extraspecial_pairs_positive():
     system = root_system("B", 3)
     for total, (r, s) in system.structure.extraspecial.items():
         assert system.structure_constant(r, s) > 0
+
+
+def test_structure_tables_pinned():
+    # regression anchor, not a derivation: SHA-256 over (a, b, a + b, N) by
+    # root index of every entry of structure.sums, the coroots and the
+    # extraspecial pairs, each in its dict order, on A_1..A_7 and B_2..B_16,
+    # as the tables were built before the build moved to root indices
+    digest = hashlib.sha256()
+    for family, rank in [("A", r) for r in range(1, 8)] + [("B", r) for r in range(2, 17)]:
+        system = root_system(family, rank)
+        table = system.structure
+        digest.update(f"{family}{rank}|".encode())
+        for a, row in table.sums.items():
+            for b, (total, c) in row.items():
+                digest.update(f"{a.index},{b.index},{total.index},{c};".encode())
+        for r, coords in table.coroot_coords.items():
+            digest.update(f"{r.index}:{coords};".encode())
+        for total, (r, s) in table.extraspecial.items():
+            digest.update(f"{total.index}={r.index}+{s.index};".encode())
+    assert digest.hexdigest() == (
+        "4f4b355c2e41b5aff09e009286a377630f35ebe3f080c9deaa171b8574ec1e70"
+    )
 
 
 def test_corrupted_realization_is_rejected(monkeypatch):
