@@ -354,13 +354,14 @@ class CellDescriptor(Subexpression):
 
 def cell(sub: Subexpression) -> CellDescriptor:
     """Compute the full descriptor of the cell indexed by ``sub``; raises
-    ``ValueError`` if the mask is not distinguished, as its cell is empty.
+    ``ValueError`` if the mask is not distinguished (:func:`is_distinguished`),
+    as its cell is empty.
 
-    The mask is distinguished iff J is contained in I.  The root sequence is
-    computed by acting on simple roots, independently of the window descent
-    rule used for J; the test suite checks that the two routes agree.
+    The root sequence is computed by acting on simple roots, independently of
+    the window descent rule of ``descent_positions``; the test suite checks
+    that the positions ``phi`` skips are that J.
     """
-    if not all(sub.mask[i - 1] for i in sub.descent_positions()):
+    if not is_distinguished(sub):
         raise ValueError(f"mask {sub.mask_string} is not distinguished: its cell is empty")
     phi = []
     for i, (partial, letter) in enumerate(zip(sub.partials[1:], sub.word.letters), start=1):

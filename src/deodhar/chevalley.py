@@ -227,8 +227,8 @@ class AdjointRep:
         for j, c in enumerate(system.coroot_coords(alpha), start=1):
             if c:
                 out[(j - 1, n + (-alpha).index)] = c
-        for beta, (total, c) in system.structure.sums[alpha].items():
-            out[(n + total.index, n + beta.index)] = c
+        for j, (total, c) in system.structure.sums[alpha.index].items():
+            out[(n + total.index, n + j)] = c
         return out
 
     def ad(self, root: Root) -> Matrix:

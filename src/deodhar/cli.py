@@ -39,7 +39,7 @@ def _cmd_cells(args) -> int:
     word = _word(args)
     end = None if args.end is None else word.ctx.parse_element(args.end)
     # raises past CELLS_BOUND, so such an input prints nothing
-    shapes = cells_mod.endpoint_shapes(word)
+    cells_mod.endpoint_shapes(word)
     descriptors = (
         d
         for d in cells_mod.enumerate_subexpressions(word, cells_mod.CELLS_BOUND)
@@ -59,7 +59,7 @@ def _cmd_cells(args) -> int:
                 f"dim={d.dimension} affine={d.affine_rank} torus={d.torus_rank}"
             )
         if end is not None:
-            print(f"point count: {cells_mod.point_count(shapes.get(end, {}))}")
+            print(f"point count: {cells_mod.point_count_polynomial(word, end)}")
     return 0
 
 

@@ -29,17 +29,20 @@ N(alpha, beta) e_{alpha+beta}, are read off from explicit faithful matrix
 realizations (sl(n+1), and so(2n+1) with the short root vectors rescaled so
 all brackets stay integral), held as sparse matrices of :mod:`deodhar.linalg`,
 and then sign-normalized so that every extraspecial pair gets a positive
-constant, which is Carter's convention.  The brackets come from one sparse
-join per root: the entries of every root vector are indexed by row and by
-column once, and one pass over the entries of e_alpha against those indices
-gives [e_alpha, e_beta] for every later beta whose vector meets e_alpha; a
-pair that never meets brackets to zero.  The build runs on root indices and
-codes: each root's later partners whose sum is a root are found by codes,
-the constants are collected as index tuples, and the tables keyed by roots
-are made once at the end.  It leaves one table,
-``structure.sums[alpha][beta] = (alpha + beta, N(alpha, beta))`` for every
-pair whose sum is a root; the structure constants, the commutator terms and
-the adjoint representation of :mod:`deodhar.chevalley` all read it.
+constant, which is Carter's convention.  The brackets come from the sparse
+join :func:`deodhar.linalg.bracket_rows` over the root vectors listed by
+index, which gives [e_alpha, e_beta] for every later beta whose vector meets
+e_alpha; a pair that never meets brackets to zero.  The simple coroots
+[e_beta_i, e_-beta_i] are read from the rows of the simple roots, which come
+first.  The build runs on root indices and codes, and its tables stay keyed
+by root index: each root's later partners whose sum is a root are found by
+codes and the constants are collected as index tuples.  It leaves one table,
+``structure.sums[alpha.index][beta.index] = (alpha + beta, N(alpha, beta))``
+for every pair whose sum is a root; the structure constants, the commutator
+terms and the adjoint representation of :mod:`deodhar.chevalley` all read
+it.  ``structure.coroot_coords`` lists the coroots by index, and
+``structure.extraspecial`` maps the index of a positive sum to the indices
+of its extraspecial pair.
 The normalized table is uniquely determined by that convention.  Building it
 checks every pair's bracket (a multiple of the sum's vector, the coroot, or
 zero), antisymmetry, |N| = p+1 with p from the root string (stepped on
@@ -54,13 +57,13 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
 
-from .linalg import bracket, combine
+from .linalg import bracket_rows, combine
 
 FAMILY_A = "A"
 FAMILY_B = "B"
 
 # Largest rank of a root system; B_16 builds its structure-constant table in
-# 0.1-0.17 s (verify closure --n 16 takes 0.25-0.39 s at 21.5 MB; 2-vCPU
+# 0.08-0.12 s (verify closure --n 16 takes 0.25-0.39 s at 21.5 MB; 2-vCPU
 # Xeon, Python 3.11), and every rank the command line accepts goes through here.
 RANK_BOUND = 16
 
@@ -284,13 +287,13 @@ class RootSystem:
         return self._structure
 
     def structure_constant(self, alpha: Root, beta: Root) -> int:
-        entry = self.structure.sums[alpha].get(beta)
+        entry = self.structure.sums[alpha.index].get(beta.index)
         if entry is None:
             raise ValueError(f"{alpha} + {beta} is not a root")
         return entry[1]
 
     def coroot_coords(self, alpha: Root) -> tuple[int, ...]:
-        return self.structure.coroot_coords[alpha]
+        return self.structure.coroot_coords[alpha.index]
 
     def commutator_terms(self, alpha: Root, beta: Root) -> list[CommutatorTerm]:
         """Terms of [u_alpha(x); u_beta(y)] = prod u_{i beta + j alpha}(C_ij (-y)^i x^j).
@@ -302,16 +305,17 @@ class RootSystem:
         """
         self._check_independent(alpha, beta)
         sums = self.structure.sums
-        entry = sums[alpha].get(beta)
+        a, b = alpha.index, beta.index
+        entry = sums[a].get(b)
         if entry is None:
             return []
         ab, n_ab = entry
-        aab, abb = sums[alpha].get(ab), sums[beta].get(ab)
-        heavy = [e[0] for e in (aab, abb) if e is not None]
+        aab, abb = sums[a].get(ab.index), sums[b].get(ab.index)
+        heavy = [e[0].index for e in (aab, abb) if e is not None]
         # alpha-strings are unbroken and, in types A and B, hold at most three
         # roots: nothing lies beyond a missing alpha + beta, and otherwise at
         # most one term of weight three and none of weight four can occur
-        if len(heavy) > 1 or any(alpha in sums[r] or beta in sums[r] for r in heavy):
+        if len(heavy) > 1 or any(a in sums[r] or b in sums[r] for r in heavy):
             raise AssertionError(f"unexpected commutator support for {alpha}, {beta}")
         out = [CommutatorTerm(1, 1, ab, -n_ab)]
         if aab is not None:
@@ -347,20 +351,15 @@ class _StructureConstants:
         eps = self._normalizing_signs(extraspecial)
         # rows by index: row m gets its entries (k, m), k < m, before its own
         # (m, j), j > m, so every row is in ascending index order
-        rows: list[dict[int, tuple[Root, int]]] = [{} for _ in roots]
+        sums: list[dict[int, tuple[Root, int]]] = [{} for _ in roots]
         for k, j, t, c in raw:
             c *= eps[k] * eps[j] * eps[t]
             total = roots[t]
-            rows[k][j] = (total, c)
-            rows[j][k] = (total, -c)
-        self._validate(rows, extraspecial)
-        self.extraspecial: dict[Root, tuple[Root, Root]] = {
-            roots[t]: (roots[k], roots[j]) for t, (k, j, _, _) in extraspecial.items()
-        }
-        self.sums: dict[Root, dict[Root, tuple[Root, int]]] = {}
-        for m, row in enumerate(rows):
-            self.sums[roots[m]] = {roots[j]: entry for j, entry in row.items()}
-            row.clear()  # so that the table is held once, not twice, at its peak
+            sums[k][j] = (total, c)
+            sums[j][k] = (total, -c)
+        self._validate(sums, extraspecial)
+        self.sums = sums
+        self.extraspecial = {t: (k, j) for t, (k, j, _, _) in extraspecial.items()}
 
     # The defining matrices.  Type A: sl(n+1) with e_{pos->neg} elementary.
     # Type B: so(2n+1) for the antidiagonal form, conjugated so that the short
@@ -401,22 +400,21 @@ class _StructureConstants:
         """Raw constants ``(k, j, t, c)`` by index of the pairs a = roots[k]
         before b = roots[j] whose sum roots[t] is a root, with [e_a, e_b] =
         c e_{a+b}; the extraspecial pairs, each sum's first such tuple of two
-        positive roots; and the coroots.  Every bracket is checked."""
+        positive roots; and the coroots by index.  Every bracket is checked."""
         system = self.system
         roots = system.roots
-        size, half = len(roots), len(system.positive_roots)
+        n, size, half = system.rank, len(roots), len(system.positive_roots)
         vecs = [vectors[r] for r in roots]
         codes = [r.code for r in roots]
         index = {code: k for k, code in enumerate(codes)}
-        simple_coroots = []
-        for i in range(1, system.rank + 1):
-            beta = system.simple(i)
-            k = beta.index
-            simple_coroots.append((system.norm_sq(beta), bracket(vecs[k], vecs[k + half])))
+        simple_norms = [system.norm_sq(system.simple(i)) for i in range(1, n + 1)]
+        # [e_beta_i, e_-beta_i] by i, read from the row of beta_i = roots[n - i]:
+        # the simple roots come first, so each is read before any coroot needs it
+        simple_coroots: list[dict] = [{}] * n
         raw: list[tuple[int, int, int, int]] = []
         extraspecial: dict[int, tuple[int, int, int, int]] = {}
-        coroots: dict[Root, tuple[int, ...]] = {}
-        for k, row in _bracket_rows(roots, vectors):
+        coroots: list[tuple[int, ...]] = [()] * size
+        for k, row in bracket_rows(vecs):
             code = codes[k]
             # the later roots whose sum with a is a root, in one C-level pass
             totals = map(code.__add__, codes[k + 1 :])
@@ -440,10 +438,13 @@ class _StructureConstants:
                     extraspecial[t] = entry
             if k < half:
                 # b = -a follows a only for a positive a
-                a, j = roots[k], k + half
-                coroots[a] = self._coroot(a, row.get(j, {}), simple_coroots)
+                j = k + half
+                realized = row.get(j, {})
+                if k < n:
+                    simple_coroots[n - 1 - k] = realized
+                coords = self._coroot(roots[k], realized, simple_norms, simple_coroots)
                 # [e_-a, e_a] = -[e_a, e_-a], so the coroot of -a is negated
-                coroots[roots[j]] = tuple(-c for c in coroots[a])
+                coroots[k], coroots[j] = coords, tuple(-c for c in coords)
             # the join holds only the pairs that meet: of those, every one
             # whose sum is neither a root nor zero must bracket to zero
             vanishing = [
@@ -453,19 +454,20 @@ class _StructureConstants:
                 raise AssertionError(f"bracket [{roots[k]}; {roots[min(vanishing)]}] should vanish")
         return raw, extraspecial, coroots
 
-    def _coroot(self, alpha: Root, realized, simple_coroots) -> tuple[int, ...]:
+    def _coroot(self, alpha: Root, realized, simple_norms, simple_coroots) -> tuple[int, ...]:
         """Coordinates of alpha-check over the simple coroots, from the closed
         form alpha-check = sum_i a_i |beta_i|^2 / |alpha|^2 beta_i-check, and
         the full realized bracket [e_alpha, e_-alpha] checked against them;
-        ``simple_coroots`` holds (|beta_i|^2, [e_beta_i, e_-beta_i]) by i."""
+        ``simple_norms`` holds |beta_i|^2 and ``simple_coroots`` [e_beta_i,
+        e_-beta_i] by i."""
         norm = self.system.norm_sq(alpha)
         coords = []
-        for a, (simple_norm, _) in zip(alpha.coeffs, simple_coroots):
+        for a, simple_norm in zip(alpha.coeffs, simple_norms):
             c, rem = divmod(a * simple_norm, norm)
             if rem:
                 raise AssertionError(f"non-integral coroot coordinates for {alpha}")
             coords.append(c)
-        if realized != combine(zip(coords, (mat for _, mat in simple_coroots))):
+        if realized != combine(zip(coords, simple_coroots)):
             raise AssertionError(f"[e_{alpha}, e_-{alpha}] is not the coroot {coords}")
         return tuple(coords)
 
@@ -508,35 +510,6 @@ class _StructureConstants:
             if rows[k][j][1] <= 0:
                 r, s = roots[k], roots[j]
                 raise AssertionError(f"extraspecial pair ({r}; {s}) got a negative sign")
-
-
-def _bracket_rows(roots: Sequence[Root], vectors: dict[Root, dict]):
-    """For each index k, in order, ``(k, row)`` with ``row[j] = [e_a, e_b]``
-    for a = roots[k] and every later b = roots[j] whose vector meets e_a.
-
-    The entries of every vector are indexed by row and by column once; one
-    pass over the entries of e_a then finds the products e_a e_b (a's column
-    meets b's row) and e_b e_a (b's column meets a's row).  A pair missing
-    from the row has bracket exactly zero; a bracket that cancels is empty.
-    """
-    by_row: dict[int, list] = {}
-    by_col: dict[int, list] = {}
-    for j, b in enumerate(roots):
-        for (rb, cb), vb in vectors[b].items():
-            by_row.setdefault(rb, []).append((j, cb, vb))
-            by_col.setdefault(cb, []).append((j, rb, vb))
-    for k, a in enumerate(roots):
-        row: dict[int, dict] = {}
-        for (ra, ca), va in vectors[a].items():
-            for j, cb, vb in by_row.get(ca, ()):
-                if j > k:
-                    br = row.setdefault(j, {})
-                    br[ra, cb] = br.get((ra, cb), 0) + va * vb
-            for j, rb, vb in by_col.get(ra, ()):
-                if j > k:
-                    br = row.setdefault(j, {})
-                    br[rb, ca] = br.get((rb, ca), 0) - vb * va
-        yield k, {j: {key: v for key, v in br.items() if v} for j, br in row.items()}
 
 
 _SYSTEMS: dict[tuple[str, int], RootSystem] = {}

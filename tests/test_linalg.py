@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from deodhar.linalg import bracket, combine, dense, identity, mat_mul
+from deodhar.linalg import bracket_rows, combine, dense, identity, mat_mul
 
 PRIMES = (None, 2, 7, 11)
 
@@ -46,12 +46,22 @@ def test_mat_mul_matches_dense_product(prime):
         assert dense(product, dim) == dense_product(dense(a, dim), dense(b, dim), prime)
 
 
-def test_bracket_is_the_commutator():
-    for _, a, b in pairs(2):
-        result = bracket(a, b)
-        assert_no_zero_entry(result)
-        assert result == combine([(1, mat_mul(a, b)), (-1, mat_mul(b, a))])
-        assert bracket(a, a) == {}
+def test_bracket_rows_are_the_commutators():
+    rng = random.Random(2)
+    for _ in range(60):
+        dim = rng.randint(1, 6)
+        mats = [random_sparse(rng, dim) for _ in range(rng.randint(1, 6))]
+        # a repeated matrix, whose bracket with its copy cancels
+        mats.insert(rng.randint(0, len(mats)), rng.choice(mats))
+        rows = dict(bracket_rows(mats))
+        assert list(rows) == list(range(len(mats)))
+        for k, a in enumerate(mats):
+            assert all(j > k for j in rows[k])
+            for j in range(k + 1, len(mats)):
+                b = mats[j]
+                result = rows[k].get(j, {})
+                assert_no_zero_entry(result)
+                assert result == combine([(1, mat_mul(a, b)), (-1, mat_mul(b, a))])
 
 
 @pytest.mark.parametrize("prime", PRIMES)

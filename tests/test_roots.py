@@ -10,7 +10,7 @@ import pytest
 
 import deodhar
 from deodhar import roots as roots_module
-from deodhar.linalg import combine, mat_mul
+from deodhar.linalg import bracket_rows, combine, mat_mul
 from deodhar.roots import CommutatorTerm, RootSystem, _StructureConstants, root_system
 from deodhar.weyl import context
 
@@ -193,27 +193,31 @@ def test_structure_constant_table_properties(family, rank):
 
 def test_extraspecial_pairs_positive():
     system = root_system("B", 3)
-    for total, (r, s) in system.structure.extraspecial.items():
-        assert system.structure_constant(r, s) > 0
+    roots = system.roots
+    for k, j in system.structure.extraspecial.values():
+        assert system.structure_constant(roots[k], roots[j]) > 0
 
 
 def test_structure_tables_pinned():
     # regression anchor, not a derivation: SHA-256 over (a, b, a + b, N) by
-    # root index of every entry of structure.sums, the coroots and the
-    # extraspecial pairs, each in its dict order, on A_1..A_7 and B_2..B_16,
-    # as the tables were built before the build moved to root indices
+    # root index of every entry of structure.sums, row by row, the coroots of
+    # each positive root k and of its negative k + half, and the extraspecial
+    # pairs in their dict order, on A_1..A_7 and B_2..B_16, as the tables
+    # were built before the build moved to root indices
     digest = hashlib.sha256()
     for family, rank in [("A", r) for r in range(1, 8)] + [("B", r) for r in range(2, 17)]:
         system = root_system(family, rank)
         table = system.structure
+        half = len(system.positive_roots)
         digest.update(f"{family}{rank}|".encode())
-        for a, row in table.sums.items():
+        for a, row in enumerate(table.sums):
             for b, (total, c) in row.items():
-                digest.update(f"{a.index},{b.index},{total.index},{c};".encode())
-        for r, coords in table.coroot_coords.items():
-            digest.update(f"{r.index}:{coords};".encode())
-        for total, (r, s) in table.extraspecial.items():
-            digest.update(f"{total.index}={r.index}+{s.index};".encode())
+                digest.update(f"{a},{b},{total.index},{c};".encode())
+        for k in range(half):
+            for r in (k, k + half):
+                digest.update(f"{r}:{table.coroot_coords[r]};".encode())
+        for t, (k, j) in table.extraspecial.items():
+            digest.update(f"{t}={k}+{j};".encode())
     assert digest.hexdigest() == (
         "4f4b355c2e41b5aff09e009286a377630f35ebe3f080c9deaa171b8574ec1e70"
     )
@@ -255,29 +259,20 @@ def test_bracket_missing_target_entry_is_rejected(monkeypatch):
 @pytest.mark.parametrize(
     "family,rank", [("A", r) for r in range(1, 6)] + [("B", r) for r in range(2, 7)]
 )
-def test_join_brackets_match_matrix_products(family, rank, monkeypatch):
-    # the bracket of every pair as the table build saw it from the sparse
-    # join, against the reference e_a e_b - e_b e_a by two matrix products
-    seen = {}
-    join = roots_module._bracket_rows
-
-    def recorded(roots, vectors):
-        seen["vectors"] = vectors
-        for k, row in join(roots, vectors):
-            seen[k] = row
-            yield k, row
-
-    monkeypatch.setattr(roots_module, "_bracket_rows", recorded)
-    system = RootSystem(family, rank)
-    system.structure
-    vectors = seen["vectors"]
-    roots = system.roots
-    assert len(seen) == len(roots) + 1
-    for k, a in enumerate(roots):
-        for j in range(k + 1, len(roots)):
-            va, vb = vectors[a], vectors[roots[j]]
+def test_join_brackets_match_matrix_products(family, rank):
+    # the bracket of every pair of the realized root vectors, listed by root
+    # index as the table build lists them, from the sparse join, against the
+    # reference e_a e_b - e_b e_a by two matrix products
+    system = root_system(family, rank)
+    vectors = system.structure._basis_matrices()
+    mats = [vectors[r] for r in system.roots]
+    rows = dict(bracket_rows(mats))
+    assert list(rows) == list(range(len(mats)))
+    for k, va in enumerate(mats):
+        for j in range(k + 1, len(mats)):
+            vb = mats[j]
             reference = combine([(1, mat_mul(va, vb)), (-1, mat_mul(vb, va))])
-            assert seen[k].get(j, {}) == reference
+            assert rows[k].get(j, {}) == reference
 
 
 def test_nonvanishing_bracket_is_rejected(monkeypatch):
@@ -364,15 +359,18 @@ def test_sums_table_matches_references(family, rank):
         for beta in system.roots:
             total = alpha.try_add(beta)
             if total is None:
-                assert beta not in table.sums[alpha]
+                assert beta.index not in table.sums[alpha.index]
                 with pytest.raises(ValueError):
                     system.structure_constant(alpha, beta)
             else:
-                assert table.sums[alpha][beta] == (total, system.structure_constant(alpha, beta))
+                entry = (total, system.structure_constant(alpha, beta))
+                assert table.sums[alpha.index][beta.index] == entry
             if beta is not alpha and beta is not -alpha:
                 expected = _reference_commutator_terms(system, alpha, beta)
                 assert system.commutator_terms(alpha, beta) == expected
-    assert table.extraspecial == _reference_extraspecial(system)
+    assert table.extraspecial == {
+        t.index: (r.index, s.index) for t, (r, s) in _reference_extraspecial(system).items()
+    }
 
 
 def test_commutator_terms_empty_when_sum_not_root():
