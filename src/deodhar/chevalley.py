@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Mapping, Sequence
 
 from .cells import CLOSURE_OBSTRUCTION, catalog, cell
@@ -297,14 +298,10 @@ def _mod_fraction(value: Fraction | int, prime: int) -> int:
     return value.numerator % prime * pow(den, -1, prime) % prime
 
 
-_ADJOINT: dict[tuple[str, int], AdjointRep] = {}
-
-
-def adjoint_rep(ctx) -> AdjointRep:
-    key = (ctx.family, ctx.rank)
-    if key not in _ADJOINT:
-        _ADJOINT[key] = AdjointRep(ctx)
-    return _ADJOINT[key]
+@cache
+def adjoint_rep(ctx, /) -> AdjointRep:
+    """The one adjoint representation of the interned context ``ctx``."""
+    return AdjointRep(ctx)
 
 
 def evaluate_adjoint(

@@ -25,13 +25,12 @@ def _add_context_flags(parser, default_family="B"):
 
 def _word(args) -> ReducedWord:
     """The reduced word ``--word`` of ``--family``; without ``--rank``, the
-    rank is the largest letter (at least 2 in type B)."""
+    rank is the largest letter, at least 1 (at least 2 in type B), so that a
+    letter below 1 is reported by the word check."""
     letters = parse_integers(args.word, "word")
     rank = args.rank
     if rank is None:
-        rank = max(letters) if letters else 1
-        if args.family == "B":
-            rank = max(rank, 2)
+        rank = max([2 if args.family == "B" else 1, *letters])
     return ReducedWord(context(args.family, rank), letters)
 
 

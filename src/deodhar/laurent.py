@@ -159,13 +159,11 @@ class LaurentPoly:
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
             raise ValueError("negative powers of general polynomials are not defined")
-        out = LaurentPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
+        # the witness raises to the first and second power only: k - 1
+        # products, with no squaring of the base that goes unused
+        out = self if k else LaurentPoly.one()
+        for _ in range(k - 1):
+            out = out * self
         return out
 
     def __eq__(self, other) -> bool:

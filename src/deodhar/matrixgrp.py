@@ -28,10 +28,6 @@ MAX_PRIME = 64
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def _ctx():
-    return context("A", 2)
-
-
 def unipotent_lower(a: int, b: int, c: int, q: int) -> Matrix:
     """The lower unitriangular matrix with parameters (a, b, c) over F_q."""
     return ((1, 0, 0), (a % q, 1, 0), (c % q, b % q, 1))
@@ -51,13 +47,13 @@ def bruhat_word(g: Matrix, q: int) -> WeylElement:
             factor = later[pivot] * inverse % q
             if factor:
                 later[:] = [(u - factor * v) % q for u, v in zip(later, col)]
-    return _ctx().from_window(tuple(window))
+    return context("A", 2).from_window(tuple(window))
 
 
 def opposite_coset(g: Matrix, q: int) -> WeylElement:
     """The v with g in B*vB, where B* = w_0 B w_0.  The permutation matrix
     of w_0 is antidiagonal, so w_0 g is g with its rows reversed."""
-    w0 = _ctx().longest_element()
+    w0 = context("A", 2).longest_element()
     return w0 * bruhat_word(g[::-1], q)
 
 

@@ -54,6 +54,7 @@ with derivations by root sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import compress
 from typing import Sequence
 
@@ -156,7 +157,6 @@ class RootSystem:
         self._by_coeffs = {r.coeffs: r for r in self.roots}
         self._by_code = {r.code: r for r in self.roots}
         self.by_ambient = {r.ambient: r for r in self.roots}
-        self._structure: _StructureConstants | None = None
         self._self_test()
 
     # -- generation ----------------------------------------------------------
@@ -272,7 +272,8 @@ class RootSystem:
     def root_string(self, alpha: Root, beta: Root) -> tuple[int, int]:
         """(p, q) with p = max{k : beta - k alpha is a root}, q likewise for +."""
         self._check_independent(alpha, beta)
-        return _steps(beta, -alpha), _steps(beta, alpha)
+        by_code = self._by_code
+        return _steps(beta.code, -alpha.code, by_code), _steps(beta.code, alpha.code, by_code)
 
     def _check_independent(self, alpha: Root, beta: Root):
         if beta is alpha or beta is -alpha:
@@ -280,11 +281,9 @@ class RootSystem:
 
     # -- structure constants ------------------------------------------------------
 
-    @property
+    @cached_property
     def structure(self) -> "_StructureConstants":
-        if self._structure is None:
-            self._structure = _StructureConstants(self)
-        return self._structure
+        return _StructureConstants(self)
 
     def structure_constant(self, alpha: Root, beta: Root) -> int:
         entry = self.structure.sums[alpha.index].get(beta.index)
@@ -332,10 +331,12 @@ def _halved(i: int, j: int, root: Root, twice: int) -> CommutatorTerm:
     return CommutatorTerm(i, j, root, c)
 
 
-def _steps(start: Root, step: Root) -> int:
-    """How many times ``step`` can be added to ``start`` staying a root."""
+def _steps(start_code: int, step_code: int, by_code: dict[int, Root]) -> int:
+    """How many times the root code ``step_code`` can be added to the root
+    code ``start_code`` staying a root.  Each step adds a root's code to a
+    root's code, so the digits stay in [-4, 4], as in :meth:`Root.try_add`."""
     k = 0
-    while (start := start.try_add(step)) is not None:
+    while (start_code := start_code + step_code) in by_code:
         k += 1
     return k
 
@@ -498,10 +499,8 @@ class _StructureConstants:
                     continue
                 if rows[j][k][1] != -c:
                     raise AssertionError("antisymmetry failure in structure constants")
-                # p of the a-string through b, stepping codes as root_string does
-                p, code = 0, codes[j] - step
-                while code in by_code:
-                    p, code = p + 1, code - step
+                # p of the a-string through b, the same stepper as root_string
+                p = _steps(codes[j], -step, by_code)
                 if abs(c) != p + 1:
                     raise AssertionError(
                         f"|N({roots[k]}; {roots[j]})| = {abs(c)} != p+1 = {p + 1}"
@@ -512,11 +511,8 @@ class _StructureConstants:
                 raise AssertionError(f"extraspecial pair ({r}; {s}) got a negative sign")
 
 
-_SYSTEMS: dict[tuple[str, int], RootSystem] = {}
-
-
-def root_system(family: str, rank: int) -> RootSystem:
-    key = (family, rank)
-    if key not in _SYSTEMS:
-        _SYSTEMS[key] = RootSystem(family, rank)
-    return _SYSTEMS[key]
+@cache
+def root_system(family: str, rank: int, /) -> RootSystem:
+    """The one shared system of (family, rank).  The arguments are positional
+    only, so that every call for a system shares one cache key."""
+    return RootSystem(family, rank)

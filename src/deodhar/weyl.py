@@ -42,6 +42,7 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import compress
 from operator import lt
 from typing import Iterable, Iterator, Sequence
@@ -164,14 +165,11 @@ class CoxeterContext:
         return self.from_window(parse_integers(text, "window"))
 
 
-_CONTEXTS: dict[tuple[str, int], CoxeterContext] = {}
-
-
-def context(family: str, rank: int) -> CoxeterContext:
-    key = (family, rank)
-    if key not in _CONTEXTS:
-        _CONTEXTS[key] = CoxeterContext(family, rank)
-    return _CONTEXTS[key]
+@cache
+def context(family: str, rank: int, /) -> CoxeterContext:
+    """The one context of W(family_rank).  The arguments are positional only,
+    so that every call for a group shares one cache key and one context."""
+    return CoxeterContext(family, rank)
 
 
 class WeylElement:
@@ -402,13 +400,10 @@ def all_reduced_words(w: WeylElement) -> list[ReducedWord]:
         raise ValueError(f"length {w.length} exceeds the bound {REDUCED_WORDS_BOUND}")
     # the words of every element below w, for this call only: a memo kept
     # across calls would grow without bound
-    cache: dict[WeylElement, tuple[tuple[int, ...], ...]] = {}
-
+    @cache
     def rec(u: WeylElement) -> tuple[tuple[int, ...], ...]:
         if u.is_identity():
             return ((),)
-        if u in cache:
-            return cache[u]
         words = []
         for i in u.right_descents():
             words.extend(prefix + (i,) for prefix in rec(u.right_mult_generator(i)))
@@ -418,8 +413,6 @@ def all_reduced_words(w: WeylElement) -> list[ReducedWord]:
                 raise ValueError(
                     f"more than {REDUCED_WORDS_COUNT_BOUND} reduced words to list"
                 )
-        result = tuple(sorted(words))
-        cache[u] = result
-        return result
+        return tuple(sorted(words))
 
     return [ReducedWord(w.ctx, letters) for letters in rec(w)]

@@ -197,6 +197,18 @@ def test_invalid_word_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("family", ["A", "B"])
+@pytest.mark.parametrize("word", ["0", "-3", "1,0"])
+def test_letter_below_one_is_named(capsys, family, word):
+    # without --rank the rank is at least 1, so the word check names the
+    # letter instead of the rank check rejecting rank 0
+    code = main(["cells", "--family", family, f"--word={word}"])
+    out, err = capsys.readouterr()
+    bad = next(t for t in word.split(",") if int(t) < 1)
+    assert code == 2 and out == ""
+    assert err == f"error: generator index {bad} out of range\n"
+
+
 def test_b16_w0_word_is_reduced():
     ctx = context("B", 16)
     assert parse_word(ctx, B16_W0).product is ctx.longest_element()

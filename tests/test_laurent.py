@@ -22,6 +22,26 @@ def test_basic_arithmetic():
     assert x ** 3 == x * x * x
 
 
+def test_power_makes_no_unused_product(monkeypatch):
+    # x ** k is k - 1 products of x: no product with one, no squaring of
+    # the base past the last one used
+    calls = []
+    mul = LaurentPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    x = LaurentPoly.variable("x") + LaurentPoly.one()
+    expected = LaurentPoly.one()
+    for k in range(4):
+        calls.clear()
+        assert x ** k == expected
+        assert len(calls) == max(k - 1, 0), k
+        expected = mul(expected, x)
+
+
 def test_negative_exponents_and_evaluation():
     t = LaurentPoly.variable("t", -2)
     z = LaurentPoly.variable("z")
