@@ -68,7 +68,7 @@ class LaurentPoly:
     """Immutable Laurent polynomial: a finite map from Monomial to a nonzero
     coefficient, an ``int`` when integral and a ``Fraction`` otherwise."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
         clean = {}
@@ -78,7 +78,6 @@ class LaurentPoly:
                 if coeff:
                     clean[mono] = coeff
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     # -- constructors ------------------------------------------------------
 
@@ -106,6 +105,10 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self._terms
+
+    def __len__(self) -> int:
+        """The number of terms."""
+        return len(self._terms)
 
     def single_term(self) -> tuple[Fraction, Monomial]:
         if len(self._terms) != 1:
@@ -172,10 +175,7 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            value = hash(tuple(sorted(((m.powers, c) for m, c in self._terms.items()))))
-            object.__setattr__(self, "_hash", value)
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")

@@ -16,14 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cells import (
-    PAIRS_BOUND,
-    CellDescriptor,
-    bit_indices,
-    cells_with_endpoint,
-    closure_pairs,
-    preceq,
-)
+from . import cells
 from .roots import Root
 from .weyl import ReducedWord, WeylElement
 
@@ -33,8 +26,8 @@ class ObstructionReport:
     """An ordered pair related by the closure order whose dimensions forbid
     containment of the second cell in the first cell's closure."""
 
-    first: CellDescriptor
-    second: CellDescriptor
+    first: cells.CellDescriptor
+    second: cells.CellDescriptor
 
 
 def find_obstructions(word: ReducedWord) -> list[ObstructionReport]:
@@ -49,7 +42,7 @@ def find_obstructions(word: ReducedWord) -> list[ObstructionReport]:
     walk over all masks.  The masks are held, so ``ValueError`` is raised
     for a word with more than ``PAIRS_BOUND`` distinguished masks.
     """
-    descs, above = closure_pairs(word)
+    descs, above = cells.closure_pairs(word)
     # within[k]: the gammas of dimension at most k
     within = [0] * (len(word) + 1)
     for a, desc in enumerate(descs):
@@ -59,7 +52,7 @@ def find_obstructions(word: ReducedWord) -> list[ObstructionReport]:
     # below[a]: the deltas below gamma a, in order
     below: list[list[int]] = [[] for _ in descs]
     for d, (desc, gammas) in enumerate(zip(descs, above)):
-        for a in bit_indices(gammas & within[desc.dimension]):
+        for a in cells.bit_indices(gammas & within[desc.dimension]):
             below[a].append(d)
     return [
         ObstructionReport(first=descs[a], second=descs[d])
@@ -85,7 +78,7 @@ class DisjointnessCertificate:
 
 
 def disjointness_certificate(
-    first: CellDescriptor, second: CellDescriptor
+    first: cells.CellDescriptor, second: cells.CellDescriptor
 ) -> DisjointnessCertificate | None:
     """Search for a certificate that the closure of the cell ``first`` misses
     the cell ``second``, reading their root sequences."""
@@ -107,8 +100,8 @@ def disjointness_certificate(
 
 @dataclass(frozen=True)
 class CertifiedPair:
-    first: CellDescriptor
-    second: CellDescriptor
+    first: cells.CellDescriptor
+    second: cells.CellDescriptor
     certificate: DisjointnessCertificate
 
 
@@ -121,13 +114,13 @@ def scan_disjointness(word: ReducedWord, v: WeylElement) -> list[CertifiedPair]:
     handed to :func:`disjointness_certificate` as is, so ``ValueError`` is
     raised for more than ``PAIRS_BOUND`` of them, and for an endpoint of
     another group."""
-    descriptors = cells_with_endpoint(word, v)
-    if len(descriptors) > PAIRS_BOUND:
-        raise ValueError(f"more than {PAIRS_BOUND} cells end at {v.serialize()}")
+    descriptors = cells.cells_with_endpoint(word, v)
+    if len(descriptors) > cells.PAIRS_BOUND:
+        raise ValueError(f"more than {cells.PAIRS_BOUND} cells end at {v.serialize()}")
     out = []
     for k, first in enumerate(descriptors, start=1):
         for second in descriptors[k:]:
-            if not preceq(second, first):
+            if not cells.preceq(second, first):
                 continue
             certificate = disjointness_certificate(first, second)
             if certificate is not None:

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from deodhar import CLOSURE_OBSTRUCTION, DISJOINTNESS, DISJOINTNESS_EXTENDED, catalog
+from deodhar.cells import CLOSURE_OBSTRUCTION, DISJOINTNESS, DISJOINTNESS_EXTENDED, catalog
 
 # (name, n): letters, first mask, second mask
 PINNED = {

@@ -168,6 +168,17 @@ def test_preceq_word_mismatch():
         preceq(subexpression(STS, "000"), subexpression(other, "000"))
 
 
+def test_enumerate_below_word_mismatch():
+    gammas = [subexpression(STS, "000"), subexpression(parse_word(A2, "2,1,2"), "000")]
+    with pytest.raises(ValueError, match="subexpressions of different words are incomparable"):
+        list(enumerate_below(gammas, CELLS_BOUND))
+
+
+def test_closure_upper_bound_requires_distinguished():
+    with pytest.raises(ValueError, match="computed for distinguished masks"):
+        closure_upper_bound(subexpression(STS, "100"))
+
+
 def test_preceq_direction_on_single_letter():
     word = parse_word(B3, "1")
     taken = subexpression(word, "1")

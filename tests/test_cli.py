@@ -1,9 +1,12 @@
 import hashlib
+import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from deodhar import chevalley
 from deodhar.cli import main
 from deodhar.roots import RANK_BOUND
 from deodhar.weyl import context, parse_word
@@ -63,6 +66,19 @@ def test_distinguished_example(capsys):
     assert out.strip() == "true"
 
 
+def test_phi_json_matches_text(capsys):
+    args = ["phi", "--family", "B", "--rank", "3", "--word", B3_WORD, "--mask", "011001011"]
+    code, text = run(capsys, *args)
+    assert code == 0
+    code, out = run(capsys, *args, "--json")
+    assert code == 0
+    entries = json.loads(out)
+    assert [
+        f"i={e['i']} root={','.join(map(str, e['root']))} free={str(e['free']).lower()}"
+        for e in entries
+    ] == text.splitlines()
+
+
 def test_phi_output(capsys):
     code, out = run(
         capsys, "phi", "--family", "B", "--rank", "3",
@@ -114,6 +130,14 @@ def test_collect_roundtrip(tmp_path, capsys):
     assert [f["root"] for f in collected] == [[0, 0, -1], [0, -1, -1]]
 
 
+def test_collect_reads_stdin(capsys, monkeypatch):
+    source = GOLDEN / "word.json"
+    monkeypatch.setattr("sys.stdin", io.StringIO(source.read_text()))
+    code, out = run(capsys, "collect", "--input", "-")
+    assert code == 0
+    assert out.encode() == (GOLDEN / "collect.out").read_bytes()
+
+
 def test_verify_closure(capsys):
     code, out = run(capsys, "verify", "closure", "--n", "3")
     assert code == 0
@@ -155,6 +179,20 @@ def test_verify_failure_exit_codes(capsys, monkeypatch):
     )
     code, out = run(capsys, "verify", "disjoint")
     assert code == 1 and "FAIL" in out
+
+
+def test_verify_closure_failure_prints_its_report(capsys, monkeypatch):
+    passed = chevalley.verify_closure_witness(3)
+    failed = replace(passed, checks=passed.checks + (chevalley.WitnessCheck("forced", False, "x"),))
+
+    def failing(n):
+        raise chevalley.VerificationError("forced failure", report=failed)
+
+    monkeypatch.setattr(chevalley, "verify_closure_witness", failing)
+    code, out = run(capsys, "verify", "closure", "--n", "3")
+    assert code == 1
+    assert out.splitlines() == failed.lines() + ["FAIL: forced failure"]
+    assert "[FAIL] forced: x" in out
 
 
 def test_parse_errors_report_positions(capsys):
@@ -221,6 +259,17 @@ def test_deterministic_output(capsys):
     assert first == second
 
 
+def alternating_b2(m):
+    """u[-1,0](x_k) u[0,-1](y_k) for k < m: few swaps, but coefficients whose
+    terms grow with every factor (m = 80 took 13 s unbounded, m = 160 ran
+    past 100 s at 459 MB)."""
+    factors = []
+    for k in range(m):
+        factors.append({"root": [-1, 0], "coeff": [{"mono": {f"x{k}": 1}, "num": 1}]})
+        factors.append({"root": [0, -1], "coeff": [{"mono": {f"y{k}": 1}, "num": 1}]})
+    return {"family": "B", "rank": 2, "factors": factors}
+
+
 @pytest.mark.parametrize(
     "argv,payload",
     [
@@ -249,6 +298,12 @@ def test_deterministic_output(capsys):
         # a string payload is written as is: json.dumps cannot nest this deep
         pytest.param(["collect", "--input", "PATH"], "[" * 2000 + "]" * 2000,
                      id="collect-deep-nesting"),
+        pytest.param(["collect", "--input", "PATH"], alternating_b2(160),
+                     id="collect-work-bound"),
+        pytest.param(["collect", "--input", "PATH"], {"family": "C", "rank": 3, "factors": []},
+                     id="collect-unknown-family"),
+        pytest.param(["collect", "--input", "PATH"], {"family": "B", "rank": "3", "factors": []},
+                     id="collect-rank-not-int"),
     ],
 )
 def test_input_errors_exit_2(tmp_path, capsys, argv, payload):

@@ -2,11 +2,18 @@
 
 Every module of ``src/deodhar`` is parsed, and the package modules it
 imports must equal its row below.  A new module needs a row, and a new
-import shows up as an edit of this table.
+import shows up as an edit of this table.  Each module is also imported
+alone in a fresh interpreter, which must load its closure in this table
+and nothing else.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "deodhar"
 
@@ -20,7 +27,7 @@ LAYERS = {
     "matrixgrp": {"weyl"},
     "chevalley": {"cells", "laurent", "linalg", "roots"},
     "cli": {"cells", "chevalley", "matrixgrp", "search", "weyl"},
-    "__init__": {"cells", "chevalley", "laurent", "roots", "search", "weyl"},
+    "__init__": set(),
 }
 
 
@@ -56,3 +63,29 @@ def test_every_module_has_a_layer():
 def test_imports_follow_the_layers():
     graph = {path.stem: package_imports(path) for path in PACKAGE.glob("*.py")}
     assert graph == LAYERS
+
+
+def closure(module: str) -> set[str]:
+    """The module, the package root and every module below it in LAYERS."""
+    found, todo = set(), [module, "__init__"]
+    while todo:
+        name = todo.pop()
+        if name not in found:
+            found.add(name)
+            todo.extend(LAYERS[name])
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(set(LAYERS) - {"__init__"}))
+def test_import_loads_only_the_layers_below(module):
+    code = (
+        f"import sys, deodhar.{module}\n"
+        "print(*[m for m in sys.modules if m.split('.')[0] == 'deodhar'])"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    expected = {"deodhar" if name == "__init__" else f"deodhar.{name}" for name in closure(module)}
+    assert set(result.stdout.split()) == expected

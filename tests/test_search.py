@@ -13,6 +13,7 @@ from deodhar.cells import (
     cell,
     cells_with_endpoint,
     enumerate_subexpressions,
+    hasse_dot,
     is_distinguished,
     preceq,
 )
@@ -132,9 +133,13 @@ def test_pairwise_bound(monkeypatch):
         find_obstructions(catalog(CLOSURE_OBSTRUCTION, 5).word)
     entry = catalog(DISJOINTNESS, 3)
     v = context("B", 3).from_word([2])
-    monkeypatch.setattr(search, "PAIRS_BOUND", len(cells_with_endpoint(entry.word, v)) - 1)
+    # one binding: every pairwise consumer reads cells.PAIRS_BOUND when called
+    monkeypatch.setattr(cells, "PAIRS_BOUND", len(cells_with_endpoint(entry.word, v)) - 1)
     with pytest.raises(ValueError, match="cells end at"):
         scan_disjointness(entry.word, v)
+    for scan in (find_obstructions, hasse_dot):
+        with pytest.raises(ValueError, match="distinguished masks"):
+            scan(entry.word)
 
 
 def test_find_obstructions_equal_dimension_boundary():

@@ -58,6 +58,19 @@ def test_group_law():
         assert v * v.inverse() == B3.identity
 
 
+def test_elements_of_two_contexts_do_not_mix():
+    u, v = B3.from_word([1]), A2.from_word([1])
+    with pytest.raises(ValueError, match="elements from different contexts"):
+        u * v
+    with pytest.raises(ValueError, match="elements from different contexts"):
+        bruhat_leq(u, v)
+
+
+def test_descent_index_out_of_range():
+    with pytest.raises(ValueError, match="generator index 0 out of range"):
+        B3.identity.has_right_descent(0)
+
+
 def test_window_validation():
     with pytest.raises(ValueError):
         B3.from_window((1, 1, 2))
