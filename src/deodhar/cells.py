@@ -561,10 +561,6 @@ class CatalogEntry:
     first: Subexpression
     second: Subexpression
 
-    @property
-    def word(self) -> ReducedWord:
-        return self.first.word
-
 
 def catalog(name: str, n: int = 3) -> CatalogEntry:
     """Exact transliterations of the known counterexample words and masks."""

@@ -93,12 +93,6 @@ class UnipotentWord:
     def __len__(self) -> int:
         return len(self.factors)
 
-    def __mul__(self, other: "UnipotentWord") -> "UnipotentWord":
-        out: list[Factor] = []
-        for f in self.factors + other.factors:
-            _append(out, f)
-        return UnipotentWord(tuple(out))
-
     def support(self) -> set[Root]:
         return {f.root for f in self.factors}
 
@@ -226,7 +220,7 @@ class AdjointRep:
         self.system = system
         self.dim = ctx.rank + len(system.roots)
         self._ad = [self._build_ad(r) for r in system.roots]
-        self._divided: dict[Root, list[Matrix]] = {}
+        self._divided = [self._build_divided(r) for r in system.roots]
 
     def _build_ad(self, alpha: Root) -> Matrix:
         system = self.system
@@ -244,39 +238,35 @@ class AdjointRep:
         return out
 
     def ad(self, root: Root) -> Matrix:
-        if root.system is not self.system:
-            raise ValueError(f"root {root} is not in {self.ctx}")
-        return self._ad[root.index]
+        return self._ad[self._index(root)]
 
-    def ad_cartan(self, j: int) -> Matrix:
-        n = self.ctx.rank
-        out: Matrix = {}
-        for r in self.system.roots:
-            c = self.system.cartan_pairing(r, j)
-            if c:
-                out[(n + r.index, n + r.index)] = c
-        return out
+    def _build_divided(self, root: Root) -> list[Matrix]:
+        ad = self.ad(root)
+        powers = [identity(self.dim)]
+        current = ad
+        k = 1
+        while current:
+            if k > self.MAX_NILPOTENCY:
+                raise AssertionError(f"ad e_{root} is not nilpotent of index <= 5")
+            powers.append(current)
+            scaled = {}
+            for key, v in mat_mul(current, ad).items():
+                q, r = divmod(v, k + 1)
+                if r:
+                    raise AssertionError("divided power is not integral")
+                scaled[key] = q
+            current = scaled
+            k += 1
+        return powers
 
     def divided_powers(self, root: Root) -> list[Matrix]:
         """[I, ad, ad^2/2!, ...] until zero; all entries are integers."""
-        if root not in self._divided:
-            powers = [identity(self.dim)]
-            current = self.ad(root)
-            k = 1
-            while current:
-                if k > self.MAX_NILPOTENCY:
-                    raise AssertionError(f"ad e_{root} is not nilpotent of index <= 5")
-                powers.append(current)
-                scaled = {}
-                for key, v in mat_mul(current, self.ad(root)).items():
-                    q, r = divmod(v, k + 1)
-                    if r:
-                        raise AssertionError("divided power is not integral")
-                    scaled[key] = q
-                current = scaled
-                k += 1
-            self._divided[root] = powers
-        return self._divided[root]
+        return self._divided[self._index(root)]
+
+    def _index(self, root: Root) -> int:
+        if root.system is not self.system:
+            raise ValueError(f"root {root} is not in {self.ctx}")
+        return root.index
 
     def exp_factor(self, root: Root, value, prime: int | None = None) -> Matrix:
         """Σ value^k ad^k/k! for an exact ``value``, mod ``prime`` if given."""

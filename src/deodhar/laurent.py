@@ -94,8 +94,8 @@ class LaurentPoly:
         return LaurentPoly.constant(1)
 
     @staticmethod
-    def variable(name: str, exp: int = 1, coeff=1) -> "LaurentPoly":
-        return LaurentPoly({Monomial.of(**{name: exp}): coeff})
+    def variable(name: str, exp: int = 1) -> "LaurentPoly":
+        return LaurentPoly({Monomial.of(**{name: exp}): 1})
 
     # -- inspection --------------------------------------------------------
 

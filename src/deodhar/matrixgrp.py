@@ -28,11 +28,6 @@ MAX_PRIME = 64
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def unipotent_lower(a: int, b: int, c: int, q: int) -> Matrix:
-    """The lower unitriangular matrix with parameters (a, b, c) over F_q."""
-    return ((1, 0, 0), (a % q, 1, 0), (c % q, b % q, 1))
-
-
 def bruhat_word(g: Matrix, q: int) -> WeylElement:
     """The unique w with g in BwB, by one column elimination over F_q."""
     cols = [[v % q for v in col] for col in zip(*g)]
@@ -55,29 +50,6 @@ def opposite_coset(g: Matrix, q: int) -> WeylElement:
     of w_0 is antidiagonal, so w_0 g is g with its rows reversed."""
     w0 = context("A", 2).longest_element()
     return w0 * bruhat_word(g[::-1], q)
-
-
-def minors_criterion(g: Matrix, q: int) -> bool:
-    """For lower unitriangular (a, b, c): membership in the big double coset
-    B w_0 B, i.e. c != 0 and ab - c != 0."""
-    if (
-        g[0] != (1, 0, 0)
-        or (g[1][1], g[1][2]) != (1, 0)
-        or g[2][2] != 1
-    ):
-        raise ValueError("expected a lower unitriangular matrix")
-    a, b, c = g[1][0], g[2][1], g[2][0]
-    return c % q != 0 and (a * b - c) % q != 0
-
-
-def unipotent_bruhat_counts(q: int) -> dict[WeylElement, int]:
-    """Partition of the q^3 lower unitriangular matrices by Bruhat word."""
-    _check_prime(q)
-    counts: dict[WeylElement, int] = {}
-    for a, b, c in product(range(q), repeat=3):
-        w = bruhat_word(unipotent_lower(a, b, c, q), q)
-        counts[w] = counts.get(w, 0) + 1
-    return counts
 
 
 def _canonical_lines(q: int) -> list[tuple[int, ...]]:

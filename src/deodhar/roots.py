@@ -264,17 +264,6 @@ class RootSystem:
                 f"{tuple(coeffs)} is not a root of {self.family}_{self.rank}"
             ) from None
 
-    def is_root(self, coeffs: Sequence[int]) -> bool:
-        return tuple(coeffs) in self._by_coeffs
-
-    # -- root strings -----------------------------------------------------------
-
-    def root_string(self, alpha: Root, beta: Root) -> tuple[int, int]:
-        """(p, q) with p = max{k : beta - k alpha is a root}, q likewise for +."""
-        self._check_independent(alpha, beta)
-        by_code = self._by_code
-        return _steps(beta.code, -alpha.code, by_code), _steps(beta.code, alpha.code, by_code)
-
     def _check_independent(self, alpha: Root, beta: Root):
         if beta is alpha or beta is -alpha:
             raise ValueError("roots are proportional")
@@ -284,12 +273,6 @@ class RootSystem:
     @cached_property
     def structure(self) -> "_StructureConstants":
         return _StructureConstants(self)
-
-    def structure_constant(self, alpha: Root, beta: Root) -> int:
-        entry = self.structure.sums[alpha.index].get(beta.index)
-        if entry is None:
-            raise ValueError(f"{alpha} + {beta} is not a root")
-        return entry[1]
 
     def coroot_coords(self, alpha: Root) -> tuple[int, ...]:
         return self.structure.coroot_coords[alpha.index]
@@ -499,7 +482,7 @@ class _StructureConstants:
                     continue
                 if rows[j][k][1] != -c:
                     raise AssertionError("antisymmetry failure in structure constants")
-                # p of the a-string through b, the same stepper as root_string
+                # p of the a-string through b
                 p = _steps(codes[j], -step, by_code)
                 if abs(c) != p + 1:
                     raise AssertionError(

@@ -25,8 +25,8 @@ w._successor(i)``.  Until its first entry a table is one tuple of ``None``
 shared by the whole group, so an element that is reached but never
 multiplied further holds no list.  ``length`` and
 ``bruhat_key``, the integer that :func:`bruhat_leq` compares, are slots
-filled on first use.  ``right_mult_generator`` and ``has_right_descent`` are
-the public forms, which check their argument and read the same tables.
+filled on first use.  ``right_mult_generator`` is the public form, which
+checks its argument and reads the same table.
 
 >>> ctx = context("B", 3)
 >>> ctx.from_word([1]).window
@@ -35,7 +35,7 @@ the public forms, which check their argument and read the same tables.
 True
 >>> w = ctx.from_word([2, 1]); bin(w.descents)
 '0b10'
->>> w.right_mult_generator(1) is w.succ[1] is ctx.generator(2)
+>>> w.right_mult_generator(1) is w.succ[1] is ctx.from_word([2])
 True
 """
 
@@ -113,9 +113,6 @@ class CoxeterContext:
             element = WeylElement(self, window, len(self._elements))
             self._elements[window] = element
         return element
-
-    def generator(self, i: int) -> "WeylElement":
-        return self.identity.right_mult_generator(i)
 
     def from_word(self, letters: Iterable[int]) -> "WeylElement":
         w = self.identity
@@ -222,12 +219,6 @@ class WeylElement:
             raise ValueError("elements from different contexts")
         return self.ctx._intern(tuple(self.apply(v) for v in other.window))
 
-    def inverse(self) -> "WeylElement":
-        inv = [0] * len(self.window)
-        for i, v in enumerate(self.window, start=1):
-            inv[abs(v) - 1] = i if v > 0 else -i
-        return self.ctx._intern(tuple(inv))
-
     def right_mult_generator(self, i: int) -> "WeylElement":
         """``self * t_i``, read from ``succ``."""
         if not 1 <= i <= self.ctx.rank:
@@ -277,12 +268,6 @@ class WeylElement:
     def is_identity(self) -> bool:
         return self is self.ctx.identity
 
-    def has_right_descent(self, i: int) -> bool:
-        """True iff length(self * t_i) < length(self), read from ``descents``."""
-        if not 1 <= i <= self.ctx.rank:
-            raise ValueError(f"generator index {i} out of range")
-        return bool(self.descents >> i & 1)
-
     def right_descents(self) -> list[int]:
         d = self.descents
         return [i for i in range(1, self.ctx.rank + 1) if d >> i & 1]
@@ -323,10 +308,8 @@ class ReducedWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        product = self.ctx.from_word(self.letters)
-        if product.length != len(self.letters):
+        if self.ctx.from_word(self.letters).length != len(self.letters):
             raise ValueError(f"word {self.letters} is not reduced")
-        object.__setattr__(self, "_product", product)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ReducedWord):
@@ -335,10 +318,6 @@ class ReducedWord:
 
     def __hash__(self) -> int:
         return hash(self.letters)
-
-    @property
-    def product(self) -> WeylElement:
-        return self._product
 
     def __len__(self) -> int:
         return len(self.letters)

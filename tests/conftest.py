@@ -54,7 +54,7 @@ def lifting_bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
             return False
         i = v.right_descents()[0]
         v = v.right_mult_generator(i)
-        if u.has_right_descent(i):
+        if u.descents >> i & 1:
             u = u.right_mult_generator(i)
     return True
 

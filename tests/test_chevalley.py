@@ -41,13 +41,13 @@ def test_word_validation():
     assert len(word) == 0
 
 
-def test_multiply_merges_adjacent():
-    a = UnipotentWord((Factor(neg((1, 0, 0)), X),))
-    b = UnipotentWord((Factor(neg((1, 0, 0)), -X),))
-    assert len(a * b) == 0
-    assert (a * UnipotentWord()) == a
-    c = UnipotentWord((Factor(neg((1, 0, 0)), Y),))
-    assert (a * c).factors[0].coeff == X + Y
+def test_collect_merges_adjacent():
+    # two factors on one root merge by _append, the one merge rule
+    r = neg((1, 0, 0))
+    assert collect(UnipotentWord((Factor(r, X), Factor(r, -X)))) == UnipotentWord()
+    a = UnipotentWord((Factor(r, X),))
+    assert collect(a) == a
+    assert collect(UnipotentWord((Factor(r, X), Factor(r, Y)))).factors == (Factor(r, X + Y),)
 
 
 def test_collect_empty_and_idempotent(rng):
@@ -236,6 +236,15 @@ def test_adjoint_dimension_and_identity():
 def test_adjoint_is_lie_homomorphism():
     # [ad a, ad b] = ad([a, b]) across the full table; this is the Jacobi
     # identity check for the structure constants
+    def ad_cartan(rep, j):
+        # ad h_j scales e_r by <r, beta_j-check> and kills the Cartan subalgebra
+        n = rep.ctx.rank
+        out = {}
+        for r in rep.system.roots:
+            if c := rep.system.cartan_pairing(r, j):
+                out[(n + r.index, n + r.index)] = c
+        return out
+
     for family, rank in (("A", 2), ("B", 2), ("B", 3)):
         ctx = context(family, rank)
         rep = adjoint_rep(ctx)
@@ -249,10 +258,10 @@ def test_adjoint_is_lie_homomorphism():
                 )
                 total = a.try_add(b)
                 if total is not None:
-                    rhs = combine([(system.structure_constant(a, b), rep.ad(total))])
+                    rhs = combine([(system.structure.sums[a.index][b.index][1], rep.ad(total))])
                 elif all(x + y == 0 for x, y in zip(a.coeffs, b.coeffs)):
                     rhs = combine(
-                        (coord, rep.ad_cartan(j))
+                        (coord, ad_cartan(rep, j))
                         for j, coord in enumerate(system.coroot_coords(a), start=1)
                     )
                 else:
@@ -264,6 +273,10 @@ def test_adjoint_nilpotency_bound():
     rep = adjoint_rep(B3)
     for r in SYS3.all_roots():
         assert len(rep.divided_powers(r)) <= AdjointRep.MAX_NILPOTENCY + 1
+    foreign = root_system("B", 2).simple(1)
+    for lookup in (rep.ad, rep.divided_powers):
+        with pytest.raises(ValueError, match="is not in"):
+            lookup(foreign)
 
 
 def test_finite_field_evaluation(rng):

@@ -249,7 +249,7 @@ def test_letter_below_one_is_named(capsys, family, word):
 
 def test_b16_w0_word_is_reduced():
     ctx = context("B", 16)
-    assert parse_word(ctx, B16_W0).product is ctx.longest_element()
+    assert ctx.from_word(parse_word(ctx, B16_W0).letters) is ctx.longest_element()
 
 
 def test_deterministic_output(capsys):
@@ -316,7 +316,8 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, payload):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-# The README commands, plus a type B JSON listing and a collection with
+# The README commands (test_readme_commands_are_golden checks that each one is
+# here), plus a type B JSON listing and a collection with
 # commutator terms; tests/golden/<name>.out holds the recorded stdout.
 GOLDEN_COMMANDS = {
     "cells_end_e": ["cells", "--family", "A", "--rank", "2", "--word", "1,2,1", "--end", "e"],
@@ -342,3 +343,15 @@ def test_golden_stdout(capsys, name):
     code, out = run(capsys, *GOLDEN_COMMANDS[name])
     assert code == 0
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_readme_commands_are_golden():
+    # every `deodhar ...` line of README's Command line block is a golden
+    # command, with the example's word.json read from tests/golden
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split()[1:] for line in block.splitlines() if line.startswith("deodhar ")]
+    assert len(commands) == 9
+    for argv in commands:
+        argv = [str(GOLDEN / a) if a == "word.json" else a for a in argv]
+        assert argv in GOLDEN_COMMANDS.values(), " ".join(argv)

@@ -52,10 +52,10 @@ def test_group_law():
     assert u * B3.identity == u
     assert B3.from_word([1]) * B3.from_word([1]) == B3.identity
     w = B3.from_word([2, 1, 2])
-    assert w.inverse() == w
+    assert w * w is B3.identity
     for word in ([1, 2], [3, 1, 2], [2, 3, 2, 1]):
-        v = B3.from_word(word)
-        assert v * v.inverse() == B3.identity
+        # the inverse of a product of generators reads its word backwards
+        assert B3.from_word(word) * B3.from_word(word[::-1]) is B3.identity
 
 
 def test_elements_of_two_contexts_do_not_mix():
@@ -67,8 +67,10 @@ def test_elements_of_two_contexts_do_not_mix():
 
 
 def test_descent_index_out_of_range():
-    with pytest.raises(ValueError, match="generator index 0 out of range"):
-        B3.identity.has_right_descent(0)
+    # right_mult_generator is the checked form; descents are read unchecked
+    for i in (0, B3.rank + 1):
+        with pytest.raises(ValueError, match=f"generator index {i} out of range"):
+            B3.identity.right_mult_generator(i)
 
 
 def test_window_validation():
@@ -96,7 +98,10 @@ def test_elements_are_interned():
         assert ctx.from_window(w.window) is w
         for i in range(1, ctx.rank + 1):
             assert w.right_mult_generator(i).right_mult_generator(i) is w
-        assert w * w.inverse() is ctx.identity
+        inverse = [0] * len(w.window)
+        for i, v in enumerate(w.window, start=1):
+            inverse[abs(v) - 1] = i if v > 0 else -i
+        assert w * ctx.from_window(inverse) is ctx.identity
     assert ctx.from_word([]) is ctx.identity
 
 
@@ -168,7 +173,7 @@ def test_act_matches_composition_along_reduced_word():
             image = alpha
             for letter in reversed(word.letters):
                 # left-to-right product acts with the rightmost letter first
-                image = B3.generator(letter).act_on_root(image)
+                image = B3.from_word([letter]).act_on_root(image)
             assert image == w.act_on_root(alpha)
 
 
@@ -182,7 +187,7 @@ def test_longest_element_flips_all_positive_roots():
 def test_descents_window_rule_vs_length():
     for w in B3.elements():
         for i in (1, 2, 3):
-            assert w.has_right_descent(i) == (
+            assert (w.descents >> i & 1) == (
                 w.right_mult_generator(i).length < w.length
             )
 
@@ -236,8 +241,8 @@ def test_reduced_word_validation():
     with pytest.raises(ValueError):
         ReducedWord(B3, (1, 1))
     word = parse_word(B3, "3,2,1,2,3,2,1,2,1")
-    assert word.product == B3.longest_element()
-    assert parse_word(B3, "").product == B3.identity
+    assert B3.from_word(word.letters) is B3.longest_element()
+    assert parse_word(B3, "").letters == ()
 
 
 def test_all_reduced_words():
