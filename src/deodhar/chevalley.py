@@ -23,10 +23,12 @@ adjoint representation built from the structure-constant table.  Each
 ``ad e_alpha`` is nilpotent, its divided powers ``(ad e_alpha)^k / k!`` are
 integer matrices (this integrality is asserted, it is the Chevalley lattice
 property), so ``u_alpha(c)`` acts by a finite integral sum and whole words
-can be multiplied out exactly over Q or modulo a prime.  The ad matrices,
-their divided powers and the factors are sparse matrices of
-:mod:`deodhar.linalg`; a product of factors touches only nonzero entries, and
-``evaluate_adjoint`` exports the result as row tuples.
+can be evaluated exactly over Q or modulo a prime.  Each root keeps its
+divided powers as one table by rows.  ``evaluate_adjoint`` holds the product
+as sparse rows (:mod:`deodhar.linalg`) and applies the factors from the right
+end of the word, each a left multiplication by u_alpha(c) = I + N(c) that
+rebuilds only the rows where N(c) is nonzero, reduced modulo the prime at
+every factor; it exports the result as row tuples.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .cells import CLOSURE_OBSTRUCTION, catalog, cell
 from .laurent import LaurentPoly, Monomial
-from .linalg import Matrix, combine, dense, identity, mat_mul
+from .linalg import Matrix, add_row_multiples, identity, mat_mul
 from .roots import Root, root_system
 
 
@@ -207,10 +209,10 @@ def limit_at_infinity(word: UnipotentWord, var: str) -> UnipotentWord:
 
 
 class AdjointRep:
-    """ad matrices on the Chevalley basis: h_1..h_n, then the root vectors in
-    the order of ``system.roots``, so e_r is basis vector n + r.index.  The
-    matrices are sparse (:mod:`deodhar.linalg`); ``evaluate`` exports row
-    tuples."""
+    """The adjoint representation on the Chevalley basis: h_1..h_n, then the
+    root vectors in the order of ``system.roots``, so e_r is basis vector
+    n + r.index.  Each root keeps one table, the divided powers of its ad
+    matrix by rows; ``evaluate`` exports row tuples."""
 
     MAX_NILPOTENCY = 5
 
@@ -219,7 +221,6 @@ class AdjointRep:
         self.ctx = ctx
         self.system = system
         self.dim = ctx.rank + len(system.roots)
-        self._ad = [self._build_ad(r) for r in system.roots]
         self._divided = [self._build_divided(r) for r in system.roots]
 
     def _build_ad(self, alpha: Root) -> Matrix:
@@ -237,18 +238,22 @@ class AdjointRep:
             out[(n + total.index, n + j)] = c
         return out
 
-    def ad(self, root: Root) -> Matrix:
-        return self._ad[self._index(root)]
-
-    def _build_divided(self, root: Root) -> list[Matrix]:
-        ad = self.ad(root)
-        powers = [identity(self.dim)]
+    def _build_divided(self, root: Root) -> dict:
+        """The divided powers D_k = ad^k/k!, k >= 1, of ``root`` as one table
+        of rows, ``{i: {j: (D_1[i][j], D_2[i][j], ...)}}`` for every row i
+        where some D_k is nonzero, each tuple cut after its last nonzero."""
+        ad = self._build_ad(root)
+        table: dict = {}
         current = ad
-        k = 1
+        k = 0
         while current:
-            if k > self.MAX_NILPOTENCY:
+            if k == self.MAX_NILPOTENCY:
                 raise AssertionError(f"ad e_{root} is not nilpotent of index <= 5")
-            powers.append(current)
+            for (i, j), v in current.items():
+                row = table.setdefault(i, {})
+                ds = row.get(j, ())
+                row[j] = ds + (0,) * (k - len(ds)) + (v,)
+            k += 1
             scaled = {}
             for key, v in mat_mul(current, ad).items():
                 q, r = divmod(v, k + 1)
@@ -256,25 +261,24 @@ class AdjointRep:
                     raise AssertionError("divided power is not integral")
                 scaled[key] = q
             current = scaled
-            k += 1
-        return powers
+        return table
 
     def divided_powers(self, root: Root) -> list[Matrix]:
         """[I, ad, ad^2/2!, ...] until zero; all entries are integers."""
-        return self._divided[self._index(root)]
+        powers = [{} for _ in range(self.MAX_NILPOTENCY)]
+        for i, row in self._divided[self._index(root)].items():
+            for j, ds in row.items():
+                for power, d in zip(powers, ds):
+                    if d:
+                        power[i, j] = d
+        while not powers[-1]:
+            powers.pop()
+        return [identity(self.dim)] + powers
 
     def _index(self, root: Root) -> int:
         if root.system is not self.system:
             raise ValueError(f"root {root} is not in {self.ctx}")
         return root.index
-
-    def exp_factor(self, root: Root, value, prime: int | None = None) -> Matrix:
-        """Σ value^k ad^k/k! for an exact ``value``, mod ``prime`` if given."""
-        scalar = value if prime is None else _mod_fraction(value, prime)
-        return combine(
-            ((scalar ** k, mat) for k, mat in enumerate(self.divided_powers(root))),
-            prime,
-        )
 
     def evaluate(
         self,
@@ -285,11 +289,22 @@ class AdjointRep:
         """Matrix of ``word`` at ``assignment``: ``int`` entries when every
         coefficient evaluates to an integer, residues when ``prime`` is given."""
         assignment = assignment or {}
-        result = identity(self.dim)
-        for f in word.factors:
+        rows = [{i: 1} for i in range(self.dim)]
+        for f in reversed(word.factors):
             value = f.coeff.evaluate(assignment)
-            result = mat_mul(result, self.exp_factor(f.root, value, prime), prime)
-        return dense(result, self.dim)
+            if prime is not None:
+                value = _mod_fraction(value, prime)
+            powers = [value]
+            while len(powers) < self.MAX_NILPOTENCY:
+                powers.append(powers[-1] * value)
+            rows = add_row_multiples(rows, self._divided[self._index(f.root)], powers, prime)
+        out = []
+        for row in rows:
+            dense = [0] * self.dim
+            for j, v in row.items():
+                dense[j] = v
+            out.append(tuple(dense))
+        return tuple(out)
 
 
 def _mod_fraction(value: Fraction | int, prime: int) -> int:

@@ -1,10 +1,13 @@
-"""Sparse exact matrices: a dict ``{(row, col): value}`` of the nonzero entries.
+"""Sparse exact matrices: a dict ``{(row, col): value}`` of the nonzero
+entries, or a list of rows, each a dict ``{col: value}``.
 
 This is the one matrix kernel of the package.  The structure-constant
 realization of :mod:`deodhar.roots` holds its root vectors in this form and
 brackets every pair of them here, by the one sparse join of
-:func:`bracket_rows`, and the adjoint oracle of :mod:`deodhar.chevalley`
-multiplies its factors here.
+:func:`bracket_rows`.  The adjoint oracle of :mod:`deodhar.chevalley` holds
+a product as rows and applies each factor here as one left multiplication
+by I + N, which rebuilds only the rows where N is nonzero
+(:func:`add_row_multiples`).
 Entries are integers or Fractions; products and linear combinations are
 exact, or reduced modulo a prime when one is given.  No result holds a zero
 entry, so two matrices are equal exactly when their dicts are.  This module
@@ -13,6 +16,7 @@ depends on nothing else in the package.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 Matrix = dict  # {(row, col): nonzero value}
@@ -80,15 +84,31 @@ def combine(terms: Iterable[tuple[object, Matrix]], prime: int | None = None) ->
     return _clean(out, prime)
 
 
-def dense(a: Matrix, dim: int) -> tuple[tuple, ...]:
-    """The dim x dim matrix as a tuple of row tuples, zeros filled in."""
-    rows = [[0] * dim for _ in range(dim)]
-    for (i, j), v in a.items():
-        rows[i][j] = v
-    return tuple(tuple(row) for row in rows)
+def add_row_multiples(
+    rows: list[dict], table: dict[int, dict[int, tuple]], powers: Sequence,
+    prime: int | None = None,
+) -> list[dict]:
+    """The rows of (I + N) M, for M held as ``rows``, one dict ``{col:
+    nonzero value}`` per row, and N = sum_k powers[k-1] D_k.
+
+    ``table`` holds the D_k by rows, ``{i: {j: (D_1[i][j], D_2[i][j], ...)}}``
+    for every row i where N can be nonzero.  Only those rows are rebuilt,
+    row_i + sum_j N[i][j] row_j, from the old rows, and reduced modulo
+    ``prime`` if one is given; the others are shared.
+    """
+    out = rows.copy()
+    for i, entries in table.items():
+        new = dict(rows[i])
+        for j, ds in entries.items():
+            x = sum(map(mul, powers, ds))
+            if x:
+                for col, v in rows[j].items():
+                    new[col] = new.get(col, 0) + x * v
+        out[i] = _clean(new, prime)
+    return out
 
 
-def _clean(out: dict, prime: int | None = None) -> Matrix:
+def _clean(out: dict, prime: int | None = None) -> dict:
     if prime is None:
         return {key: v for key, v in out.items() if v}
     return {key: v % prime for key, v in out.items() if v % prime}

@@ -1,15 +1,14 @@
-import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_unipotent_word
+from deodhar import chevalley, linalg
 from deodhar.chevalley import (
     AdjointRep,
     Factor,
     LimitError,
     UnipotentWord,
-    VerificationError,
     adjoint_rep,
     build_closure_witness_words,
     collect,
@@ -20,7 +19,7 @@ from deodhar.chevalley import (
     witness_psi,
 )
 from deodhar.laurent import LaurentPoly, Monomial
-from deodhar.linalg import combine, dense, identity, mat_mul
+from deodhar.linalg import combine, identity, mat_mul
 from deodhar.roots import root_system
 from deodhar.weyl import context
 
@@ -230,7 +229,9 @@ def test_limit_matches_large_t_trend():
 def test_adjoint_dimension_and_identity():
     rep = adjoint_rep(B3)
     assert rep.dim == 2 * 9 + 3
-    assert evaluate_adjoint(B3, UnipotentWord()) == dense(identity(rep.dim), rep.dim)
+    assert evaluate_adjoint(B3, UnipotentWord()) == tuple(
+        tuple(int(i == j) for j in range(rep.dim)) for i in range(rep.dim)
+    )
 
 
 def test_adjoint_is_lie_homomorphism():
@@ -249,16 +250,15 @@ def test_adjoint_is_lie_homomorphism():
         ctx = context(family, rank)
         rep = adjoint_rep(ctx)
         system = root_system(family, rank)
+        ad = {r: rep.divided_powers(r)[1] for r in system.all_roots()}
         for a in system.all_roots():
             for b in system.all_roots():
                 if a.coeffs == b.coeffs:
                     continue
-                lhs = combine(
-                    [(1, mat_mul(rep.ad(a), rep.ad(b))), (-1, mat_mul(rep.ad(b), rep.ad(a)))]
-                )
+                lhs = combine([(1, mat_mul(ad[a], ad[b])), (-1, mat_mul(ad[b], ad[a]))])
                 total = a.try_add(b)
                 if total is not None:
-                    rhs = combine([(system.structure.sums[a.index][b.index][1], rep.ad(total))])
+                    rhs = combine([(system.structure.sums[a.index][b.index][1], ad[total])])
                 elif all(x + y == 0 for x, y in zip(a.coeffs, b.coeffs)):
                     rhs = combine(
                         (coord, ad_cartan(rep, j))
@@ -274,9 +274,81 @@ def test_adjoint_nilpotency_bound():
     for r in SYS3.all_roots():
         assert len(rep.divided_powers(r)) <= AdjointRep.MAX_NILPOTENCY + 1
     foreign = root_system("B", 2).simple(1)
-    for lookup in (rep.ad, rep.divided_powers):
-        with pytest.raises(ValueError, match="is not in"):
-            lookup(foreign)
+    with pytest.raises(ValueError, match="is not in"):
+        rep.divided_powers(foreign)
+    with pytest.raises(ValueError, match="is not in"):
+        evaluate_adjoint(B3, UnipotentWord((Factor(-foreign, LaurentPoly.constant(1)),)))
+
+
+def reference_adjoint(ctx, word, assignment=None, prime=None):
+    """The definition: the product over the factors of sum_k c^k D_k, with
+    D_k = ad^k/k! from divided_powers, by linalg.combine and linalg.mat_mul."""
+    rep = adjoint_rep(ctx)
+    result = identity(rep.dim)
+    for f in word.factors:
+        c = Fraction(f.coeff.evaluate(assignment or {}))
+        if prime is not None:
+            c = c.numerator * pow(c.denominator, -1, prime) % prime
+        terms = ((c ** k, d) for k, d in enumerate(rep.divided_powers(f.root)))
+        result = mat_mul(result, combine(terms, prime), prime)
+    return tuple(
+        tuple(result.get((i, j), 0) for j in range(rep.dim)) for i in range(rep.dim)
+    )
+
+
+def random_symbolic_word(ctx, rng):
+    negatives = [r for r in root_system(ctx.family, ctx.rank).all_roots() if r.is_negative]
+    coeffs = [X, -Y, X * Y, LaurentPoly.variable("y", -1), X + LaurentPoly.constant(2)]
+    return UnipotentWord(
+        tuple(Factor(rng.choice(negatives), rng.choice(coeffs)) for _ in range(rng.randint(1, 8)))
+    )
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("B", 4)])
+def test_evaluate_matches_definition(rng, family, rank):
+    ctx = context(family, rank)
+    assignment = {"x": Fraction(2, 3), "y": Fraction(-5, 4)}
+    for _ in range(6):
+        word = random_unipotent_word(ctx, rng)
+        matrix = evaluate_adjoint(ctx, word)
+        assert matrix == reference_adjoint(ctx, word)
+        assert {type(v) for row in matrix for v in row} == {int}
+        symbolic = random_symbolic_word(ctx, rng)
+        assert evaluate_adjoint(ctx, symbolic, assignment) == reference_adjoint(
+            ctx, symbolic, assignment
+        )
+        for prime in (7, 11):
+            for w, values in ((word, None), (symbolic, assignment)):
+                assert evaluate_adjoint(ctx, w, values, prime) == reference_adjoint(
+                    ctx, w, values, prime
+                )
+    for prime in (None, 7, 11):
+        assert evaluate_adjoint(ctx, UnipotentWord(), prime=prime) == reference_adjoint(
+            ctx, UnipotentWord()
+        )
+    inverse_y = UnipotentWord((Factor(neg((1, 0, 0)), Y),))
+    for prime in (7, 11):
+        with pytest.raises(ValueError, match=f"denominator divisible by {prime}"):
+            evaluate_adjoint(B3, inverse_y, {"y": Fraction(1, prime)}, prime)
+
+
+def test_evaluate_takes_no_matrix_product(rng, monkeypatch):
+    """evaluate_adjoint applies its factors by rows alone: once the
+    representation is built, a call of mat_mul or combine fails."""
+    adjoint_rep(B3)
+    words = [random_unipotent_word(B3, rng) for _ in range(5)]
+    expected = [
+        (reference_adjoint(B3, w), reference_adjoint(B3, w, prime=7)) for w in words
+    ]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sparse matrix product was formed")
+
+    monkeypatch.setattr(chevalley, "mat_mul", forbidden)
+    monkeypatch.setattr(linalg, "combine", forbidden)
+    for w, (exact, modular) in zip(words, expected):
+        assert evaluate_adjoint(B3, w) == exact
+        assert evaluate_adjoint(B3, w, prime=7) == modular
 
 
 def test_finite_field_evaluation(rng):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from deodhar.linalg import bracket_rows, combine, dense, identity, mat_mul
+from deodhar.linalg import add_row_multiples, bracket_rows, combine, identity, mat_mul
 
 PRIMES = (None, 2, 7, 11)
 
@@ -14,6 +14,11 @@ def random_sparse(rng, dim, density=0.3):
         for j in range(dim)
         if rng.random() < density
     }
+
+
+def dense(a, dim):
+    """The dim x dim matrix as a tuple of row tuples, zeros filled in."""
+    return tuple(tuple(a.get((i, j), 0) for j in range(dim)) for i in range(dim))
 
 
 def dense_product(a, b, prime):
@@ -82,8 +87,32 @@ def test_combine_matches_dense_sum(prime):
         assert combine([(1, a), (-1, a)], prime) == {}
 
 
-def test_identity_and_dense_export():
+def test_identity():
     assert dense(identity(3), 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for dim, a, _ in pairs(4, count=20):
         assert mat_mul(identity(dim), a) == a == mat_mul(a, identity(dim))
-    assert dense({(0, 1): 5}, 2) == ((0, 5), (0, 0))
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_add_row_multiples_is_left_multiplication(prime):
+    # (I + sum_k c^k D_k) M against the product of the sparse matrices
+    rng = random.Random(5)
+    for dim, m, _ in pairs(5):
+        m = combine([(1, m)], prime)  # the rows come in reduced
+        ds = [random_sparse(rng, dim, density=0.2) for _ in range(rng.randint(1, 3))]
+        table = {}
+        for k, d in enumerate(ds):
+            for (i, j), v in d.items():
+                entry = table.setdefault(i, {}).setdefault(j, [0] * len(ds))
+                entry[k] = v
+        c = rng.choice([-2, -1, 1, 3])
+        powers = [c ** k for k in range(1, len(ds) + 1)]
+        rows = [{j: v for (i, j), v in m.items() if i == r} for r in range(dim)]
+        result = add_row_multiples(rows, table, powers, prime)
+        for row in result:
+            assert_no_zero_entry(row)
+        factor = combine([(1, identity(dim))] + list(zip(powers, ds)), prime)
+        expected = mat_mul(factor, m, prime)
+        assert {(i, j): v for i, row in enumerate(result) for j, v in row.items()} == expected
+        for i in set(range(dim)) - set(table):
+            assert result[i] is rows[i]
