@@ -24,11 +24,11 @@ adjoint representation built from the structure-constant table.  Each
 integer matrices (this integrality is asserted, it is the Chevalley lattice
 property), so ``u_alpha(c)`` acts by a finite integral sum and whole words
 can be evaluated exactly over Q or modulo a prime.  Each root keeps its
-divided powers as one table by rows.  ``evaluate_adjoint`` holds the product
-as sparse rows (:mod:`deodhar.linalg`) and applies the factors from the right
-end of the word, each a left multiplication by u_alpha(c) = I + N(c) that
-rebuilds only the rows where N(c) is nonzero, reduced modulo the prime at
-every factor; it exports the result as row tuples.
+divided powers once, as the list [D_1, D_2, ...] of sparse matrices of
+:mod:`deodhar.linalg`.  ``evaluate_adjoint`` holds the product in the same
+form and applies the factors from the right end of the word, each a left
+multiplication by u_alpha(c) = I + N(c) that rebuilds only the rows of D_1,
+reduced modulo the prime at every factor; it exports row tuples.
 """
 
 from __future__ import annotations
@@ -44,12 +44,13 @@ from .linalg import Matrix, add_row_multiples, identity, mat_mul
 from .roots import Root, root_system
 
 
-# Most monomial products that one collect() makes for its commutator factors,
-# counted before each factor is formed: C (-y)^i x^j, with b terms in y and a
-# in x, counts b^i a^j, a bound on the terms it creates.
-# The n = 16 closure witness makes 344.  A B_2 word of alternating symbolic
-# factors reaches the bound after 0.3-0.45 s, random integer B_16 words
-# after about 2 s (2-vCPU Xeon, Python 3.11).
+# Most work units one collect() spends: one per swap plus the monomial products
+# of its commutator factors, counted before they are formed (C (-y)^i x^j, b
+# terms in y and a in x, counts b^i a^j).  The n = 16 witness spends 4,164
+# (3,820 swaps), a bench oracle word at most 63.  A B_2 word of alternating
+# symbolic factors stops after 0.3-0.45 s, at about 20 us a product; random
+# integer B_16 words after 0.06-0.07 s, at 3 us a swap, where products alone
+# let a 400-factor one run 1.9 s (2-vCPU Xeon, Python 3.11).
 COLLECT_BOUND = 20_000
 
 
@@ -145,7 +146,7 @@ def _append(out: list[Factor], f: Factor) -> None:
 def collect(word: UnipotentWord) -> UnipotentWord:
     """Canonical form: factors in ``system.roots`` order, one per root, same
     group element (the adjoint oracle re-checks this in the tests).
-    ``ValueError`` past ``COLLECT_BOUND`` monomial products.
+    ``ValueError`` past ``COLLECT_BOUND`` swaps and monomial products.
 
     The commutator term of two A_2 factors shows in the output:
 
@@ -164,12 +165,15 @@ def collect(word: UnipotentWord) -> UnipotentWord:
         while out and out[-1].root.index > mine.root.index:
             left = out.pop()
             x = left.coeff
-            for term in left.root.system.commutator_terms(left.root, mine.root):
+            terms = left.root.system.commutator_terms(left.root, mine.root)
+            budget -= 1
+            for term in terms:
                 budget -= len(y) ** term.i * len(x) ** term.j
-                if budget < 0:
-                    raise ValueError(
-                        f"collection takes more than {COLLECT_BOUND} monomial products"
-                    )
+            if budget < 0:
+                raise ValueError(
+                    f"collection takes more than {COLLECT_BOUND} swaps and monomial products"
+                )
+            for term in terms:
                 coeff = ((-y) ** term.i) * (x ** term.j) * term.constant
                 if not coeff.is_zero():
                     out.append(Factor(term.root, coeff))
@@ -211,8 +215,8 @@ def limit_at_infinity(word: UnipotentWord, var: str) -> UnipotentWord:
 class AdjointRep:
     """The adjoint representation on the Chevalley basis: h_1..h_n, then the
     root vectors in the order of ``system.roots``, so e_r is basis vector
-    n + r.index.  Each root keeps one table, the divided powers of its ad
-    matrix by rows; ``evaluate`` exports row tuples."""
+    n + r.index.  Each root keeps its divided powers once, as the list [D_1,
+    D_2, ...]; ``evaluate`` exports row tuples."""
 
     MAX_NILPOTENCY = 5
 
@@ -226,54 +230,35 @@ class AdjointRep:
     def _build_ad(self, alpha: Root) -> Matrix:
         system = self.system
         n = self.ctx.rank
-        out: Matrix = {}
-        for j in range(1, n + 1):
-            c = system.cartan_pairing(alpha, j)
+        # [e_alpha, h_j] = -<alpha, beta_j-check> e_alpha is nonzero for some j
+        pairings = ((j, system.cartan_pairing(alpha, j + 1)) for j in range(n))
+        out: Matrix = {n + alpha.index: {j: -c for j, c in pairings if c}}
+        for j, c in enumerate(system.coroot_coords(alpha)):
             if c:
-                out[(n + alpha.index, j - 1)] = -c
-        for j, c in enumerate(system.coroot_coords(alpha), start=1):
-            if c:
-                out[(j - 1, n + (-alpha).index)] = c
+                out[j] = {n + (-alpha).index: c}
         for j, (total, c) in system.structure.sums[alpha.index].items():
-            out[(n + total.index, n + j)] = c
+            out[n + total.index] = {n + j: c}
         return out
 
-    def _build_divided(self, root: Root) -> dict:
-        """The divided powers D_k = ad^k/k!, k >= 1, of ``root`` as one table
-        of rows, ``{i: {j: (D_1[i][j], D_2[i][j], ...)}}`` for every row i
-        where some D_k is nonzero, each tuple cut after its last nonzero."""
-        ad = self._build_ad(root)
-        table: dict = {}
-        current = ad
-        k = 0
-        while current:
-            if k == self.MAX_NILPOTENCY:
+    def _build_divided(self, root: Root) -> list[Matrix]:
+        """[D_1, D_2, ...], D_k = ad^k/k! = D_{k-1} ad / k, up to the last
+        nonzero one: every nonzero row of D_k is a row of D_1."""
+        divided = [self._build_ad(root)]
+        while current := mat_mul(divided[-1], divided[0]):
+            if len(divided) == self.MAX_NILPOTENCY:
                 raise AssertionError(f"ad e_{root} is not nilpotent of index <= 5")
-            for (i, j), v in current.items():
-                row = table.setdefault(i, {})
-                ds = row.get(j, ())
-                row[j] = ds + (0,) * (k - len(ds)) + (v,)
-            k += 1
-            scaled = {}
-            for key, v in mat_mul(current, ad).items():
-                q, r = divmod(v, k + 1)
-                if r:
-                    raise AssertionError("divided power is not integral")
-                scaled[key] = q
-            current = scaled
-        return table
+            k = len(divided) + 1
+            for row in current.values():
+                for j, v in row.items():
+                    row[j], r = divmod(v, k)
+                    if r:
+                        raise AssertionError("divided power is not integral")
+            divided.append(current)
+        return divided
 
     def divided_powers(self, root: Root) -> list[Matrix]:
-        """[I, ad, ad^2/2!, ...] until zero; all entries are integers."""
-        powers = [{} for _ in range(self.MAX_NILPOTENCY)]
-        for i, row in self._divided[self._index(root)].items():
-            for j, ds in row.items():
-                for power, d in zip(powers, ds):
-                    if d:
-                        power[i, j] = d
-        while not powers[-1]:
-            powers.pop()
-        return [identity(self.dim)] + powers
+        """[I, ad, ad^2/2!, ...] until zero, integers: the stored D_k in a new list."""
+        return [identity(self.dim), *self._divided[self._index(root)]]
 
     def _index(self, root: Root) -> int:
         if root.system is not self.system:
@@ -289,19 +274,19 @@ class AdjointRep:
         """Matrix of ``word`` at ``assignment``: ``int`` entries when every
         coefficient evaluates to an integer, residues when ``prime`` is given."""
         assignment = assignment or {}
-        rows = [{i: 1} for i in range(self.dim)]
+        m = identity(self.dim)
         for f in reversed(word.factors):
+            divided = self._divided[self._index(f.root)]
             value = f.coeff.evaluate(assignment)
             if prime is not None:
                 value = _mod_fraction(value, prime)
-            powers = [value]
-            while len(powers) < self.MAX_NILPOTENCY:
-                powers.append(powers[-1] * value)
-            rows = add_row_multiples(rows, self._divided[self._index(f.root)], powers, prime)
+            if value:  # else the factor is the identity
+                values = [value ** k for k in range(1, len(divided) + 1)]
+                m = add_row_multiples(m, divided, values, prime)
         out = []
-        for row in rows:
+        for i in range(self.dim):
             dense = [0] * self.dim
-            for j, v in row.items():
+            for j, v in m[i].items():
                 dense[j] = v
             out.append(tuple(dense))
         return tuple(out)

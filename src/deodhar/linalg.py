@@ -1,114 +1,123 @@
-"""Sparse exact matrices: a dict ``{(row, col): value}`` of the nonzero
-entries, or a list of rows, each a dict ``{col: value}``.
+"""Sparse exact matrices: a dict ``{row: {col: value}}`` of the nonzero
+entries by rows, with no empty row.
 
 This is the one matrix kernel of the package.  The structure-constant
 realization of :mod:`deodhar.roots` holds its root vectors in this form and
 brackets every pair of them here, by the one sparse join of
-:func:`bracket_rows`.  The adjoint oracle of :mod:`deodhar.chevalley` holds
-a product as rows and applies each factor here as one left multiplication
-by I + N, which rebuilds only the rows where N is nonzero
+:func:`bracket_rows`.  The adjoint oracle of :mod:`deodhar.chevalley` keeps
+each root's divided powers in it and applies each factor here as one left
+multiplication by I + N, which rebuilds only the rows where N is nonzero
 (:func:`add_row_multiples`).
 Entries are integers or Fractions; products and linear combinations are
-exact, or reduced modulo a prime when one is given.  No result holds a zero
-entry, so two matrices are equal exactly when their dicts are.  This module
-depends on nothing else in the package.
+exact, and the left multiplication reduces modulo a prime when one is given.
+No result holds a zero entry or an empty row, so two matrices are equal
+exactly when their dicts are.  This module depends on nothing else in the
+package.
 """
 
 from __future__ import annotations
 
-from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-Matrix = dict  # {(row, col): nonzero value}
+Matrix = dict  # {row: {col: nonzero value}}, no empty row
 
 
 def identity(dim: int) -> Matrix:
-    return {(i, i): 1 for i in range(dim)}
+    return {i: {i: 1} for i in range(dim)}
 
 
-def mat_mul(a: Matrix, b: Matrix, prime: int | None = None) -> Matrix:
-    """The product ab; ``b`` is indexed by row once per call."""
-    rows: dict = {}
-    for (k, j), y in b.items():
-        rows.setdefault(k, []).append((j, y))
-    out: dict = {}
-    for (i, k), x in a.items():
-        for j, y in rows.get(k, ()):
-            key = (i, j)
-            out[key] = out.get(key, 0) + x * y
-    return _clean(out, prime)
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The product ab, row by row."""
+    out: Matrix = {}
+    for i, row_a in a.items():
+        acc: dict = {}
+        for k, x in row_a.items():
+            for j, y in b.get(k, {}).items():
+                acc[j] = acc.get(j, 0) + x * y
+        if row := _row(acc):
+            out[i] = row
+    return out
 
 
 def bracket_rows(mats: Sequence[Matrix]) -> Iterator[tuple[int, dict[int, Matrix]]]:
     """For each index k, in order, ``(k, row)`` with ``row[j] = mats[k] mats[j]
     - mats[j] mats[k]`` for every later j whose matrix meets mats[k].
 
-    The entries of every matrix are indexed by row and by column once; one
-    pass over the entries of mats[k] then finds the products mats[k] mats[j]
-    (k's column meets j's row) and mats[j] mats[k] (j's column meets k's row),
-    summed in one accumulator for the whole row.  A pair missing from the row
-    has bracket exactly zero; a bracket that cancels is empty.
+    The entries of every matrix are indexed by row and by column once, in
+    flat lists; one pass over the entries of mats[k] then finds the products
+    mats[k] mats[j] (k's column meets j's row) and mats[j] mats[k] (j's column
+    meets k's row), summed in one accumulator for the whole row.  A pair
+    missing from the row has bracket exactly zero; a bracket that cancels is
+    empty.
     """
     by_row: dict = {}
     by_col: dict = {}
     for j, b in enumerate(mats):
-        for (rb, cb), vb in b.items():
-            by_row.setdefault(rb, []).append((j, cb, vb))
-            by_col.setdefault(cb, []).append((j, rb, vb))
+        for rb, row_b in b.items():
+            for cb, vb in row_b.items():
+                by_row.setdefault(rb, []).append((j, cb, vb))
+                by_col.setdefault(cb, []).append((j, rb, vb))
     for k, a in enumerate(mats):
         acc: dict = {}  # {(j, row, col): value}
-        for (ra, ca), va in a.items():
-            for j, cb, vb in by_row.get(ca, ()):
-                if j > k:
-                    key = (j, ra, cb)
-                    acc[key] = acc.get(key, 0) + va * vb
-            for j, rb, vb in by_col.get(ra, ()):
-                if j > k:
-                    key = (j, rb, ca)
-                    acc[key] = acc.get(key, 0) - vb * va
+        for ra, row_a in a.items():
+            for ca, va in row_a.items():
+                for j, cb, vb in by_row.get(ca, ()):
+                    if j > k:
+                        key = (j, ra, cb)
+                        acc[key] = acc.get(key, 0) + va * vb
+                for j, rb, vb in by_col.get(ra, ()):
+                    if j > k:
+                        key = (j, rb, ca)
+                        acc[key] = acc.get(key, 0) - vb * va
         row: dict[int, Matrix] = {}
         for (j, r, c), v in acc.items():
             br = row.setdefault(j, {})
             if v:
-                br[r, c] = v
+                br.setdefault(r, {})[c] = v
         yield k, row
 
 
-def combine(terms: Iterable[tuple[object, Matrix]], prime: int | None = None) -> Matrix:
+def combine(terms: Iterable[tuple[object, Matrix]]) -> Matrix:
     """The linear combination sum c * m over the (c, m) of ``terms``."""
     out: dict = {}
     for c, m in terms:
         if c:
-            for key, v in m.items():
-                out[key] = out.get(key, 0) + c * v
-    return _clean(out, prime)
+            for i, row in m.items():
+                acc = out.setdefault(i, {})
+                for j, v in row.items():
+                    acc[j] = acc.get(j, 0) + c * v
+    return {i: row for i, acc in out.items() if (row := _row(acc))}
 
 
 def add_row_multiples(
-    rows: list[dict], table: dict[int, dict[int, tuple]], powers: Sequence,
-    prime: int | None = None,
-) -> list[dict]:
-    """The rows of (I + N) M, for M held as ``rows``, one dict ``{col:
-    nonzero value}`` per row, and N = sum_k powers[k-1] D_k.
+    m: Matrix, divided: Sequence[Matrix], values: Sequence, prime: int | None = None
+) -> Matrix:
+    """(I + N) m for N = sum_k values[k-1] D_k over the ``divided`` = [D_1,
+    D_2, ...], reduced modulo ``prime`` if one is given.
 
-    ``table`` holds the D_k by rows, ``{i: {j: (D_1[i][j], D_2[i][j], ...)}}``
-    for every row i where N can be nonzero.  Only those rows are rebuilt,
-    row_i + sum_j N[i][j] row_j, from the old rows, and reduced modulo
-    ``prime`` if one is given; the others are shared.
+    Every nonzero row of a D_k must be a row of D_1, and only those rows are
+    rebuilt, row_i + sum_j N[i][j] row_j, from the rows of ``m``, one D_k
+    after the other; the others are shared.
     """
-    out = rows.copy()
-    for i, entries in table.items():
-        new = dict(rows[i])
-        for j, ds in entries.items():
-            x = sum(map(mul, powers, ds))
-            if x:
-                for col, v in rows[j].items():
-                    new[col] = new.get(col, 0) + x * v
-        out[i] = _clean(new, prime)
+    new = {i: dict(m.get(i, ())) for i in divided[0]}
+    for d, x in zip(divided, values):
+        for i, entries in d.items():
+            acc = new[i]
+            for j, dij in entries.items():
+                y = dij * x
+                for col, v in m.get(j, {}).items():
+                    acc[col] = acc.get(col, 0) + y * v
+    out = m.copy()
+    for i, acc in new.items():
+        if row := _row(acc, prime):
+            out[i] = row
+        else:
+            out.pop(i, None)
     return out
 
 
-def _clean(out: dict, prime: int | None = None) -> dict:
+def _row(acc: dict, prime: int | None = None) -> dict:
+    """The caller's own ``acc`` without zeros, or reduced mod ``prime``."""
     if prime is None:
-        return {key: v for key, v in out.items() if v}
-    return {key: v % prime for key, v in out.items() if v % prime}
+        return acc if 0 not in acc.values() else {j: v for j, v in acc.items() if v}
+    return {j: v % prime for j, v in acc.items() if v % prime}

@@ -27,16 +27,17 @@ too: t_i(r) is the lookup of r.code - <r, beta_i-check> beta_i.code.
 Structure constants N(alpha, beta), defined by [e_alpha, e_beta] =
 N(alpha, beta) e_{alpha+beta}, are read off from explicit faithful matrix
 realizations (sl(n+1), and so(2n+1) with the short root vectors rescaled so
-all brackets stay integral), held as sparse matrices of :mod:`deodhar.linalg`,
-and then sign-normalized so that every extraspecial pair gets a positive
-constant, which is Carter's convention.  The brackets come from the sparse
-join :func:`deodhar.linalg.bracket_rows` over the root vectors listed by
-index, which gives [e_alpha, e_beta] for every later beta whose vector meets
-e_alpha; a pair that never meets brackets to zero.  The simple coroots
-[e_beta_i, e_-beta_i] are read from the rows of the simple roots, which come
-first.  The build runs on root indices and codes, and its tables stay keyed
-by root index: each root's later partners whose sum is a root are found by
-codes and the constants are collected as index tuples.  It leaves one table,
+all brackets stay integral), held by rows as sparse matrices of
+:mod:`deodhar.linalg`, and then sign-normalized so that every extraspecial
+pair gets a positive constant, which is Carter's convention.  The brackets
+come from the sparse join :func:`deodhar.linalg.bracket_rows` over the root
+vectors listed by index, which gives [e_alpha, e_beta] for every later beta
+whose vector meets e_alpha; a pair that never meets brackets to zero.  The
+simple coroots [e_beta_i, e_-beta_i] are read from the rows of the simple
+roots, which come first.  The build runs on root indices and codes, and its
+tables stay keyed by root index: each root's later partners whose sum is a
+root are found by codes and the constants are collected as index tuples.  It
+leaves one table,
 ``structure.sums[alpha.index][beta.index] = (alpha + beta, N(alpha, beta))``
 for every pair whose sum is a root; the structure constants, the commutator
 terms and the adjoint representation of :mod:`deodhar.chevalley` all read
@@ -356,7 +357,7 @@ class _StructureConstants:
             for r in system.roots:
                 a = r.ambient.index(1)
                 b = r.ambient.index(-1)
-                out[r] = {(a, b): 1}
+                out[r] = {a: {b: 1}}
             return out
         mid = n
         bar = lambda i: 2 * n + 1 - i  # 0-based mate of 1-based index i
@@ -365,19 +366,19 @@ class _StructureConstants:
             if len(support) == 1:
                 (i, v) = support[0]
                 if v == 1:
-                    out[r] = {(i - 1, mid): 2, (mid, bar(i)): -1}
+                    out[r] = {i - 1: {mid: 2}, mid: {bar(i): -1}}
                 else:
-                    out[r] = {(mid, i - 1): 1, (bar(i), mid): -2}
+                    out[r] = {mid: {i - 1: 1}, bar(i): {mid: -2}}
             else:
                 (i, vi), (j, vj) = support
                 if vi == 1 and vj == -1:
-                    out[r] = {(i - 1, j - 1): 1, (bar(j), bar(i)): -1}
+                    out[r] = {i - 1: {j - 1: 1}, bar(j): {bar(i): -1}}
                 elif vi == -1 and vj == 1:
-                    out[r] = {(j - 1, i - 1): 1, (bar(i), bar(j)): -1}
+                    out[r] = {j - 1: {i - 1: 1}, bar(i): {bar(j): -1}}
                 elif vi == 1 and vj == 1:
-                    out[r] = {(i - 1, bar(j)): 1, (j - 1, bar(i)): -1}
+                    out[r] = {i - 1: {bar(j): 1}, j - 1: {bar(i): -1}}
                 else:
-                    out[r] = {(bar(j), i - 1): 1, (bar(i), j - 1): -1}
+                    out[r] = {bar(j): {i - 1: 1}, bar(i): {j - 1: -1}}
         return out
 
     def _brackets(self, vectors):
@@ -398,6 +399,11 @@ class _StructureConstants:
         raw: list[tuple[int, int, int, int]] = []
         extraspecial: dict[int, tuple[int, int, int, int]] = {}
         coroots: list[tuple[int, ...]] = [()] * size
+        # the first entry (row, col, value) of each vector, and c e_roots[t]
+        firsts = [next((r, j, v) for r, e in m.items() for j, v in e.items()) for m in vecs]
+        multiple = cache(
+            lambda t, c: {r: {j: c * v for j, v in e.items()} for r, e in vecs[t].items()}
+        )
         for k, row in bracket_rows(vecs):
             code = codes[k]
             # the later roots whose sum with a is a root, in one C-level pass
@@ -407,10 +413,9 @@ class _StructureConstants:
                 # a pair that never meets in the join brackets to zero, which
                 # is no nonzero multiple of the target
                 br = row.get(j, {})
-                target = vecs[t]
-                key = next(iter(target))
-                c, rem = divmod(br.get(key, 0), target[key])
-                if rem or not c or br != {e: c * v for e, v in target.items()}:
+                row0, col0, v0 = firsts[t]
+                c, rem = divmod(br.get(row0, {}).get(col0, 0), v0)
+                if rem or not c or br != multiple(t, c):
                     raise AssertionError(
                         f"bracket [{roots[k]}; {roots[j]}] not a multiple of e_{roots[t]}"
                     )

@@ -75,6 +75,16 @@ def random_unipotent_word(ctx, rng: random.Random, max_factors: int = 8) -> Unip
     return UnipotentWord(tuple(factors))
 
 
+def reduce_mod(m, prime):
+    """The sparse matrix ``m`` of deodhar.linalg with its entries reduced
+    modulo ``prime``, zero entries and empty rows dropped; ``m`` itself when
+    there is no prime."""
+    if prime is None:
+        return m
+    reduced = {i: {j: v % prime for j, v in row.items() if v % prime} for i, row in m.items()}
+    return {i: row for i, row in reduced.items() if row}
+
+
 # -- frozen expected coordinate-root lists for the type B catalog words ------
 
 

@@ -27,7 +27,6 @@ from deodhar.cells import (
     is_distinguished,
     point_count_polynomial,
     preceq,
-    subexpression,
 )
 from deodhar.chevalley import collect, evaluate_adjoint, verify_closure_witness
 from deodhar.laurent import LaurentPoly

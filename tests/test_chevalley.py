@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_unipotent_word
+from conftest import random_unipotent_word, reduce_mod
 from deodhar import chevalley, linalg
 from deodhar.chevalley import (
+    COLLECT_BOUND,
     AdjointRep,
     Factor,
     LimitError,
@@ -226,6 +228,22 @@ def test_limit_matches_large_t_trend():
     assert previous < Fraction(1, 10 ** 6)
 
 
+def test_collect_bound_counts_swaps():
+    # a seeded integer word of B_16: 85,499 swaps but only 1,550 monomial
+    # products, so a bound on products alone lets it through
+    system = root_system("B", 16)
+    negatives = [r for r in system.roots if r.is_negative]
+    rng = random.Random(1)
+    word = UnipotentWord(
+        tuple(
+            Factor(rng.choice(negatives), LaurentPoly.constant(rng.choice([-3, -2, -1, 1, 2, 3])))
+            for _ in range(120)
+        )
+    )
+    with pytest.raises(ValueError, match=f"more than {COLLECT_BOUND} swaps"):
+        collect(word)
+
+
 def test_adjoint_dimension_and_identity():
     rep = adjoint_rep(B3)
     assert rep.dim == 2 * 9 + 3
@@ -243,7 +261,7 @@ def test_adjoint_is_lie_homomorphism():
         out = {}
         for r in rep.system.roots:
             if c := rep.system.cartan_pairing(r, j):
-                out[(n + r.index, n + r.index)] = c
+                out[n + r.index] = {n + r.index: c}
         return out
 
     for family, rank in (("A", 2), ("B", 2), ("B", 3)):
@@ -280,9 +298,27 @@ def test_adjoint_nilpotency_bound():
         evaluate_adjoint(B3, UnipotentWord((Factor(-foreign, LaurentPoly.constant(1)),)))
 
 
+def test_divided_powers_are_stored_once(rng):
+    # each call makes a new list of the stored D_k: clearing one changes
+    # neither a later call nor the evaluation
+    rep = adjoint_rep(B3)
+    words = [random_unipotent_word(B3, rng) for _ in range(5)]
+    before = [(evaluate_adjoint(B3, w), evaluate_adjoint(B3, w, prime=7)) for w in words]
+    stored = lambda powers: [id(d) for d in powers[1:]]
+    for r in SYS3.all_roots():
+        first, second = rep.divided_powers(r), rep.divided_powers(r)
+        assert first is not second
+        assert len(first) >= 2 and stored(first) == stored(second)
+        first.clear()
+        assert stored(rep.divided_powers(r)) == stored(second)
+    after = [(evaluate_adjoint(B3, w), evaluate_adjoint(B3, w, prime=7)) for w in words]
+    assert after == before
+
+
 def reference_adjoint(ctx, word, assignment=None, prime=None):
     """The definition: the product over the factors of sum_k c^k D_k, with
-    D_k = ad^k/k! from divided_powers, by linalg.combine and linalg.mat_mul."""
+    D_k = ad^k/k! from divided_powers, by linalg.combine and linalg.mat_mul,
+    reduced modulo ``prime`` after every product."""
     rep = adjoint_rep(ctx)
     result = identity(rep.dim)
     for f in word.factors:
@@ -290,9 +326,9 @@ def reference_adjoint(ctx, word, assignment=None, prime=None):
         if prime is not None:
             c = c.numerator * pow(c.denominator, -1, prime) % prime
         terms = ((c ** k, d) for k, d in enumerate(rep.divided_powers(f.root)))
-        result = mat_mul(result, combine(terms, prime), prime)
+        result = reduce_mod(mat_mul(result, reduce_mod(combine(terms), prime)), prime)
     return tuple(
-        tuple(result.get((i, j), 0) for j in range(rep.dim)) for i in range(rep.dim)
+        tuple(result.get(i, {}).get(j, 0) for j in range(rep.dim)) for i in range(rep.dim)
     )
 
 

@@ -4,7 +4,8 @@ Every module of ``src/deodhar`` is parsed, and the package modules it
 imports must equal its row below.  A new module needs a row, and a new
 import shows up as an edit of this table.  Each module is also imported
 alone in a fresh interpreter, which must load its closure in this table
-and nothing else.
+and nothing else.  Every name that a package or test module imports at
+module level must be read in that module.
 """
 
 import ast
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "deodhar"
+TESTS = Path(__file__).resolve().parent
 
 LAYERS = {
     "linalg": set(),
@@ -89,3 +91,30 @@ def test_import_loads_only_the_layers_below(module):
     )
     expected = {"deodhar" if name == "__init__" else f"deodhar.{name}" for name in closure(module)}
     assert set(result.stdout.split()) == expected
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names bound by the module-level imports of one module that no
+    expression of the module reads; ``from __future__`` imports bind none."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in imported if name not in read]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]),
+    ids=lambda path: f"{path.parent.name}/{path.name}",
+)
+def test_every_import_is_read(path):
+    assert unused_imports(path) == []

@@ -2,23 +2,26 @@ import random
 
 import pytest
 
+from conftest import reduce_mod
 from deodhar.linalg import add_row_multiples, bracket_rows, combine, identity, mat_mul
 
 PRIMES = (None, 2, 7, 11)
 
 
-def random_sparse(rng, dim, density=0.3):
-    return {
-        (i, j): rng.choice([-3, -2, -1, 1, 2, 3])
-        for i in range(dim)
-        for j in range(dim)
-        if rng.random() < density
-    }
+def random_sparse(rng, dim, density=0.3, rows=None):
+    """A random matrix in row form, its rows drawn from ``rows`` (all rows
+    by default); a row that draws no entry is left out."""
+    out = {}
+    for i in range(dim) if rows is None else rows:
+        row = {j: rng.choice([-3, -2, -1, 1, 2, 3]) for j in range(dim) if rng.random() < density}
+        if row:
+            out[i] = row
+    return out
 
 
 def dense(a, dim):
     """The dim x dim matrix as a tuple of row tuples, zeros filled in."""
-    return tuple(tuple(a.get((i, j), 0) for j in range(dim)) for i in range(dim))
+    return tuple(tuple(a.get(i, {}).get(j, 0) for j in range(dim)) for i in range(dim))
 
 
 def dense_product(a, b, prime):
@@ -39,16 +42,19 @@ def pairs(seed, count=200):
         yield dim, random_sparse(rng, dim), random_sparse(rng, dim)
 
 
-def assert_no_zero_entry(m):
-    assert all(v for v in m.values()), m
+def assert_sparse(m):
+    """The one form: no empty row and no zero entry."""
+    assert all(row and all(row.values()) for row in m.values()), m
 
 
 @pytest.mark.parametrize("prime", PRIMES)
 def test_mat_mul_matches_dense_product(prime):
     for dim, a, b in pairs(1):
-        product = mat_mul(a, b, prime)
-        assert_no_zero_entry(product)
-        assert dense(product, dim) == dense_product(dense(a, dim), dense(b, dim), prime)
+        product = mat_mul(a, b)
+        assert_sparse(product)
+        reduced = reduce_mod(product, prime)
+        assert_sparse(reduced)
+        assert dense(reduced, dim) == dense_product(dense(a, dim), dense(b, dim), prime)
 
 
 def test_bracket_rows_are_the_commutators():
@@ -65,7 +71,7 @@ def test_bracket_rows_are_the_commutators():
             for j in range(k + 1, len(mats)):
                 b = mats[j]
                 result = rows[k].get(j, {})
-                assert_no_zero_entry(result)
+                assert_sparse(result)
                 assert result == combine([(1, mat_mul(a, b)), (-1, mat_mul(b, a))])
 
 
@@ -74,8 +80,10 @@ def test_combine_matches_dense_sum(prime):
     rng = random.Random(3)
     for dim, a, b in pairs(3):
         x, y = rng.randint(-3, 3), rng.randint(-3, 3)
-        result = combine([(x, a), (y, b)], prime)
-        assert_no_zero_entry(result)
+        result = combine([(x, a), (y, b)])
+        assert_sparse(result)
+        reduced = reduce_mod(result, prime)
+        assert_sparse(reduced)
         expected = tuple(
             tuple(
                 (x * u + y * v) % prime if prime else x * u + y * v
@@ -83,8 +91,8 @@ def test_combine_matches_dense_sum(prime):
             )
             for row_a, row_b in zip(dense(a, dim), dense(b, dim))
         )
-        assert dense(result, dim) == expected
-        assert combine([(1, a), (-1, a)], prime) == {}
+        assert dense(reduced, dim) == expected
+        assert combine([(1, a), (-1, a)]) == {}
 
 
 def test_identity():
@@ -95,24 +103,22 @@ def test_identity():
 
 @pytest.mark.parametrize("prime", PRIMES)
 def test_add_row_multiples_is_left_multiplication(prime):
-    # (I + sum_k c^k D_k) M against the product of the sparse matrices
+    # (I + sum_k c^k D_k) M against the product of the sparse matrices; every
+    # D_k after the first keeps to the rows of D_1, as divided powers do
     rng = random.Random(5)
     for dim, m, _ in pairs(5):
-        m = combine([(1, m)], prime)  # the rows come in reduced
-        ds = [random_sparse(rng, dim, density=0.2) for _ in range(rng.randint(1, 3))]
-        table = {}
-        for k, d in enumerate(ds):
-            for (i, j), v in d.items():
-                entry = table.setdefault(i, {}).setdefault(j, [0] * len(ds))
-                entry[k] = v
+        m = reduce_mod(m, prime)  # the rows come in reduced
+        first = random_sparse(rng, dim, density=0.2)
+        if not first:
+            continue
+        divided = [first]
+        for _ in range(rng.randint(0, 2)):
+            divided.append(random_sparse(rng, dim, density=0.2, rows=list(first)))
         c = rng.choice([-2, -1, 1, 3])
-        powers = [c ** k for k in range(1, len(ds) + 1)]
-        rows = [{j: v for (i, j), v in m.items() if i == r} for r in range(dim)]
-        result = add_row_multiples(rows, table, powers, prime)
-        for row in result:
-            assert_no_zero_entry(row)
-        factor = combine([(1, identity(dim))] + list(zip(powers, ds)), prime)
-        expected = mat_mul(factor, m, prime)
-        assert {(i, j): v for i, row in enumerate(result) for j, v in row.items()} == expected
-        for i in set(range(dim)) - set(table):
-            assert result[i] is rows[i]
+        values = [c ** k for k in range(1, len(divided) + 1)]
+        result = add_row_multiples(m, divided, values, prime)
+        assert_sparse(result)
+        factor = combine([(1, identity(dim))] + list(zip(values, divided)))
+        assert result == reduce_mod(mat_mul(factor, m), prime)
+        for i in set(m) - set(first):
+            assert result[i] is m[i]

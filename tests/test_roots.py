@@ -242,7 +242,7 @@ def test_corrupted_realization_is_rejected(monkeypatch):
     def corrupted(self):
         vectors = realization(self)
         e_minus_b2 = self.system.root((0, -1, 0))
-        vectors[e_minus_b2] = {k: -v for k, v in vectors[e_minus_b2].items()}
+        vectors[e_minus_b2] = combine([(-1, vectors[e_minus_b2])])
         return vectors
 
     monkeypatch.setattr(_StructureConstants, "_basis_matrices", corrupted)
@@ -258,11 +258,27 @@ def test_bracket_missing_target_entry_is_rejected(monkeypatch):
 
     def corrupted(self):
         vectors = realization(self)
-        vectors[self.system.root((1, 1))] = {(2, 0): 1}
+        vectors[self.system.root((1, 1))] = {2: {0: 1}}
         return vectors
 
     monkeypatch.setattr(_StructureConstants, "_basis_matrices", corrupted)
     with pytest.raises(AssertionError):
+        RootSystem("A", 2).structure
+
+
+def test_bracket_off_target_entry_is_rejected(monkeypatch):
+    # e_{beta_1+beta_2} of A_2 given one more entry, in rows and columns that
+    # no other vector touches: the bracket [e_beta_2, e_beta_1] = -E_{0,2}
+    # matches the target where it has its first entry, but not as a whole
+    realization = _StructureConstants._basis_matrices
+
+    def corrupted(self):
+        vectors = realization(self)
+        vectors[self.system.root((1, 1))][5] = {6: 1}
+        return vectors
+
+    monkeypatch.setattr(_StructureConstants, "_basis_matrices", corrupted)
+    with pytest.raises(AssertionError, match=re.escape("not a multiple of e_1,1")):
         RootSystem("A", 2).structure
 
 
@@ -293,8 +309,8 @@ def test_nonvanishing_bracket_is_rejected(monkeypatch):
 
     def corrupted(self):
         vectors = realization(self)
-        vectors[self.system.simple(3)][10, 11] = 1
-        vectors[self.system.simple(1)][11, 12] = 1
+        vectors[self.system.simple(3)][10] = {11: 1}
+        vectors[self.system.simple(1)][11] = {12: 1}
         return vectors
 
     monkeypatch.setattr(_StructureConstants, "_basis_matrices", corrupted)
@@ -313,7 +329,9 @@ def test_pair_that_never_meets_is_rejected(family, rank, monkeypatch):
     def corrupted(self):
         vectors = realization(self)
         beta1 = self.system.simple(1)
-        vectors[beta1] = {(i + 100, j + 100): v for (i, j), v in vectors[beta1].items()}
+        vectors[beta1] = {
+            i + 100: {j + 100: v for j, v in row.items()} for i, row in vectors[beta1].items()
+        }
         return vectors
 
     monkeypatch.setattr(_StructureConstants, "_basis_matrices", corrupted)
