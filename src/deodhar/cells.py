@@ -23,21 +23,21 @@ punctured-line coordinates (``free`` below).
 
 Every consumer of the cells reads the distinguished masks through one walk
 bounded by a count of masks rather than of letters: :func:`enumerate_below`
-walks the masks below a list of gammas in the closure order defined next,
-once for all of them, carrying at each node of the prefix trie the bitset
-of the gammas still above it and cutting a subtree where that bitset
-empties; :func:`enumerate_subexpressions` is that walk below the all-zeros
-mask, which reaches every distinguished mask, and ``closure_upper_bound``
-the walk below one gamma.  The walk yields the descriptor of each mask,
-one record per leaf, sharing the phi entry of a trie node among all leaves
-below it; :func:`cell` is the checked constructor for one mask.  A
+walks the masks below one gamma in the closure order defined next, cutting
+a subtree where a Bruhat comparison with gamma's partial product fails;
+:func:`enumerate_subexpressions` is that walk below the all-zeros mask,
+which reaches every distinguished mask, and ``closure_upper_bound`` the
+walk below a distinguished gamma.  The walk yields the descriptor of each
+mask, one record per leaf, sharing the phi entry of a trie node among all
+leaves below it; :func:`cell` is the checked constructor for one mask.  A
 descriptor is a subexpression, so it can be passed back as a gamma.
 The linear consumers stream a walk under ``CELLS_BOUND``;
 ``cells_with_endpoint`` reads one table per word, the descriptors of one
 walk grouped by endpoint.  The pairwise ones hold at most ``PAIRS_BOUND``
 descriptors: ``hasse_dot`` and ``find_obstructions`` read
-:func:`closure_pairs`, one walk below all of them, ``scan_disjointness``
-compares each mask of one endpoint with the later ones.
+:func:`closure_pairs`, which reads the relation among the masks of one walk
+from their partial products, ``scan_disjointness`` compares each mask of
+one endpoint with the later ones.
 
 Point counts walk no mask: :func:`point_count_polynomial` reads one table
 per word, the number of cells of each endpoint and shape, which Deodhar's
@@ -74,8 +74,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from math import comb
-from operator import itemgetter, or_
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from operator import or_
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .laurent import LaurentPoly, Monomial
 from .roots import Root
@@ -86,7 +86,7 @@ from .weyl import ReducedWord, WeylElement, bruhat_leq, context
 # Their cost is about linear in the number of masks, the walk building one
 # descriptor per mask: the cells command takes about 0.5-0.6 s with --json
 # on the 13,066 masks of the rank-5 catalog word, most of it writing JSON,
-# closure_upper_bound 0.03-0.05 s on the 5,167 masks below the rank-6
+# closure_upper_bound 0.05-0.12 s on the 5,167 masks below the rank-6
 # catalog gamma, and the table of cells_with_endpoint 0.08-0.09 s and 9.8 MB
 # on the rank-5 word.  point_count_polynomial walks no mask, since its
 # recursion merges prefixes by partial product, but rejects a word with more
@@ -94,16 +94,13 @@ from .weyl import ReducedWord, WeylElement, bruhat_leq, context
 CELLS_BOUND = 15000
 # Most distinguished masks a pairwise consumer holds: hasse_dot,
 # find_obstructions and scan_disjointness (there per endpoint).  The first two
-# read closure_pairs, one walk below all masks that streams one bitset per
-# mask, and hasse_dot then takes the covering relation over the related
-# pairs.  The walk compares keys once per depth and partial product met,
-# against every gamma partial product of that depth, so its cost grows with
-# the number of distinct partial products: hasse_dot takes about 0.1-0.2 s
-# on the rank-4 catalog word (1,253 masks), 0.7-0.9 s on 2,048 masks and
-# 2.4-3.5 s on 4,096 masks (the words 1, ..., n of B_11 and B_12, whose partial
-# products are all distinct; the walk 0.4 and 1.8 s); find_obstructions
-# 0.5-1.1 s and 49 MB on the 13,066 masks of the rank-5 catalog word, which
-# has 8,995,017 related pairs of distinct masks (2-vCPU Xeon, Python 3.11.7).
+# read closure_pairs, whose key comparisons grow with the number of distinct
+# partial products: hasse_dot takes about 0.2 s on the rank-4 catalog word
+# (1,253 masks), 0.5-0.7 s on 2,048 masks and 3.1-3.6 s on 4,096 masks (the
+# words 1, ..., n of B_11 and B_12, whose partial products are all distinct;
+# closure_pairs 0.5-0.6 and 2.1-2.8 s); find_obstructions 0.8-1.0 s and 38 MB
+# on the 13,066 masks of the rank-5 catalog word, which has 8,995,017 related
+# pairs of distinct masks (2-vCPU Xeon, Python 3.11.7).
 PAIRS_BOUND = 1300
 
 
@@ -172,28 +169,23 @@ def enumerate_subexpressions(word: ReducedWord, bound: int) -> Iterator[CellDesc
     >>> [d.mask_string for d in enumerate_subexpressions(w, CELLS_BOUND)]
     ['000', '001', '010', '011', '101', '110', '111']
     """
-    zeros = subexpression(word, [0] * len(word))
-    return map(itemgetter(0), enumerate_below([zeros], bound))
+    return enumerate_below(subexpression(word, [0] * len(word)), bound)
 
 
-def enumerate_below(
-    gammas: Sequence[Subexpression], bound: int
-) -> Iterator[tuple[CellDescriptor, int]]:
-    """The descriptors of the distinguished masks delta below at least one of
-    ``gammas`` in the closure order, in increasing mask order, each with
-    ``alive``: the bitset of the indices a into ``gammas`` with
-    delta preceq gammas[a].  Raises ``ValueError`` on reaching yielded mask
+def enumerate_below(gamma: Subexpression, bound: int) -> Iterator[CellDescriptor]:
+    """The descriptors of the distinguished masks delta with delta preceq
+    ``gamma`` in the closure order, in increasing mask order; ``gamma`` need
+    not be distinguished.  Raises ``ValueError`` on reaching yielded mask
     number bound + 1.
 
-    One depth-first walk over the prefix trie of distinguished masks,
-    shared by all gammas: each node carries the bitset of the gammas still
-    above its prefix, and a subtree is cut where that bitset empties.  By the
+    One depth-first walk over the prefix trie of distinguished masks that
+    cuts a subtree where its prefix leaves the masks below gamma.  By the
     lifting property (Bjorner-Brenti, GTM 231, Prop. 2.2.7), if u <= w then
     min(u, us) <= min(w, ws) and max(u, us) <= max(w, ws), so from
     gamma^i <= delta^i the next relation gamma^{i+1} <= delta^{i+1} can fail
     only where gamma steps up, to max(gamma^i, gamma^i s_i), while delta
-    steps down, to min(delta^i, delta^i s_i).  Only there are Bruhat keys
-    compared, once per depth and element reached (:func:`_above_mask`).
+    steps down, to min(delta^i, delta^i s_i).  Only there is
+    :func:`weyl.bruhat_leq` called, once per down child met.
 
     The descriptors are built along the walk.  Position i is in J(delta)
     exactly where delta takes an ascent, and then delta^i(alpha_i) < 0;
@@ -203,30 +195,17 @@ def enumerate_below(
     :func:`cell` computes the same descriptor from a single mask, and the
     test suite checks that the two routes agree.
     """
-    if not gammas:
-        return
-    word = gammas[0].word
-    if any(gamma.word != word for gamma in gammas):
-        raise ValueError("subexpressions of different words are incomparable")
+    word = gamma.word
     letters = word.letters
     length = len(letters)
-    size = len(gammas)
-    # risers[k]: gamma^{k+1} -> the gammas that step up to it at position
-    # k + 1, that is take an ascent or skip a descent
-    risers: list[dict[WeylElement, list[int]]] = [{} for _ in range(length)]
-    for a, gamma in enumerate(gammas):
-        for k, (taken, before, after) in enumerate(
-            zip(gamma.mask, gamma.partials, gamma.partials[1:])
-        ):
-            if taken != before.descents >> letters[k] & 1:
-                risers[k].setdefault(after, []).append(a)
-    keyed = [
-        [(x.bruhat_key, _bitset(indices, size)) for x, indices in group.items()]
-        for group in risers
+    # rises[k]: gamma^{k+1} where gamma steps up at position k + 1, that is
+    # takes an ascent or skips a descent; None where it steps down
+    rises = [
+        after if taken != before.descents >> letter & 1 else None
+        for taken, before, after, letter in zip(
+            gamma.mask, gamma.partials, gamma.partials[1:], letters
+        )
     ]
-    up = [reduce(or_, (bits for _, bits in group), 0) for group in keyed]
-    # masks[k]: delta^{k+1} -> the gammas still below it after a down step
-    masks: list[dict[WeylElement, int]] = [{} for _ in range(length)]
     identity = word.ctx.identity
     # the parts of the current prefix, by depth: its bits, its partial
     # products and its phi entries (None on J)
@@ -235,12 +214,11 @@ def enumerate_below(
     entries: list[PhiEntry | None] = [None] * length
     count = 0
     new = object.__new__
-    # pending trie nodes (depth, last bit, whether it took an ascent,
-    # delta^depth, alive); a node pushes its 1-child first so that its
-    # 0-child pops first
-    stack = [(0, 0, 0, identity, (1 << size) - 1)]
+    # pending trie nodes (depth, last bit, whether it took an ascent, delta^depth);
+    # a node pushes its 1-child first so that its 0-child pops first
+    stack = [(0, 0, 0, identity)]
     while stack:
-        depth, bit, ascent, here, alive = stack.pop()
+        depth, bit, ascent, here = stack.pop()
         if depth:
             k = depth - 1
             mask[k] = bit
@@ -261,7 +239,7 @@ def enumerate_below(
             fields = desc.__dict__
             fields["word"], fields["mask"] = word, tuple(mask)
             fields["partials"], fields["phi"] = tuple(partials), tuple(filter(None, entries))
-            yield desc, alive
+            yield desc
             continue
         letter = letters[depth]
         taken = here.succ[letter] or here._successor(letter)
@@ -271,38 +249,10 @@ def enumerate_below(
             down, bit = taken, 1
         else:
             down, bit = here, 0
-            stack.append((depth + 1, 1, 1, taken, alive))
-        if alive & up[depth]:
-            table = masks[depth]
-            kept = table.get(down)
-            if kept is None:
-                kept = table[down] = ~up[depth] | _above_mask(keyed[depth], down)
-            alive &= kept
-            if not alive:
-                continue
-        stack.append((depth + 1, bit, 0, down, alive))
-
-
-def _bitset(indices: Iterable[int], size: int) -> int:
-    """The bitset of ``indices``, all below ``size``; built in a buffer, as
-    one shift and or per index would copy the growing bitset each time."""
-    buffer = bytearray((size + 7) // 8)
-    for a in indices:
-        buffer[a >> 3] |= 1 << (a & 7)
-    return int.from_bytes(buffer, "little")
-
-
-def _above_mask(groups: list[tuple[int, int]], x: WeylElement) -> int:
-    """The union of the bitsets of ``groups``, pairs (Bruhat key of u,
-    bitset), whose u lies below ``x`` in Bruhat order; the comparison of
-    :func:`weyl.bruhat_leq`, one subtraction per pair."""
-    guard = x.ctx._bruhat_guard
-    top = x.bruhat_key | guard
-    union = 0
-    for key, bits in groups:
-        if (top - key) & guard == guard:
-            union |= bits
-    return union
+            stack.append((depth + 1, 1, 1, taken))
+        rise = rises[depth]
+        if rise is None or bruhat_leq(rise, down):
+            stack.append((depth + 1, bit, 0, down))
 
 
 def is_distinguished(sub: Subexpression) -> bool:
@@ -409,7 +359,7 @@ def closure_upper_bound(gamma: Subexpression) -> list[CellDescriptor]:
     cell of ``gamma`` is contained in the union of their cells."""
     if not is_distinguished(gamma):
         raise ValueError("closure bounds are computed for distinguished masks")
-    return [desc for desc, _ in enumerate_below([gamma], CELLS_BOUND)]
+    return list(enumerate_below(gamma, CELLS_BOUND))
 
 
 def point_count(shapes: Mapping[tuple[int, int], int]) -> LaurentPoly:
@@ -479,9 +429,9 @@ def hasse_dot(word: ReducedWord) -> str:
     """DOT digraph of the covering relation of preceq on distinguished masks.
 
     Edges point from the preceq-smaller mask to the larger one; node labels
-    carry the mask and the cell dimension.  The masks are held and one walk
-    below all of them finds every related pair, so ``ValueError`` is raised
-    for more than ``PAIRS_BOUND`` masks.
+    carry the mask and the cell dimension.  The masks are held and
+    :func:`closure_pairs` finds every related pair among them, so
+    ``ValueError`` is raised for more than ``PAIRS_BOUND`` masks.
     """
     descs, stream = closure_pairs(word)
     above = list(stream)
@@ -506,14 +456,60 @@ def closure_pairs(word: ReducedWord) -> tuple[list[CellDescriptor], Iterator[int
     position k where the masks of a and b differ, with common partial
     product x before it, if a skips the letter and b takes it then
     x s_k > x, as a is distinguished, and b^k = x s_k is not below
-    a^k = x.  One walk below all the masks makes the stream, read as it is
-    consumed; the masks are held, so ``ValueError`` is raised for more than
-    ``PAIRS_BOUND`` of them."""
+    a^k = x.  One walk yields the masks, which are held, so ``ValueError``
+    is raised for more than ``PAIRS_BOUND`` of them; the stream reads the
+    relation from their partial products, comparing Bruhat keys, as in
+    :func:`enumerate_below`, only where b steps up while a steps down."""
     descs = list(enumerate_subexpressions(word, PAIRS_BOUND))
-    # the walk below every mask meets each mask once, in the same order, and
-    # each mask a lies below itself
-    walk = enumerate_below(descs, PAIRS_BOUND)
-    return descs, (alive & ~(1 << a) for a, (_, alive) in enumerate(walk))
+    return descs, _above_bitsets(word.letters, descs)
+
+
+def _above_bitsets(letters: tuple[int, ...], descs: list[CellDescriptor]) -> Iterator[int]:
+    """The bitsets of :func:`closure_pairs`, one per mask of ``descs``."""
+    size = len(descs)
+    # risers[k]: b^{k+1} -> the b that step up to it at position k + 1, that
+    # is take an ascent or skip a descent
+    risers: list[dict[WeylElement, list[int]]] = [{} for _ in letters]
+    for b, d in enumerate(descs):
+        for k, (taken, before, after) in enumerate(zip(d.mask, d.partials, d.partials[1:])):
+            if taken != before.descents >> letters[k] & 1:
+                risers[k].setdefault(after, []).append(b)
+    keyed = [[(x.bruhat_key, _bitset(bs, size)) for x, bs in group.items()] for group in risers]
+    up = [reduce(or_, (bits for _, bits in group), 0) for group in keyed]
+    # kept[k]: a^{k+1} -> the b still above it after a down step there
+    kept: list[dict[WeylElement, int]] = [{} for _ in letters]
+    for a, d in enumerate(descs):
+        alive = (1 << a) - 1
+        for k, (taken, before, after) in enumerate(zip(d.mask, d.partials, d.partials[1:])):
+            if taken == before.descents >> letters[k] & 1 and alive & up[k]:
+                table = kept[k]
+                bits = table.get(after)
+                if bits is None:
+                    bits = table[after] = ~up[k] | _above_mask(keyed[k], after)
+                alive &= bits
+        yield alive
+
+
+def _bitset(indices: Iterable[int], size: int) -> int:
+    """The bitset of ``indices``, all below ``size``; built in a buffer, as
+    one shift and or per index would copy the growing bitset each time."""
+    buffer = bytearray((size + 7) // 8)
+    for a in indices:
+        buffer[a >> 3] |= 1 << (a & 7)
+    return int.from_bytes(buffer, "little")
+
+
+def _above_mask(groups: list[tuple[int, int]], x: WeylElement) -> int:
+    """The union of the bitsets of ``groups``, pairs (Bruhat key of u,
+    bitset), whose u lies below ``x`` in Bruhat order; the comparison of
+    :func:`weyl.bruhat_leq`, one subtraction per pair."""
+    guard = x.ctx._bruhat_guard
+    top = x.bruhat_key | guard
+    union = 0
+    for key, bits in groups:
+        if (top - key) & guard == guard:
+            union |= bits
+    return union
 
 
 def bit_indices(bitset: int) -> Iterator[int]:

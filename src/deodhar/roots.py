@@ -391,7 +391,7 @@ class _StructureConstants:
         n, size, half = system.rank, len(roots), len(system.positive_roots)
         vecs = [vectors[r] for r in roots]
         codes = [r.code for r in roots]
-        index = {code: k for k, code in enumerate(codes)}
+        by_code = system._by_code
         simple_norms = [system.norm_sq(system.simple(i)) for i in range(1, n + 1)]
         # [e_beta_i, e_-beta_i] by i, read from the row of beta_i = roots[n - i]:
         # the simple roots come first, so each is read before any coroot needs it
@@ -408,8 +408,8 @@ class _StructureConstants:
             code = codes[k]
             # the later roots whose sum with a is a root, in one C-level pass
             totals = map(code.__add__, codes[k + 1 :])
-            for j in compress(range(k + 1, size), map(index.__contains__, totals)):
-                t = index[code + codes[j]]
+            for j in compress(range(k + 1, size), map(by_code.__contains__, totals)):
+                t = by_code[code + codes[j]].index
                 # a pair that never meets in the join brackets to zero, which
                 # is no nonzero multiple of the target
                 br = row.get(j, {})
@@ -437,7 +437,9 @@ class _StructureConstants:
             # the join holds only the pairs that meet: of those, every one
             # whose sum is neither a root nor zero must bracket to zero
             vanishing = [
-                j for j, br in row.items() if br and j != k + half and code + codes[j] not in index
+                j
+                for j, br in row.items()
+                if br and j != k + half and code + codes[j] not in by_code
             ]
             if vanishing:
                 raise AssertionError(f"bracket [{roots[k]}; {roots[min(vanishing)]}] should vanish")

@@ -168,12 +168,6 @@ def test_preceq_word_mismatch():
         preceq(subexpression(STS, "000"), subexpression(other, "000"))
 
 
-def test_enumerate_below_word_mismatch():
-    gammas = [subexpression(STS, "000"), subexpression(parse_word(A2, "2,1,2"), "000")]
-    with pytest.raises(ValueError, match="subexpressions of different words are incomparable"):
-        list(enumerate_below(gammas, CELLS_BOUND))
-
-
 def test_closure_upper_bound_requires_distinguished():
     with pytest.raises(ValueError, match="computed for distinguished masks"):
         closure_upper_bound(subexpression(STS, "100"))
@@ -215,9 +209,9 @@ def test_closure_upper_bound_against_brute_force():
 
 
 def _filtered_walk(walk, gammas):
-    """The reference for enumerate_below: each distinguished delta with the
-    bitset of the a with delta preceq gammas[a]; deltas below no gamma are
-    left out."""
+    """The reference for enumerate_below and closure_pairs: each
+    distinguished delta with the bitset of the a with delta preceq
+    gammas[a]; deltas below no gamma are left out."""
     out = []
     for delta in walk:
         alive = sum(1 << a for a, gamma in enumerate(gammas) if preceq(delta, gamma))
@@ -243,11 +237,14 @@ def test_enumerate_below_matches_filtered_walk(word):
     mixed = all_subexpressions(word)[::5]
     assert any(is_distinguished(g) for g in mixed)
     assert not all(is_distinguished(g) for g in mixed)
-    for gammas in (walk, mixed):
-        shared = enumerate_below(gammas, CELLS_BOUND)
-        assert [(d.mask, d.partials, alive) for d, alive in shared] == _filtered_walk(
-            walk, gammas
-        )
+    for gamma in mixed + walk[::7]:
+        below = [(d.mask, d.partials, 1) for d in enumerate_below(gamma, CELLS_BOUND)]
+        assert below == _filtered_walk(walk, [gamma]), gamma.mask_string
+    # closure_pairs reads the same relation among the masks of one walk
+    descs, stream = closure_pairs(word)
+    reference = _filtered_walk(walk, walk)
+    without_self = [(m, p, alive & ~(1 << a)) for a, (m, p, alive) in enumerate(reference)]
+    assert [(d.mask, d.partials, bits) for d, bits in zip(descs, stream)] == without_self
 
 
 WALK_WORDS = [
@@ -281,10 +278,11 @@ def test_walk_descriptors_match_cell(word):
     descs = list(enumerate_subexpressions(word, CELLS_BOUND))
     for desc in descs:
         _assert_matches_cell(desc)
-    # every fifth mask of the word mixes in non-distinguished gammas
-    mixed = all_subexpressions(word)[::5]
-    for gammas in (descs, mixed):
-        for desc, _ in enumerate_below(gammas, CELLS_BOUND):
+    # every 40th distinguished gamma and every 40th of the others, which
+    # skip a descent where they step up in Bruhat order
+    empty = [s for s in all_subexpressions(word) if not is_distinguished(s)]
+    for gamma in descs[::40] + empty[::40]:
+        for desc in enumerate_below(gamma, CELLS_BOUND):
             _assert_matches_cell(desc)
 
 
@@ -294,10 +292,7 @@ def test_descriptors_walk_as_their_subexpressions(word):
     descs = list(enumerate_subexpressions(word, CELLS_BOUND))
     bare = [subexpression(word, d.mask) for d in descs]
     assert all(type(s) is Subexpression for s in bare)
-    as_descs = [(d.mask, alive) for d, alive in enumerate_below(descs, CELLS_BOUND)]
-    as_bare = [(d.mask, alive) for d, alive in enumerate_below(bare, CELLS_BOUND)]
-    assert as_descs == as_bare and len(as_descs) == len(descs)
-    # every 40th mask as a single gamma, and the last, the deepest cell
+    # every 40th mask as a gamma, and the last, the deepest cell
     for desc, sub in list(zip(descs, bare))[::40] + [(descs[-1], bare[-1])]:
         below = [d.mask for d in closure_upper_bound(desc)]
         assert below == [d.mask for d in closure_upper_bound(sub)]
@@ -311,6 +306,24 @@ def test_closure_pairs_hold_earlier_masks_only(word):
     assert len(above) == len(descs) and any(above)
     for a, bits in enumerate(above):
         assert bits >> a == 0, descs[a].mask_string
+
+
+def test_closure_pairs_walk_once(monkeypatch):
+    walks = []
+    original = cells.enumerate_below
+
+    def counting(*args, **kwargs):
+        walks.append(0)
+        for item in original(*args, **kwargs):
+            walks[-1] += 1
+            yield item
+
+    monkeypatch.setattr(cells, "enumerate_below", counting)
+    descs, stream = closure_pairs(catalog(CLOSURE_OBSTRUCTION, 4).first.word)
+    assert sum(1 for _ in stream) == len(descs) == 1253
+    # one walk over the masks: the bitsets are read from their partial
+    # products
+    assert walks == [1253]
 
 
 @pytest.mark.parametrize("word", WALK_WORDS, ids=WALK_IDS)
@@ -363,31 +376,29 @@ def test_point_count_polynomial_rejects_other_group(v):
 
 def test_enumerate_below_bound():
     gamma = subexpression(STS, "101")  # 101, 110 and 111 lie below it
-    assert len(list(enumerate_below([gamma], 3))) == 3
+    assert len(list(enumerate_below(gamma, 3))) == 3
     walked = 0
     with pytest.raises(ValueError, match="more than 2 distinguished masks"):
-        for _ in enumerate_below([gamma], 2):
+        for _ in enumerate_below(gamma, 2):
             walked += 1
     assert walked == 2
 
 
 def test_closure_upper_bound_prunes(monkeypatch):
-    # the walk compares Bruhat keys inline, in _above_mask, one comparison
-    # per group it is handed
     calls = 0
-    original = cells._above_mask
+    original = cells.bruhat_leq
 
-    def counting(groups, x):
+    def counting(u, v):
         nonlocal calls
-        calls += len(groups)
-        return original(groups, x)
+        calls += 1
+        return original(u, v)
 
-    monkeypatch.setattr(cells, "_above_mask", counting)
+    monkeypatch.setattr(cells, "bruhat_leq", counting)
     bound = closure_upper_bound(catalog(CLOSURE_OBSTRUCTION, 5).first)
     assert len(bound) == 907
     # the cut and the lifting property keep the Bruhat checks near the cells
-    # found (144, against 1,660 bruhat_leq calls of a walk that tests every
-    # step); filtering all 13,066 masks of the word by preceq makes 46,481
+    # found (203, against 1,660 of a walk that tests every step); filtering
+    # all 13,066 masks of the word by preceq makes 46,481
     assert 0 < calls <= 3 * len(bound)
 
 
@@ -533,18 +544,35 @@ def test_hasse_dot_matches_triple_loop():
     assert hasse_dot(word) == "\n".join(lines) + "\n"
 
 
-# regression anchors, not derivations: SHA-256 of hasse_dot on the catalog
-# words, as the per-mask walk wrote them before the shared walk replaced it
+# regression anchors, not derivations: SHA-256 and line count of hasse_dot
+# on the catalog words, as the per-mask walk wrote them before the shared
+# walk replaced it, and on w0 of B_3, as the walk below a list of gammas
+# wrote it before closure_pairs read the relation from the masks
 HASSE_DIGESTS = {
-    3: "14cd6c9c94da58a93894f3441ad41040d5e7bcadbc29c7098762bc6f05193660",
-    4: "2a6127b2e5d086ff7ffd5a862d2bc916e6d8adfc2292675b1c21fa0c2dd932cb",
+    "3": (
+        catalog(CLOSURE_OBSTRUCTION, 3).first.word,
+        "14cd6c9c94da58a93894f3441ad41040d5e7bcadbc29c7098762bc6f05193660",
+        567,
+    ),
+    "4": (
+        catalog(CLOSURE_OBSTRUCTION, 4).first.word,
+        "2a6127b2e5d086ff7ffd5a862d2bc916e6d8adfc2292675b1c21fa0c2dd932cb",
+        8282,
+    ),
+    "b3-w0": (
+        catalog(DISJOINTNESS, 3).first.word,
+        "16d7887e6af591c3a692b975786dc893aafcbab018a978c656b5f389808dac38",
+        1000,
+    ),
 }
 
 
-@pytest.mark.parametrize("n", sorted(HASSE_DIGESTS))
-def test_hasse_dot_digest(n):
-    dot = hasse_dot(catalog(CLOSURE_OBSTRUCTION, n).first.word)
-    assert hashlib.sha256(dot.encode()).hexdigest() == HASSE_DIGESTS[n]
+@pytest.mark.parametrize("name", HASSE_DIGESTS)
+def test_hasse_dot_digest(name):
+    word, digest, lines = HASSE_DIGESTS[name]
+    dot = hasse_dot(word)
+    assert hashlib.sha256(dot.encode()).hexdigest() == digest
+    assert dot.count("\n") == lines
 
 
 def test_hasse_dot_shapes():

@@ -220,6 +220,13 @@ def test_find_obstructions_pair_counts(n, pairs, deeper):
     assert sum(r.second.dimension > r.first.dimension for r in reports) == deeper
 
 
+def test_find_obstructions_pair_count_b3_w0():
+    # regression anchor: the reports on w0 of B_3, all of equal dimensions
+    reports = find_obstructions(catalog(DISJOINTNESS, 3).first.word)
+    assert len(reports) == 34
+    assert all(r.second.dimension == r.first.dimension for r in reports)
+
+
 def test_find_obstructions_digest_n4():
     # regression anchor, not a derivation: SHA-256 of the (first, second)
     # mask list at n=4, as the per-gamma walks reported it before the
