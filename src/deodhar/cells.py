@@ -277,17 +277,12 @@ class PhiEntry(NamedTuple):
 class CellDescriptor(Subexpression):
     """One nonempty Deodhar cell: its distinguished subexpression and its
     root sequence ``phi``; build it with :func:`cell`.  The rest is derived:
-    ``chosen_positions()`` is I, ``descents`` is J, the positions where
-    gamma^i(alpha_i) < 0, which are exactly those with no phi entry,
-    ``dimension`` is l - |J|, ``affine_rank`` |I| - |J| and ``torus_rank``
-    l - |I|."""
+    ``chosen_positions()`` is I, ``descent_positions()`` J, ``dimension``
+    l - |J|, ``affine_rank`` |I| - |J| and ``torus_rank`` l - |I|.  The
+    positions that phi skips, where gamma^i(alpha_i) < 0, are J too; the
+    test suite checks that they agree."""
 
     phi: tuple[PhiEntry, ...]
-
-    @property
-    def descents(self) -> tuple[int, ...]:
-        present = {entry.index for entry in self.phi}
-        return tuple(i for i in range(1, len(self) + 1) if i not in present)
 
     @property
     def dimension(self) -> int:
@@ -308,8 +303,8 @@ def cell(sub: Subexpression) -> CellDescriptor:
     as its cell is empty.
 
     The root sequence is computed by acting on simple roots, independently of
-    the window descent rule of ``descent_positions``; the test suite checks
-    that the positions ``phi`` skips are that J.
+    the window descent rule of ``descent_positions()``, which is J; the test
+    suite checks that the positions ``phi`` skips are that J.
     """
     if not is_distinguished(sub):
         raise ValueError(f"mask {sub.mask_string} is not distinguished: its cell is empty")
@@ -526,7 +521,7 @@ def cell_to_obj(desc: CellDescriptor) -> dict:
         "mask": desc.mask_string,
         "end": desc.endpoint.serialize(),
         "I": list(desc.chosen_positions()),
-        "J": list(desc.descents),
+        "J": list(desc.descent_positions()),
         "dim": desc.dimension,
         "affine": desc.affine_rank,
         "torus": desc.torus_rank,

@@ -46,10 +46,10 @@ it.  ``structure.coroot_coords`` lists the coroots by index, and
 of its extraspecial pair.
 The normalized table is uniquely determined by that convention.  Building it
 checks every pair's bracket (a multiple of the sum's vector, the coroot, or
-zero), antisymmetry, |N| = p+1 with p from the root string (stepped on
-codes) rather than the table, and the positive extraspecial pairs; the test
-suite checks Jacobi via the adjoint representation and compares the table
-with derivations by root sums.
+zero) and in the same pass |N| = p+1, with p from the root string (stepped
+on codes) rather than the table; then the positive extraspecial pairs.  The
+test suite checks Jacobi via the adjoint representation and compares the
+table with derivations by root sums.
 """
 
 from __future__ import annotations
@@ -342,7 +342,11 @@ class _StructureConstants:
             total = roots[t]
             sums[k][j] = (total, c)
             sums[j][k] = (total, -c)
-        self._validate(sums, extraspecial)
+        # the signs must make every extraspecial constant positive
+        for k, j, _, _ in extraspecial.values():
+            if sums[k][j][1] <= 0:
+                r, s = roots[k], roots[j]
+                raise AssertionError(f"extraspecial pair ({r}; {s}) got a negative sign")
         self.sums = sums
         self.extraspecial = {t: (k, j) for t, (k, j, _, _) in extraspecial.items()}
 
@@ -385,7 +389,8 @@ class _StructureConstants:
         """Raw constants ``(k, j, t, c)`` by index of the pairs a = roots[k]
         before b = roots[j] whose sum roots[t] is a root, with [e_a, e_b] =
         c e_{a+b}; the extraspecial pairs, each sum's first such tuple of two
-        positive roots; and the coroots by index.  Every bracket is checked."""
+        positive roots; and the coroots by index.  Every bracket is checked,
+        and every constant c against the root string: |c| = p+1."""
         system = self.system
         roots = system.roots
         n, size, half = system.rank, len(roots), len(system.positive_roots)
@@ -418,6 +423,12 @@ class _StructureConstants:
                 if rem or not c or br != multiple(t, c):
                     raise AssertionError(
                         f"bracket [{roots[k]}; {roots[j]}] not a multiple of e_{roots[t]}"
+                    )
+                # p of the a-string through b; the signs set later keep |c|
+                p = _steps(codes[j], -code, by_code)
+                if abs(c) != p + 1:
+                    raise AssertionError(
+                        f"|N({roots[k]}; {roots[j]})| = {abs(c)} != p+1 = {p + 1}"
                     )
                 entry = (k, j, t, c)
                 raw.append(entry)
@@ -475,30 +486,6 @@ class _StructureConstants:
                 k, j, _, c = entry
                 eps[t] = eps[t + half] = eps[k] * eps[j] * (1 if c > 0 else -1)
         return eps
-
-    def _validate(self, rows, extraspecial):
-        roots = self.system.roots
-        codes = [r.code for r in roots]
-        by_code = self.system._by_code
-        for k, row in enumerate(rows):
-            step = codes[k]
-            for j, (_, c) in row.items():
-                # each unordered pair once: antisymmetry carries |N| = p+1 over
-                # to the other order
-                if j < k:
-                    continue
-                if rows[j][k][1] != -c:
-                    raise AssertionError("antisymmetry failure in structure constants")
-                # p of the a-string through b
-                p = _steps(codes[j], -step, by_code)
-                if abs(c) != p + 1:
-                    raise AssertionError(
-                        f"|N({roots[k]}; {roots[j]})| = {abs(c)} != p+1 = {p + 1}"
-                    )
-        for k, j, _, _ in extraspecial.values():
-            if rows[k][j][1] <= 0:
-                r, s = roots[k], roots[j]
-                raise AssertionError(f"extraspecial pair ({r}; {s}) got a negative sign")
 
 
 @cache

@@ -7,7 +7,7 @@ from deodhar.cells import Subexpression, subexpression
 from deodhar.chevalley import Factor, UnipotentWord
 from deodhar.laurent import LaurentPoly
 from deodhar.roots import root_system
-from deodhar.weyl import WeylElement
+from deodhar.weyl import WeylElement, bruhat_leq
 
 # pass/fail lines registered by the acceptance module, echoed after the run
 ACCEPTANCE_LINES: list[str] = []
@@ -57,6 +57,32 @@ def lifting_bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
         if u.descents >> i & 1:
             u = u.right_mult_generator(i)
     return True
+
+
+def preceq_by_depth(descriptors) -> tuple[list[int], list[int]]:
+    """The whole closure order among ``descriptors``, from its definition:
+    delta preceq gamma iff gamma^i <= delta^i at every depth i.  Each depth
+    compares each pair of its distinct partial products once; a bit survives
+    the AND over all depths only for a related pair.  Returns, per
+    descriptor k, the bitset of the d with d preceq k and the bitset of the
+    d with k preceq d, k itself included in both."""
+    size = len(descriptors)
+    below, above = [(1 << size) - 1] * size, [(1 << size) - 1] * size
+    for i in range(1, len(descriptors[0]) + 1):
+        holders = {}  # partial product at depth i -> bitset of its descriptors
+        for k, d in enumerate(descriptors):
+            holders[d.partials[i]] = holders.get(d.partials[i], 0) | 1 << k
+        geq = dict.fromkeys(holders, 0)  # x -> the holders of some y >= x
+        leq = dict.fromkeys(holders, 0)  # y -> the holders of some x <= y
+        for x, held_x in holders.items():
+            for y, held_y in holders.items():
+                if x is y or bruhat_leq(x, y):
+                    geq[x] |= held_y
+                    leq[y] |= held_x
+        for k, d in enumerate(descriptors):
+            below[k] &= geq[d.partials[i]]
+            above[k] &= leq[d.partials[i]]
+    return below, above
 
 
 def all_subexpressions(word) -> list[Subexpression]:

@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import pytest
 
-from conftest import all_subexpressions
+from conftest import all_subexpressions, preceq_by_depth
 from deodhar import cells
 from deodhar.cells import (
     CELLS_BOUND,
@@ -120,7 +120,7 @@ def test_cell_descriptor_examples():
     assert full_torus.endpoint == A2.identity
 
     mixed = cell(subexpression(STS, "101"))
-    assert mixed.chosen_positions() == (1, 3) and mixed.descents == (1,)
+    assert mixed.chosen_positions() == (1, 3) and mixed.descent_positions() == (1,)
     assert (mixed.affine_rank, mixed.torus_rank) == (1, 1)
 
     point = cell(subexpression(STS, "111"))
@@ -260,17 +260,18 @@ WALK_IDS = ["catalog-3", "catalog-4", "b3-w0", "a3-w0", "a4"]
 def _assert_matches_cell(desc):
     """``desc`` is one record, a subexpression with its phi, and equals
     ``cell(desc)`` field for field, partial products and derived values
-    included; its J, read from the positions phi skips, is J by the window
-    descent rule."""
+    included; the positions phi skips are J by the window descent rule."""
     fresh = cell(desc)
     assert [f.name for f in fields(CellDescriptor)] == ["word", "mask", "partials", "phi"]
     assert isinstance(desc, Subexpression) and not hasattr(desc, "sub")
     assert all(type(entry) is PhiEntry for entry in desc.phi)
-    derived = ["descents", "dimension", "affine_rank", "torus_rank"]
+    derived = ["dimension", "affine_rank", "torus_rank"]
     for name in ["word", "mask", "partials", "phi"] + derived:
         assert getattr(desc, name) == getattr(fresh, name), (desc.mask_string, name)
     assert desc.chosen_positions() == fresh.chosen_positions()
-    assert desc.descents == desc.descent_positions()
+    present = {entry.index for entry in desc.phi}
+    skipped = tuple(i for i in range(1, len(desc) + 1) if i not in present)
+    assert skipped == desc.descent_positions() == fresh.descent_positions()
 
 
 @pytest.mark.parametrize("word", WALK_WORDS, ids=WALK_IDS)
@@ -301,11 +302,16 @@ def test_descriptors_walk_as_their_subexpressions(word):
 
 @pytest.mark.parametrize("word", WALK_WORDS[:3], ids=WALK_IDS[:3])
 def test_closure_pairs_hold_earlier_masks_only(word):
+    # the whole relation, later masks included, by the per-depth reference:
+    # no mask lies below a later one, and each mask's earlier part is its
+    # closure_pairs bitset
     descs, stream = closure_pairs(word)
-    above = list(stream)
-    assert len(above) == len(descs) and any(above)
-    for a, bits in enumerate(above):
-        assert bits >> a == 0, descs[a].mask_string
+    _, above = preceq_by_depth(descs)
+    pairs = list(stream)
+    assert len(pairs) == len(descs) and any(pairs)
+    for a, (bits, reference) in enumerate(zip(pairs, above)):
+        assert reference >> a == 1, descs[a].mask_string
+        assert bits == reference & ((1 << a) - 1), descs[a].mask_string
 
 
 def test_closure_pairs_walk_once(monkeypatch):

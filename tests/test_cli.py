@@ -334,6 +334,7 @@ GOLDEN_COMMANDS = {
     # its sign lines read the B_16 structure-constant table
     "verify_closure_16": ["verify", "closure", "--n", "16"],
     "verify_disjoint_5": ["verify", "disjoint", "--n", "5"],
+    "verify_disjoint_16": ["verify", "disjoint", "--n", "16"],
     "cells_b3_json": ["cells", "--family", "B", "--rank", "3", "--word", B3_WORD, "--json"],
 }
 

@@ -341,6 +341,28 @@ def test_pair_that_never_meets_is_rejected(family, rank, monkeypatch):
         RootSystem(family, rank).structure
 
 
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3)])
+def test_constant_off_its_root_string_is_rejected(family, rank, monkeypatch):
+    # every root string read one step longer: no constant is p+1 any more,
+    # and the first pair by index, (beta_n, beta_{n-1}) with |N| = 1, is named
+    steps = roots_module._steps
+    monkeypatch.setattr(roots_module, "_steps", lambda *args: steps(*args) + 1)
+    system = RootSystem(family, rank)
+    pair = f"|N({system.simple(rank)}; {system.simple(rank - 1)})| = 1 != p+1 = 2"
+    with pytest.raises(AssertionError, match=re.escape(pair)):
+        system.structure
+
+
+def test_unnormalized_extraspecial_sign_is_rejected(monkeypatch):
+    # the raw constant of A_2's one extraspecial pair (beta_2, beta_1) is -1,
+    # so leaving every sign at +1 keeps it negative
+    monkeypatch.setattr(
+        _StructureConstants, "_normalizing_signs", lambda self, extraspecial: [1] * 6
+    )
+    with pytest.raises(AssertionError, match=re.escape("pair (0,1; 1,0) got a negative sign")):
+        RootSystem("A", 2).structure
+
+
 def _reference_extraspecial(system):
     # for each positive sum, the pair (r, s) of positive roots with r + s =
     # total and r earliest in Carter's total order, by a scan over r

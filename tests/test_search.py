@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from conftest import expected_neg_phi_first, expected_neg_phi_second
+from conftest import expected_neg_phi_first, expected_neg_phi_second, preceq_by_depth
 from deodhar import cells
 from deodhar.cells import (
     CELLS_BOUND,
@@ -23,7 +23,7 @@ from deodhar.search import (
     find_obstructions,
     scan_disjointness,
 )
-from deodhar.weyl import bruhat_leq, context, parse_word
+from deodhar.weyl import context, parse_word
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -170,24 +170,9 @@ def _obstruction_pairs_by_preceq(descriptors):
 
 
 def _obstruction_pairs_by_depth(descriptors):
-    """The same pairs from the definition of preceq: gamma^i <= delta^i at
-    every depth i.  Each depth compares each pair of its distinct partial
-    products once and gives, per gamma, the bitset of the deltas above it;
-    delta preceq gamma iff its bit survives the AND over all depths."""
-    below = [(1 << len(descriptors)) - 1] * len(descriptors)
-    for i in range(1, len(descriptors[0]) + 1):
-        holders = {}  # partial product at depth i -> bitset of its descriptors
-        for k, d in enumerate(descriptors):
-            holders[d.partials[i]] = holders.get(d.partials[i], 0) | 1 << k
-        above = {}
-        for x in holders:
-            bits = 0
-            for y, held in holders.items():
-                if x is y or bruhat_leq(x, y):
-                    bits |= held
-            above[x] = bits
-        for k, d in enumerate(descriptors):
-            below[k] &= above[d.partials[i]]
+    """The same pairs from the definition of preceq, read from the
+    per-depth relation of ``preceq_by_depth``."""
+    below, _ = preceq_by_depth(descriptors)
     pairs = []
     for gamma, bits in zip(descriptors, below):
         while bits:
