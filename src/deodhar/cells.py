@@ -31,13 +31,12 @@ walk below a distinguished gamma.  The walk yields the descriptor of each
 mask, one record per leaf, sharing the phi entry of a trie node among all
 leaves below it; :func:`cell` is the checked constructor for one mask.  A
 descriptor is a subexpression, so it can be passed back as a gamma.
-The linear consumers stream a walk under ``CELLS_BOUND``;
-``cells_with_endpoint`` reads one table per word, the descriptors of one
-walk grouped by endpoint.  The pairwise ones hold at most ``PAIRS_BOUND``
-descriptors: ``hasse_dot`` and ``find_obstructions`` read
-:func:`closure_pairs`, which reads the relation among the masks of one walk
-from their partial products, ``scan_disjointness`` compares each mask of
-one endpoint with the later ones.
+The linear consumers stream a walk under ``CELLS_BOUND``.  The pairwise ones
+hold at most ``PAIRS_BOUND`` descriptors and read one relation,
+:func:`closure_relation`, among the masks of a mask-ordered list from their
+partial products: ``hasse_dot`` and ``find_obstructions`` over a whole word
+through :func:`closure_pairs`, ``scan_disjointness`` over the masks of one
+endpoint.
 
 Point counts walk no mask: :func:`point_count_polynomial` reads one table
 per word, the number of cells of each endpoint and shape, which Deodhar's
@@ -81,26 +80,26 @@ from .laurent import LaurentPoly, Monomial
 from .roots import Root
 from .weyl import ReducedWord, WeylElement, bruhat_leq, context
 
-# Most distinguished masks a linear consumer walks: cells_with_endpoint,
-# the cells command and closure_upper_bound (there the masks below gamma).
-# Their cost is about linear in the number of masks, the walk building one
-# descriptor per mask: the cells command takes about 0.5-0.6 s with --json
-# on the 13,066 masks of the rank-5 catalog word, most of it writing JSON,
-# closure_upper_bound 0.05-0.12 s on the 5,167 masks below the rank-6
-# catalog gamma, and the table of cells_with_endpoint 0.08-0.09 s and 9.8 MB
-# on the rank-5 word.  point_count_polynomial walks no mask, since its
-# recursion merges prefixes by partial product, but rejects a word with more
-# masks too.
+# Most distinguished masks a linear consumer walks: the cells command,
+# closure_upper_bound (there the masks below gamma) and the double-cell table
+# of scan_disjointness.  Their cost is about linear in the number of masks,
+# the walk building one descriptor per mask: the cells command takes about
+# 0.5-0.6 s with --json on the 13,066 masks of the rank-5 catalog word, most
+# of it writing JSON, closure_upper_bound 0.05-0.12 s on the 5,167 masks
+# below the rank-6 catalog gamma, and the double-cell table 0.55-0.62 s and
+# 9.2 MB on the rank-5 word, most of it the relations of its endpoints.
+# point_count_polynomial walks no mask, since its recursion merges prefixes
+# by partial product, but rejects a word with more masks too.
 CELLS_BOUND = 15000
 # Most distinguished masks a pairwise consumer holds: hasse_dot,
-# find_obstructions and scan_disjointness (there per endpoint).  The first two
-# read closure_pairs, whose key comparisons grow with the number of distinct
-# partial products: hasse_dot takes about 0.2 s on the rank-4 catalog word
-# (1,253 masks), 0.5-0.7 s on 2,048 masks and 3.1-3.6 s on 4,096 masks (the
-# words 1, ..., n of B_11 and B_12, whose partial products are all distinct;
-# closure_pairs 0.5-0.6 and 2.1-2.8 s); find_obstructions 0.8-1.0 s and 38 MB
-# on the 13,066 masks of the rank-5 catalog word, which has 8,995,017 related
-# pairs of distinct masks (2-vCPU Xeon, Python 3.11.7).
+# find_obstructions and scan_disjointness (there per endpoint).  All three
+# read closure_relation, whose key comparisons grow with the number of
+# distinct partial products: hasse_dot takes about 0.2 s on the rank-4
+# catalog word (1,253 masks), 0.5-0.7 s on 2,048 masks and 3.1-3.6 s on
+# 4,096 masks (the words 1, ..., n of B_11 and B_12, whose partial products
+# are all distinct; closure_pairs 0.5-0.6 and 2.1-2.8 s); find_obstructions
+# 0.8-1.0 s and 38 MB on the 13,066 masks of the rank-5 catalog word, which
+# has 8,995,017 related pairs of distinct masks (2-vCPU Xeon, Python 3.11.7).
 PAIRS_BOUND = 1300
 
 
@@ -316,29 +315,6 @@ def cell(sub: Subexpression) -> CellDescriptor:
     return CellDescriptor(sub.word, sub.mask, sub.partials, tuple(phi))
 
 
-def cells_with_endpoint(word: ReducedWord, v: WeylElement) -> list[CellDescriptor]:
-    """Descriptors of the distinguished subexpressions with endpoint ``v``,
-    in mask order; these are exactly the cells of one double Schubert cell.
-    Read from the table of :func:`_cells_by_endpoint`, a new list per call;
-    raises ``ValueError`` for an endpoint of another group."""
-    if v.ctx is not word.ctx:
-        raise ValueError("endpoint and word from different contexts")
-    return list(_cells_by_endpoint(word).get(v, ()))
-
-
-# Every caller asks for all endpoints of one word in a row (scan_disjointness
-# over the double cells of a word), so one table is kept, as for
-# endpoint_shapes.
-@lru_cache(maxsize=1)
-def _cells_by_endpoint(word: ReducedWord) -> dict[WeylElement, tuple[CellDescriptor, ...]]:
-    """The descriptors of one walk over all distinguished masks, grouped by
-    endpoint, each group in mask order."""
-    groups: dict[WeylElement, list[CellDescriptor]] = {}
-    for desc in enumerate_subexpressions(word, CELLS_BOUND):
-        groups.setdefault(desc.endpoint, []).append(desc)
-    return {v: tuple(descs) for v, descs in groups.items()}
-
-
 def preceq(delta: Subexpression, gamma: Subexpression) -> bool:
     """The closure order: delta preceq gamma iff gamma^i <= delta^i for all i."""
     if delta.word != gamma.word:
@@ -446,21 +422,22 @@ def hasse_dot(word: ReducedWord) -> str:
 
 def closure_pairs(word: ReducedWord) -> tuple[list[CellDescriptor], Iterator[int]]:
     """The descriptors of the distinguished masks of ``word`` in mask order,
-    and a stream of bitsets, one per descriptor a in the same order: the b
-    with b != a and a preceq b.  Each bitset holds only b < a: at the first
-    position k where the masks of a and b differ, with common partial
-    product x before it, if a skips the letter and b takes it then
-    x s_k > x, as a is distinguished, and b^k = x s_k is not below
-    a^k = x.  One walk yields the masks, which are held, so ``ValueError``
-    is raised for more than ``PAIRS_BOUND`` of them; the stream reads the
-    relation from their partial products, comparing Bruhat keys, as in
-    :func:`enumerate_below`, only where b steps up while a steps down."""
+    and their :func:`closure_relation`.  One walk yields the masks, which are
+    held, so ``ValueError`` is raised for more than ``PAIRS_BOUND`` of them."""
     descs = list(enumerate_subexpressions(word, PAIRS_BOUND))
-    return descs, _above_bitsets(word.letters, descs)
+    return descs, closure_relation(descs)
 
 
-def _above_bitsets(letters: tuple[int, ...], descs: list[CellDescriptor]) -> Iterator[int]:
-    """The bitsets of :func:`closure_pairs`, one per mask of ``descs``."""
+def closure_relation(descs: list[CellDescriptor]) -> Iterator[int]:
+    """A stream of bitsets, one per descriptor a of ``descs``, distinguished
+    masks of one word in increasing mask order: the b with b != a and
+    a preceq b.  Each bitset holds only b < a: at the first position k where
+    the masks of a and b differ, with common partial product x before it, if
+    a skips the letter and b takes it then x s_k > x, as a is distinguished,
+    and b^k = x s_k is not below a^k = x.  The relation is read from the
+    partial products, comparing Bruhat keys, as in :func:`enumerate_below`,
+    only where b steps up while a steps down."""
+    letters = descs[0].word.letters if descs else ()
     size = len(descs)
     # risers[k]: b^{k+1} -> the b that step up to it at position k + 1, that
     # is take an ascent or skip a descent
@@ -554,10 +531,12 @@ class CatalogEntry:
 
 
 def catalog(name: str, n: int = 3) -> CatalogEntry:
-    """Exact transliterations of the known counterexample words and masks."""
+    """Exact transliterations of the known counterexample words and masks;
+    the rank is checked against ``RANK_BOUND`` before any letter is built."""
     if name == CLOSURE_OBSTRUCTION:
         if n < 3:
             raise ValueError("closure-obstruction needs n >= 3")
+        ctx = context("B", n)
         block = tuple(range(n, 1, -1)) + (1,) + tuple(range(2, n))
         # gamma skips positions 1, n, 2n-1 and 3n-2, delta 1 and n+1..3n-3
         letters = block + block
@@ -566,6 +545,7 @@ def catalog(name: str, n: int = 3) -> CatalogEntry:
     elif name == DISJOINTNESS:
         if n != 3:
             raise ValueError("disjointness is a rank 3 catalog entry")
+        ctx = context("B", n)
         letters, first, second = _B3_W0, _SIGMA, _TAU
     elif name == DISJOINTNESS_EXTENDED:
         if n < 4:
@@ -573,11 +553,12 @@ def catalog(name: str, n: int = 3) -> CatalogEntry:
                 "disjointness-extended needs n >= 4 (at n = 3 the prefixed "
                 "word is no longer reduced)"
             )
+        ctx = context("B", n)
         # eta takes both t_2 of t_n ... t_2 t_1 t_2 ... t_n: its product is e
         letters = tuple(range(n, 0, -1)) + tuple(range(2, n + 1)) + _B3_W0
         eta = "0" * (n - 2) + "101" + "0" * (n - 2)
         first, second = eta + _SIGMA, eta + _TAU
     else:
         raise ValueError(f"unknown catalog entry {name!r}")
-    word = ReducedWord(context("B", n), letters)
+    word = ReducedWord(ctx, letters)
     return CatalogEntry(name, n, subexpression(word, first), subexpression(word, second))

@@ -2,19 +2,18 @@
 
 Scans take the descriptors that the walks build, one per distinguished
 mask, compare them by identity and hand them to the certificate, which
-reads their ``phi``.  The obstruction scan does not compare every pair: it
-reads :func:`cells.closure_pairs`, the descriptors of a word and, for each
-delta, the bitset of the gammas above it, keeps the gammas of dimension at
-most dim(delta), and the reports hold those descriptors.  The disjointness
-scan compares each descriptor of one endpoint with the later ones, the only
-ones below it (see :func:`cells.closure_pairs`), read from the table of
-:func:`cells.cells_with_endpoint`, which one walk builds for all endpoints
-of a word.
+reads their ``phi``.  No scan compares every pair: both read the bitsets of
+:func:`cells.closure_relation`, over the whole word (the obstruction scan,
+cut to the gammas of dimension at most dim(delta)) or over the cells of one
+endpoint (the disjointness scan, from a table that one walk builds for all
+endpoints of a word).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Iterable, Iterator
 
 from . import cells
 from .roots import Root
@@ -49,16 +48,19 @@ def find_obstructions(word: ReducedWord) -> list[ObstructionReport]:
         within[desc.dimension] |= 1 << a
     for k in range(1, len(within)):
         within[k] |= within[k - 1]
+    kept = (gammas & within[desc.dimension] for desc, gammas in zip(descs, above))
+    return [ObstructionReport(first, second) for first, second in _pairs_below(descs, kept)]
+
+
+def _pairs_below(descs: list[cells.CellDescriptor], above: Iterable[int]) -> Iterator[tuple]:
+    """The pairs (gamma, delta) of ``descs`` whose delta has gamma in its
+    bitset in ``above``, in increasing (gamma, delta) order."""
     # below[a]: the deltas below gamma a, in order
     below: list[list[int]] = [[] for _ in descs]
-    for d, (desc, gammas) in enumerate(zip(descs, above)):
-        for a in cells.bit_indices(gammas & within[desc.dimension]):
+    for d, gammas in enumerate(above):
+        for a in cells.bit_indices(gammas):
             below[a].append(d)
-    return [
-        ObstructionReport(first=descs[a], second=descs[d])
-        for a, deltas in enumerate(below)
-        for d in deltas
-    ]
+    return ((descs[a], descs[d]) for a, deltas in enumerate(below) for d in deltas)
 
 
 @dataclass(frozen=True)
@@ -109,20 +111,35 @@ def scan_disjointness(word: ReducedWord, v: WeylElement) -> list[CertifiedPair]:
     """All ordered pairs in one double cell with second preceq first and a
     disjointness certificate; every certified pair is a proven negative
     instance of the closure-intersection question.  Pairs come in increasing
-    (first, second) mask order.  Each descriptor with endpoint ``v`` is
-    compared with the later ones, the only ones that can lie below it, and
-    handed to :func:`disjointness_certificate` as is, so ``ValueError`` is
+    (first, second) mask order, read from the closure relation among the
+    descriptors with endpoint ``v``, which are held, so ``ValueError`` is
     raised for more than ``PAIRS_BOUND`` of them, and for an endpoint of
     another group."""
-    descriptors = cells.cells_with_endpoint(word, v)
-    if len(descriptors) > cells.PAIRS_BOUND:
+    if v.ctx is not word.ctx:
+        raise ValueError("endpoint and word from different contexts")
+    descs, relation = _double_cells(word).get(v, ([], []))
+    if len(descs) > cells.PAIRS_BOUND:
         raise ValueError(f"more than {cells.PAIRS_BOUND} cells end at {v.serialize()}")
-    out = []
-    for k, first in enumerate(descriptors, start=1):
-        for second in descriptors[k:]:
-            if not cells.preceq(second, first):
-                continue
-            certificate = disjointness_certificate(first, second)
-            if certificate is not None:
-                out.append(CertifiedPair(first, second, certificate))
-    return out
+    if relation is None:  # the table was built under a smaller bound
+        relation = cells.closure_relation(descs)
+    return [
+        CertifiedPair(first, second, certificate)
+        for first, second in _pairs_below(descs, relation)
+        if (certificate := disjointness_certificate(first, second)) is not None
+    ]
+
+
+# Every caller asks for all endpoints of one word in a row, so one table is kept.
+@lru_cache(maxsize=1)
+def _double_cells(word: ReducedWord) -> dict[WeylElement, tuple[list, list[int] | None]]:
+    """For each endpoint, the descriptors of one walk over all distinguished
+    masks that end there, in mask order, and their closure relation, or None
+    for an endpoint with more than ``PAIRS_BOUND`` cells."""
+    groups: dict[WeylElement, list[cells.CellDescriptor]] = {}
+    for desc in cells.enumerate_subexpressions(word, cells.CELLS_BOUND):
+        groups.setdefault(desc.endpoint, []).append(desc)
+    bound = cells.PAIRS_BOUND
+    return {
+        v: (descs, list(cells.closure_relation(descs)) if len(descs) <= bound else None)
+        for v, descs in groups.items()
+    }

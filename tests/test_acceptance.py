@@ -18,12 +18,13 @@ from conftest import (
     random_unipotent_word,
 )
 from deodhar.cells import (
+    CELLS_BOUND,
     CLOSURE_OBSTRUCTION,
     DISJOINTNESS,
     DISJOINTNESS_EXTENDED,
     catalog,
     cell,
-    cells_with_endpoint,
+    enumerate_subexpressions,
     is_distinguished,
     point_count_polynomial,
     preceq,
@@ -72,7 +73,8 @@ def test_criterion_1_distinguished_count():
 
 def test_criterion_2_open_double_cell():
     with _Budget(2, "open double cell decomposition", 1.0):
-        descriptors = cells_with_endpoint(STS, A2.identity)
+        walk = enumerate_subexpressions(STS, CELLS_BOUND)
+        descriptors = [d for d in walk if d.endpoint is A2.identity]
         assert [d.mask_string for d in descriptors] == ["000", "101"]
         shapes = [(d.affine_rank, d.torus_rank) for d in descriptors]
         assert shapes == [(0, 3), (1, 1)]

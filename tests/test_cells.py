@@ -19,9 +19,9 @@ from deodhar.cells import (
     catalog,
     cell,
     cell_to_obj,
-    cells_with_endpoint,
     closure_pairs,
     closure_upper_bound,
+    endpoint_shapes,
     enumerate_below,
     enumerate_subexpressions,
     hasse_dot,
@@ -138,9 +138,8 @@ def test_empty_word_degenerate_case():
 
 def test_cells_with_endpoint_partition():
     by_endpoint = {}
-    for v in A2.elements():
-        for desc in cells_with_endpoint(STS, v):
-            by_endpoint.setdefault(v.window, []).append(desc.mask_string)
+    for desc in enumerate_subexpressions(STS, CELLS_BOUND):
+        by_endpoint.setdefault(desc.endpoint.window, []).append(desc.mask_string)
     assert by_endpoint[A2.identity.window] == ["000", "101"]
     assert by_endpoint[A2.from_word([1, 2, 1]).window] == ["111"]
     assert sum(len(v) for v in by_endpoint.values()) == 7
@@ -351,27 +350,20 @@ def test_walk_shares_phi_entries_of_a_prefix(word):
 
 @pytest.mark.parametrize("word", WALK_WORDS, ids=WALK_IDS)
 def test_cells_with_endpoint_groups_partition_the_walk(word):
-    masks = [d.mask for d in enumerate_subexpressions(word, CELLS_BOUND)]
+    # the walk filtered to each endpoint holds as many masks, in mask order,
+    # as Deodhar's recursion counts there, and the groups cover the walk
+    walk = list(enumerate_subexpressions(word, CELLS_BOUND))
+    shapes = endpoint_shapes(word)
     grouped = []
     for v in word.ctx.elements():
-        group = cells_with_endpoint(word, v)
-        again = cells_with_endpoint(word, v)
-        assert group == again and group is not again
-        group.clear()  # a caller's list is its own
-        assert cells_with_endpoint(word, v) == again
-        assert all(d.endpoint is v for d in again)
-        assert [d.mask for d in again] == sorted(d.mask for d in again)
-        grouped += [d.mask for d in again]
-    assert sorted(grouped) == masks
+        group = [d.mask for d in walk if d.endpoint is v]
+        assert len(group) == sum(shapes.get(v, {}).values())
+        assert group == sorted(group)
+        grouped += group
+    assert sorted(grouped) == [d.mask for d in walk]
 
 
 FOREIGN_ENDPOINTS = [context("B", 4).identity, context("A", 3).identity]
-
-
-@pytest.mark.parametrize("v", FOREIGN_ENDPOINTS, ids=["b4", "a3"])
-def test_cells_with_endpoint_rejects_other_group(v):
-    with pytest.raises(ValueError, match="different contexts"):
-        cells_with_endpoint(parse_word(B3, "3,2,1,2,3,2,1,2,1"), v)
 
 
 @pytest.mark.parametrize("v", FOREIGN_ENDPOINTS, ids=["b4", "a3"])
@@ -452,11 +444,13 @@ def test_point_count_polynomial_examples():
     assert point_count_polynomial(STS, A2.from_word([1, 2, 1])) == one
 
 
-def _walked_point_count(word, v):
-    """The reference route: point counts summed from the cells of the walk."""
-    return point_count(
-        Counter((d.affine_rank, d.torus_rank) for d in cells_with_endpoint(word, v))
-    )
+def _walked_point_counts(word):
+    """The reference route: the point count of each endpoint of the group,
+    summed from the cells of the walk that end there."""
+    shapes = {v: Counter() for v in word.ctx.elements()}
+    for d in enumerate_subexpressions(word, CELLS_BOUND):
+        shapes[d.endpoint][d.affine_rank, d.torus_rank] += 1
+    return {v: point_count(counts) for v, counts in shapes.items()}
 
 
 def _point_count_words():
@@ -472,9 +466,9 @@ def test_point_count_polynomial_matches_cell_walk():
     q = LaurentPoly.variable("q")
     for word in _point_count_words():
         total = LaurentPoly.zero()
-        for v in word.ctx.elements():
+        for v, walked in _walked_point_counts(word).items():
             poly = point_count_polynomial(word, v)
-            assert poly == _walked_point_count(word, v), (word.serialize(), v.window)
+            assert poly == walked, (word.serialize(), v.window)
             assert poly.is_zero() != bruhat_leq(v, word.ctx.from_word(word.letters))
             total = total + poly
         assert total == q ** len(word), word.serialize()
@@ -516,7 +510,7 @@ def test_point_count_polynomial_keys_on_context():
     assert hash(word_a) == hash(word_b) and word_a != word_b
     for _ in range(2):
         for word, other in ((word_a, b3), (word_b, a3)):
-            expected = {v: _walked_point_count(word, v) for v in word.ctx.elements()}
+            expected = _walked_point_counts(word)
             assert {v: point_count_polynomial(word, v) for v in expected} == expected
             for v in other.elements():
                 with pytest.raises(ValueError, match="different contexts"):

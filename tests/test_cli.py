@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -304,6 +305,11 @@ def alternating_b2(m):
                      id="collect-unknown-family"),
         pytest.param(["collect", "--input", "PATH"], {"family": "B", "rank": "3", "factors": []},
                      id="collect-rank-not-int"),
+        # past the rank bound before the catalog builds any letter
+        pytest.param(["verify", "disjoint", "--n", str(10 ** 7)], None, id="verify-disjoint-1e7"),
+        pytest.param(["verify", "closure", "--n", str(10 ** 7)], None, id="verify-closure-1e7"),
+        pytest.param(["verify", "disjoint", "--n", str(10 ** 30)], None, id="verify-disjoint-1e30"),
+        pytest.param(["verify", "closure", "--n", str(10 ** 30)], None, id="verify-closure-1e30"),
     ],
 )
 def test_input_errors_exit_2(tmp_path, capsys, argv, payload):
@@ -314,6 +320,20 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, payload):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("check", ["closure", "disjoint"])
+def test_verify_past_rank_bound_builds_nothing(capsys, check):
+    # the catalog checks the rank before it builds a word of about 4n letters
+    tracemalloc.start()
+    try:
+        code = main(["verify", check, "--n", str(10 ** 7)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == f"error: rank {10 ** 7} exceeds {RANK_BOUND}\n"
+    assert peak < 2 * 2 ** 20
 
 
 # The README commands (test_readme_commands_are_golden checks that each one is

@@ -11,12 +11,13 @@ from deodhar.cells import (
     DISJOINTNESS_EXTENDED,
     catalog,
     cell,
-    cells_with_endpoint,
+    closure_pairs,
     enumerate_subexpressions,
     hasse_dot,
     is_distinguished,
     preceq,
 )
+from deodhar import search
 from deodhar.roots import root_system
 from deodhar.search import (
     disjointness_certificate,
@@ -131,15 +132,25 @@ def test_pairwise_bound(monkeypatch):
     # the rank-5 catalog word has 13,066 distinguished masks, PAIRS_BOUND 1,300
     with pytest.raises(ValueError, match="more than 1300 distinguished masks"):
         find_obstructions(catalog(CLOSURE_OBSTRUCTION, 5).first.word)
-    entry = catalog(DISJOINTNESS, 3)
+    word = catalog(DISJOINTNESS, 3).first.word
     v = context("B", 3).from_word([2])
-    # one binding: every pairwise consumer reads cells.PAIRS_BOUND when called
-    monkeypatch.setattr(cells, "PAIRS_BOUND", len(cells_with_endpoint(entry.first.word, v)) - 1)
-    with pytest.raises(ValueError, match="cells end at"):
-        scan_disjointness(entry.first.word, v)
+    pairs = scan_disjointness(word, v)
+    size = len(search._double_cells(word)[v][0])
+    # one binding: every pairwise consumer reads cells.PAIRS_BOUND when called,
+    # also against a table built under a larger bound
+    monkeypatch.setattr(cells, "PAIRS_BOUND", size - 1)
+    with pytest.raises(ValueError, match=f"^more than {size - 1} cells end at 2,1,3$"):
+        scan_disjointness(word, v)
     for scan in (find_obstructions, hasse_dot):
         with pytest.raises(ValueError, match="distinguished masks"):
-            scan(entry.first.word)
+            scan(word)
+    # a table built under a smaller bound holds no relation for v, and a
+    # scan under a larger one reads the relation anew
+    search._double_cells.cache_clear()
+    assert search._double_cells(word)[v][1] is None
+    monkeypatch.setattr(cells, "PAIRS_BOUND", size)
+    assert scan_disjointness(word, v) == pairs
+    search._double_cells.cache_clear()
 
 
 def test_find_obstructions_equal_dimension_boundary():
@@ -247,17 +258,13 @@ def test_scan_disjointness():
     assert scan_disjointness(parse_word(ctx, "1"), ctx.identity) == []
 
 
-def test_scan_disjointness_matches_all_pairs():
+def test_scan_disjointness_matches_all_pairs(monkeypatch):
     word = catalog(DISJOINTNESS, 3).first.word  # a reduced word of w0 in B_3
     endpoints = list(context("B", 3).elements())
     assert len(endpoints) == 48
     walk = list(enumerate_subexpressions(word, CELLS_BOUND))
-    found, expected = [], []
+    expected = []
     for v in endpoints:
-        found += [
-            (p.first.mask_string, p.second.mask_string, p.certificate)
-            for p in scan_disjointness(word, v)
-        ]
         # every ordered pair of distinct descriptors with endpoint v
         descriptors = [d for d in walk if d.endpoint is v]
         for first in descriptors:
@@ -266,8 +273,50 @@ def test_scan_disjointness_matches_all_pairs():
                     certificate = disjointness_certificate(first, second)
                     if certificate is not None:
                         expected.append((first.mask_string, second.mask_string, certificate))
+
+    def forbidden(delta, gamma):
+        raise AssertionError("scan_disjointness called preceq")
+
+    # the scan reads the closure relation of each endpoint, never preceq
+    monkeypatch.setattr(cells, "preceq", forbidden)
+    search._double_cells.cache_clear()
+    found = [
+        (p.first.mask_string, p.second.mask_string, p.certificate)
+        for v in endpoints
+        for p in scan_disjointness(word, v)
+    ]
     assert found == expected
     assert len(found) == 2
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        catalog(CLOSURE_OBSTRUCTION, 3).first.word,
+        catalog(CLOSURE_OBSTRUCTION, 4).first.word,
+        catalog(DISJOINTNESS, 3).first.word,
+    ],
+    ids=["catalog-3", "catalog-4", "b3-w0"],
+)
+def test_double_cell_relations_restrict_closure_pairs(word):
+    # each endpoint's relation in the table is the relation of the whole
+    # word restricted to the masks that end there
+    descs, above = closure_pairs(word)
+    above = list(above)
+    index = {d.mask: a for a, d in enumerate(descs)}
+    table = search._double_cells(word)
+    assert sorted(index[d.mask] for group, _ in table.values() for d in group) == list(
+        range(len(descs))
+    )
+    for v, (group, relation) in table.items():
+        assert all(d.endpoint is v for d in group)
+        positions = [index[d.mask] for d in group]
+        assert positions == sorted(positions)
+        restricted = [
+            sum(1 << b for b, p in enumerate(positions) if above[a] >> p & 1)
+            for a in positions
+        ]
+        assert relation == restricted, v.window
 
 
 def _forbid_cell(monkeypatch):
@@ -293,7 +342,7 @@ def test_scan_disjointness_builds_one_descriptor_per_mask(monkeypatch):
 
     monkeypatch.setattr(cells, "enumerate_below", counting)
     _forbid_cell(monkeypatch)
-    cells._cells_by_endpoint.cache_clear()
+    search._double_cells.cache_clear()
     word = catalog(DISJOINTNESS, 3).first.word  # a reduced word of w0 in B_3
     endpoints = list(context("B", 3).elements())
     assert len(endpoints) == 48
@@ -301,8 +350,9 @@ def test_scan_disjointness_builds_one_descriptor_per_mask(monkeypatch):
     # all 48 endpoints read one table, built by one walk over the 200 masks
     assert walks == [200]
     by_mask = {}
+    table = search._double_cells(word)
     for v in endpoints:
-        for desc in cells_with_endpoint(word, v):
+        for desc in table.get(v, ([], None))[0]:
             assert by_mask.setdefault(desc.mask, desc) is desc
     assert walks == [200]
     assert len(by_mask) == 200
