@@ -38,7 +38,7 @@ def _cmd_cells(args) -> int:
     word = _word(args)
     end = None if args.end is None else word.ctx.parse_element(args.end)
     # raises past CELLS_BOUND, so such an input prints nothing
-    cells_mod.endpoint_shapes(word)
+    cells_mod.endpoint_counts(word)
     descriptors = (
         d
         for d in cells_mod.enumerate_subexpressions(word, cells_mod.CELLS_BOUND)

@@ -57,6 +57,8 @@ ONE_MONOMIAL = Monomial(())
 
 def _coerce(value) -> Fraction | int:
     """The one canonical coefficient: an ``int`` if integral, else a ``Fraction``."""
+    if type(value) is int:
+        return value
     if isinstance(value, Fraction) and value.denominator != 1:
         return value
     if isinstance(value, (int, Fraction)):

@@ -3,6 +3,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import fields
+from math import comb
 
 import pytest
 
@@ -21,17 +22,16 @@ from deodhar.cells import (
     cell_to_obj,
     closure_pairs,
     closure_upper_bound,
-    endpoint_shapes,
+    endpoint_counts,
     enumerate_below,
     enumerate_subexpressions,
     hasse_dot,
     is_distinguished,
-    point_count,
     point_count_polynomial,
     preceq,
     subexpression,
 )
-from deodhar.laurent import LaurentPoly
+from deodhar.laurent import LaurentPoly, Monomial
 from deodhar.weyl import ReducedWord, all_reduced_words, bruhat_leq, context, parse_word
 
 A2 = context("A", 2)
@@ -61,16 +61,18 @@ def test_enumeration_counts_and_order():
     assert walked == [s.mask for s in everything if is_distinguished(s)]
 
 
-def test_enumeration_bound():
-    ctx = context("B", 7)
-    w0 = ctx.longest_element()
+def _reduced_word(w):
+    """One reduced word of ``w``, read by peeling right descents."""
     letters = []
-    w = w0
     while not w.is_identity():
         i = w.right_descents()[0]
         letters.append(i)
         w = w.right_mult_generator(i)
-    word = ReducedWord(ctx, tuple(reversed(letters)))
+    return ReducedWord(w.ctx, tuple(reversed(letters)))
+
+
+def test_enumeration_bound():
+    word = _reduced_word(context("B", 7).longest_element())
     assert len(word) == 49
     walked = 0
     with pytest.raises(ValueError, match="more than 15000 distinguished masks"):
@@ -310,7 +312,7 @@ def test_closure_pairs_hold_earlier_masks_only(word):
     assert len(pairs) == len(descs) and any(pairs)
     for a, (bits, reference) in enumerate(zip(pairs, above)):
         assert reference >> a == 1, descs[a].mask_string
-        assert bits == reference & ((1 << a) - 1), descs[a].mask_string
+        assert bits == reference & ~(1 << a), descs[a].mask_string
 
 
 def test_closure_pairs_walk_once(monkeypatch):
@@ -353,14 +355,32 @@ def test_cells_with_endpoint_groups_partition_the_walk(word):
     # the walk filtered to each endpoint holds as many masks, in mask order,
     # as Deodhar's recursion counts there, and the groups cover the walk
     walk = list(enumerate_subexpressions(word, CELLS_BOUND))
-    shapes = endpoint_shapes(word)
+    counts = endpoint_counts(word)
     grouped = []
     for v in word.ctx.elements():
         group = [d.mask for d in walk if d.endpoint is v]
-        assert len(group) == sum(shapes.get(v, {}).values())
+        assert len(group) == counts.get(v, (0, []))[0]
         assert group == sorted(group)
         grouped += group
     assert sorted(grouped) == [d.mask for d in walk]
+
+
+@pytest.mark.parametrize("word", WALK_WORDS, ids=WALK_IDS)
+def test_endpoint_counts_match_the_walk(word):
+    # each endpoint's mask count and row against the cells of the walk that
+    # end there; a row holds the coefficients of q^0, ..., q^l
+    shapes = {}
+    for d in enumerate_subexpressions(word, CELLS_BOUND):
+        shapes.setdefault(d.endpoint, Counter())[d.affine_rank, d.torus_rank] += 1
+    counts = endpoint_counts(word)
+    assert {v: masks for v, (masks, _) in counts.items()} == {
+        v: sum(group.values()) for v, group in shapes.items()
+    }
+    for v, (_, row) in counts.items():
+        assert len(row) == len(word) + 1
+        assert all(type(c) is int for c in row)
+        expanded = {mono.exponent("q"): c for mono, c in point_count(shapes[v]).terms()}
+        assert row == [expanded.get(e, 0) for e in range(len(row))]
 
 
 FOREIGN_ENDPOINTS = [context("B", 4).identity, context("A", 3).identity]
@@ -444,6 +464,17 @@ def test_point_count_polynomial_examples():
     assert point_count_polynomial(STS, A2.from_word([1, 2, 1])) == one
 
 
+def point_count(shapes):
+    """Sum of q^affine (q-1)^torus over cells, given as the number of cells
+    of each (affine, torus) shape; (q-1)^torus is expanded by binomials into
+    integer coefficients of the powers of q."""
+    coeffs = Counter()
+    for (affine, torus), count in shapes.items():
+        for k in range(torus + 1):
+            coeffs[affine + k] += count * comb(torus, k) * (-1) ** (torus - k)
+    return LaurentPoly({Monomial.of(q=e): c for e, c in coeffs.items()})
+
+
 def _walked_point_counts(word):
     """The reference route: the point count of each endpoint of the group,
     summed from the cells of the walk that end there."""
@@ -472,6 +503,56 @@ def test_point_count_polynomial_matches_cell_walk():
             assert poly.is_zero() != bruhat_leq(v, word.ctx.from_word(word.letters))
             total = total + poly
         assert total == q ** len(word), word.serialize()
+
+
+def _r_polynomials(ctx):
+    """R_{x,w} for every pair of the group, as coefficient rows of q^0,
+    q^1, ..., by the Kazhdan-Lusztig recursion (Invent. Math. 53, 1979):
+    R_{x,x} = 1, R_{x,w} = 0 unless x <= w, and for a right descent s of w,
+    R_{x,w} = R_{xs,ws} if xs < x and (q-1) R_{x,ws} + q R_{xs,ws} if not."""
+    memo = {}
+
+    def r(x, w):
+        if (x, w) not in memo:
+            if not bruhat_leq(x, w):
+                row = [0]
+            elif x is w:
+                row = [1]
+            else:
+                s = w.right_descents()[0]
+                ws, xs = w.right_mult_generator(s), x.right_mult_generator(s)
+                if xs.length < x.length:
+                    row = r(xs, ws)
+                else:
+                    lower, upper = r(x, ws), r(xs, ws)
+                    # (q-1) lower + q upper, each row padded to one length
+                    size = max(len(lower), len(upper)) + 1
+                    row = [0] * size
+                    for e, c in enumerate(lower):
+                        row[e + 1] += c
+                        row[e] -= c
+                    for e, c in enumerate(upper):
+                        row[e + 1] += c
+            memo[x, w] = row
+        return memo[x, w]
+
+    elements = list(ctx.elements())
+    return {(x, w): r(x, w) for w in elements for x in elements}
+
+
+@pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("A", 4)], ids=["a3", "b3", "a4"])
+def test_point_count_is_the_r_polynomial(family, rank):
+    # the F_q-points of B w B meet B^- x B: R_{x,w}(q), by a recursion that
+    # uses Bruhat order and lengths only, not Deodhar's cells
+    ctx = context(family, rank)
+    rows = _r_polynomials(ctx)
+    elements = list(ctx.elements())
+    assert len(rows) == len(elements) ** 2
+    for w in elements:
+        word = _reduced_word(w)
+        for x in elements:
+            expected = LaurentPoly({Monomial.of(q=e): c for e, c in enumerate(rows[x, w])})
+            assert point_count_polynomial(word, x) == expected, (w.window, x.window)
 
 
 def test_point_count_coefficients_are_int():

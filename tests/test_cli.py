@@ -356,6 +356,10 @@ GOLDEN_COMMANDS = {
     "verify_disjoint_5": ["verify", "disjoint", "--n", "5"],
     "verify_disjoint_16": ["verify", "disjoint", "--n", "16"],
     "cells_b3_json": ["cells", "--family", "B", "--rank", "3", "--word", B3_WORD, "--json"],
+    # 13 cells and the point count of one double cell of B_3 w0
+    "cells_end_b3": [
+        "cells", "--family", "B", "--rank", "3", "--word", B3_WORD, "--end", "2,1,3",
+    ],
 }
 
 

@@ -1,4 +1,5 @@
 import random
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,22 @@ def test_coefficient_coercion():
     for bad in (1.5, "3", None):
         with pytest.raises(TypeError):
             LaurentPoly.constant(bad)
+
+
+class _Level(IntEnum):
+    TWO = 2
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [(True, 1), (_Level.TWO, 2), (Fraction(4, 2), 2), (7, 7)],
+    ids=["bool", "int-enum", "integral-fraction", "int"],
+)
+def test_integral_coefficient_is_plain_int(value, expected):
+    # the int fast path takes exactly int; a subclass or an integral
+    # Fraction is converted to a plain int
+    coeff, _ = LaurentPoly.constant(value).single_term()
+    assert coeff == expected and type(coeff) is int
 
 
 def test_foreign_operands_raise_type_error():
