@@ -72,8 +72,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, reduce
-from operator import add, or_, sub
-from typing import Iterable, Iterator, NamedTuple
+from itertools import compress, count
+from operator import add, ne, or_, sub
+from typing import Iterator, NamedTuple
 
 from .laurent import LaurentPoly, Monomial
 from .roots import Root
@@ -93,13 +94,14 @@ from .weyl import ReducedWord, WeylElement, bruhat_leq, context
 CELLS_BOUND = 15000
 # Most distinguished masks a pairwise consumer holds: hasse_dot,
 # find_obstructions and scan_disjointness (there per endpoint).  All three
-# read closure_relation, whose key comparisons grow with the number of
-# distinct partial products: hasse_dot takes about 0.2 s on the rank-4
-# catalog word (1,253 masks), 0.5-0.7 s on 2,048 masks and 3.1-3.6 s on
+# read closure_relation, whose key comparisons stop at the sorted key of
+# each memo miss: in a fresh process hasse_dot takes about 0.05 s on the
+# rank-4 catalog word (1,253 masks), 0.11 s on 2,048 masks and 0.3 s on
 # 4,096 masks (the words 1, ..., n of B_11 and B_12, whose partial products
-# are all distinct; closure_pairs 0.5-0.6 and 2.1-2.8 s); find_obstructions
-# 0.8-1.0 s and 38 MB on the 13,066 masks of the rank-5 catalog word, which
-# has 8,995,017 related pairs of distinct masks (2-vCPU Xeon, Python 3.11.7).
+# are all distinct, and whose scans stop before any comparison);
+# find_obstructions 0.32-0.33 s and 38 MB on the 13,066 masks of the rank-5
+# catalog word, which has 8,995,017 related pairs of distinct masks and
+# makes 0.70M key comparisons (2-vCPU Xeon, Python 3.11.7).
 PAIRS_BOUND = 1300
 
 
@@ -402,6 +404,13 @@ def hasse_dot(word: ReducedWord) -> str:
     carry the mask and the cell dimension.  The masks are held and
     :func:`closure_pairs` finds every related pair among them, so
     ``ValueError`` is raised for more than ``PAIRS_BOUND`` masks.
+
+    The masks above a all have smaller indices, and so do the masks above
+    each of them.  So the highest candidate b left is a cover: a mask c
+    strictly between would lie above a with an index above b, and is either
+    a cover already taken, whose masks above (b among them) were stripped,
+    or was itself stripped with everything above it, b included.  Each cover
+    strips its own bitset from the rest, one big-int operation per cover.
     """
     descs, stream = closure_pairs(word)
     above = list(stream)
@@ -409,11 +418,13 @@ def hasse_dot(word: ReducedWord) -> str:
     for d in descs:
         lines.append(f'  "{d.mask_string}" [label="{d.mask_string} dim={d.dimension}"];')
     for a, da in enumerate(descs):
-        # covering: b is above a with no c strictly between them
-        between = 0
-        for c in bit_indices(above[a]):
-            between |= above[c]
-        for b in bit_indices(above[a] & ~between):
+        covers = []
+        rest = above[a]
+        while rest:
+            b = rest.bit_length() - 1
+            covers.append(b)
+            rest = (rest ^ 1 << b) & ~above[b]
+        for b in reversed(covers):
             lines.append(f'  "{da.mask_string}" -> "{descs[b].mask_string}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -435,30 +446,52 @@ def closure_relation(descs: list[CellDescriptor]) -> Iterator[int]:
     a skips the letter and b takes it then x s_k > x, as a is distinguished,
     and b^k = x s_k is not below a^k = x.  The relation is read from the
     partial products, comparing Bruhat keys, as in :func:`enumerate_below`,
-    only where b steps up while a steps down."""
+    only where b steps up while a steps down.
+
+    The b that step up at a position are grouped by the partial product they
+    step up to.  In mask order the masks through one node of the prefix
+    trie are a run of consecutive indices, so each node adds its run to its
+    group in one operation when it closes.  Each group's bitset is kept with
+    its Bruhat key, sorted by key: u <= x in Bruhat order bounds every field
+    of u's key by the same field of x's, so u's key is at most x's, and the
+    scan for the groups below x stops at the first key above x's.
+    """
     letters = descs[0].word.letters if descs else ()
-    size = len(descs)
-    # risers[k]: b^{k+1} -> the b that step up to it at position k + 1, that
-    # is take an ascent or skip a descent
-    risers: list[dict[WeylElement, list[int]]] = [{} for _ in letters]
-    for b, d in enumerate(descs):
-        for k, (taken, before, after) in enumerate(zip(d.mask, d.partials, d.partials[1:])):
-            if taken != before.descents >> letters[k] & 1:
-                risers[k].setdefault(after, []).append(b)
-    keyed = [[(x.bruhat_key, _bitset(bs, size)) for x, bs in group.items()] for group in risers]
+    length, size = len(letters), len(descs)
+    # starts[a]: the first position where mask a differs from mask a - 1,
+    # the depth from which its trie nodes are new
+    starts = [0] * size
+    # risers[k]: b^{k+1} -> the bitset of the b that step up to it at
+    # position k + 1, that is take an ascent or skip a descent
+    risers: list[dict[WeylElement, int]] = [{} for _ in letters]
+    # opened[k]: the first index of the run of the open node at depth k + 1
+    opened = [0] * length
+    previous = descs[0].mask if descs else ()
+    for a in range(1, size + 1):
+        start = 0
+        if a < size:
+            mask = descs[a].mask
+            start = starts[a] = next(compress(count(), map(ne, mask, previous)))
+            previous = mask
+        # the nodes at depths start + 1, ..., l close at a
+        for k in range(start, length):
+            begin = opened[k]
+            opened[k] = a
+            partials = descs[begin].partials
+            if descs[begin].mask[k] != partials[k].descents >> letters[k] & 1:
+                group, after = risers[k], partials[k + 1]
+                group[after] = group.get(after, 0) | (1 << a) - (1 << begin)
+    keyed = [sorted((x.bruhat_key, bits) for x, bits in group.items()) for group in risers]
     up = [reduce(or_, (bits for _, bits in group), 0) for group in keyed]
     # kept[k]: a^{k+1} -> the b still above it after a down step there
     kept: list[dict[WeylElement, int]] = [{} for _ in letters]
     # prod[k]: the AND of the kept bitsets over the first k positions of the
     # mask, redone from the first position where it differs from the last one
-    prod = [(1 << size) - 1] * (len(letters) + 1)
-    previous = ()
-    for a, d in enumerate(descs):
+    prod = [(1 << size) - 1] * (length + 1)
+    for a, (d, start) in enumerate(zip(descs, starts)):
         mask, partials = d.mask, d.partials
-        start = next((k for k, pair in enumerate(zip(mask, previous)) if pair[0] != pair[1]), 0)
-        previous = mask
         alive = prod[start]
-        for k in range(start, len(letters)):
+        for k in range(start, length):
             after = partials[k + 1]
             if mask[k] == partials[k].descents >> letters[k] & 1 and alive & up[k]:
                 table = kept[k]
@@ -471,24 +504,19 @@ def closure_relation(descs: list[CellDescriptor]) -> Iterator[int]:
         yield alive & ~(1 << a)
 
 
-def _bitset(indices: Iterable[int], size: int) -> int:
-    """The bitset of ``indices``, all below ``size``; built in a buffer, as
-    one shift and or per index would copy the growing bitset each time."""
-    buffer = bytearray((size + 7) // 8)
-    for a in indices:
-        buffer[a >> 3] |= 1 << (a & 7)
-    return int.from_bytes(buffer, "little")
-
-
 def _above_mask(groups: list[tuple[int, int]], x: WeylElement) -> int:
     """The union of the bitsets of ``groups``, pairs (Bruhat key of u,
-    bitset), whose u lies below ``x`` in Bruhat order; the comparison of
-    :func:`weyl.bruhat_leq`, one subtraction per pair."""
+    bitset) sorted by key, whose u lies below ``x`` in Bruhat order; the
+    comparison of :func:`weyl.bruhat_leq`, one subtraction per key up to
+    x's, as no u with a larger key lies below x."""
     guard = x.ctx._bruhat_guard
-    top = x.bruhat_key | guard
+    key = x.bruhat_key
+    top = key | guard
     union = 0
-    for key, bits in groups:
-        if (top - key) & guard == guard:
+    for u, bits in groups:
+        if u > key:
+            break
+        if (top - u) & guard == guard:
             union |= bits
     return union
 

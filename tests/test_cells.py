@@ -1,8 +1,10 @@
 import hashlib
 import json
+import random
 import re
 from collections import Counter
 from dataclasses import fields
+from functools import cache
 from math import comb
 
 import pytest
@@ -21,6 +23,7 @@ from deodhar.cells import (
     cell,
     cell_to_obj,
     closure_pairs,
+    closure_relation,
     closure_upper_bound,
     endpoint_counts,
     enumerate_below,
@@ -313,6 +316,55 @@ def test_closure_pairs_hold_earlier_masks_only(word):
     for a, (bits, reference) in enumerate(zip(pairs, above)):
         assert reference >> a == 1, descs[a].mask_string
         assert bits == reference & ~(1 << a), descs[a].mask_string
+
+
+@cache
+def _relation_lists():
+    """Mask-ordered lists of one word's descriptors that are neither a
+    whole walk nor the masks of one endpoint, and two whole walks of
+    special shape."""
+    descs = list(enumerate_subexpressions(catalog(CLOSURE_OBSTRUCTION, 4).first.word, CELLS_BOUND))
+    half = sorted(random.Random(33).sample(range(len(descs)), len(descs) // 2))
+    return {
+        "every-3rd": descs[::3],
+        "seeded-half": [descs[i] for i in half],
+        "one-mask": [descs[len(descs) // 2]],
+        "empty-word": list(enumerate_subexpressions(ReducedWord(B3, ()), CELLS_BOUND)),
+        # partial products all distinct: every memo lookup misses
+        "b8-1..8": list(enumerate_subexpressions(
+            parse_word(context("B", 8), "1,2,3,4,5,6,7,8"), CELLS_BOUND)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_relation_lists()))
+def test_closure_relation_matches_reference_on_sublists(name):
+    # a sublist of a mask-ordered list is mask-ordered, and the masks
+    # through one trie node stay consecutive in it
+    descs = _relation_lists()[name]
+    _, above = preceq_by_depth(descs)
+    assert list(closure_relation(descs)) == [bits & ~(1 << a) for a, bits in enumerate(above)]
+
+
+@pytest.mark.parametrize(
+    "word",
+    [catalog(CLOSURE_OBSTRUCTION, 3).first.word, catalog(DISJOINTNESS, 3).first.word],
+    ids=["catalog-3", "b3-w0"],
+)
+def test_hasse_dot_edges_are_transitive_reduction(word):
+    # b covers a iff a strictly precedes b and nothing strictly above a is
+    # strictly below b, both halves read from the per-depth reference
+    descs = list(enumerate_subexpressions(word, CELLS_BOUND))
+    below, above = preceq_by_depth(descs)
+    strict_below = [bits & ~(1 << k) for k, bits in enumerate(below)]
+    strict_above = [bits & ~(1 << k) for k, bits in enumerate(above)]
+    covers = [
+        (descs[a].mask_string, descs[b].mask_string)
+        for a in range(len(descs))
+        for b in range(len(descs))
+        if strict_above[a] >> b & 1 and not strict_above[a] & strict_below[b]
+    ]
+    edges = re.findall(r'^  "([01]*)" -> "([01]*)";$', hasse_dot(word), re.MULTILINE)
+    assert edges == covers and len(covers) > len(descs)
 
 
 def test_closure_pairs_walk_once(monkeypatch):

@@ -348,6 +348,8 @@ GOLDEN_COMMANDS = {
         "--mask", "011001011", "--mask2", "010101101",
     ],
     "hasse": ["hasse", "--family", "A", "--rank", "2", "--word", "1,2,1", "--dot", "-"],
+    # the covering relation of the 200 cells of B_3 w0
+    "hasse_b3_w0": ["hasse", "--family", "B", "--rank", "3", "--word", B3_WORD, "--dot", "-"],
     "count_q7": ["count", "--q", "7"],
     "collect": ["collect", "--input", str(GOLDEN / "word.json")],
     "verify_closure_4": ["verify", "closure", "--n", "4"],

@@ -125,6 +125,21 @@ def test_bruhat_agrees_with_subword_oracle(family, rank):
             assert bruhat_leq(u, v) == (u in lower), (u, v)
 
 
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("A", 4)])
+def test_bruhat_leq_orders_keys(family, rank):
+    # u <= v bounds every field of u's key by the same field of v's, so the
+    # keys compare as integers too: closure_relation stops its sorted key
+    # scan at the first key above v's
+    elements = list(context(family, rank).elements())
+    related = 0
+    for u in elements:
+        for v in elements:
+            if bruhat_leq(u, v):
+                assert u.bruhat_key <= v.bruhat_key, (u, v)
+                related += 1
+    assert len(elements) < related < len(elements) ** 2
+
+
 @pytest.mark.parametrize("family", ["A", "B"])
 def test_bruhat_agrees_with_lifting_walk_at_rank_bound(family):
     # at rank 16 a count of the tableau criterion reaches 2 * 16 = 32 in
