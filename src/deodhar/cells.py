@@ -70,7 +70,6 @@ expectations one might have:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, lru_cache, reduce
 from itertools import compress, count
 from operator import add, ne, or_, sub
@@ -105,14 +104,38 @@ CELLS_BOUND = 15000
 PAIRS_BOUND = 1300
 
 
-@dataclass(frozen=True)
 class Subexpression:
     """A mask over a fixed reduced word, with cached partial products; build
-    it with :func:`subexpression`."""
+    it with :func:`subexpression`.  Immutable; two subexpressions are equal
+    when their word and mask are, and a descriptor equals only descriptors."""
 
-    word: ReducedWord
-    mask: tuple[int, ...]
-    partials: tuple[WeylElement, ...] = field(compare=False, repr=False)
+    __slots__ = ("word", "mask", "partials")
+
+    def __init__(self, word: ReducedWord, mask: tuple[int, ...],
+                 partials: tuple[WeylElement, ...]):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "partials", partials)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        """The fields that equality and the hash read."""
+        return self.word, self.mask
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Subexpression(word={self.word!r}, mask={self.mask!r})"
 
     def __len__(self) -> int:
         return len(self.mask)
@@ -214,7 +237,7 @@ def enumerate_below(gamma: Subexpression, bound: int) -> Iterator[CellDescriptor
     partials = [identity] * (length + 1)
     entries: list[PhiEntry | None] = [None] * length
     count = 0
-    new = object.__new__
+    new, fill = object.__new__, object.__setattr__
     # pending trie nodes (depth, last bit, whether it took an ascent, delta^depth);
     # a node pushes its 1-child first so that its 0-child pops first
     stack = [(0, 0, 0, identity)]
@@ -234,12 +257,13 @@ def enumerate_below(gamma: Subexpression, bound: int) -> Iterator[CellDescriptor
             count += 1
             if count > bound:
                 raise ValueError(f"more than {bound} distinguished masks to walk")
-            # the frozen dataclass __init__ sets each field through
-            # object.__setattr__; the walk's fields need no check
+            # the slots are filled directly, past the immutable __setattr__,
+            # without the frame of CellDescriptor.__init__
             desc = new(CellDescriptor)
-            fields = desc.__dict__
-            fields["word"], fields["mask"] = word, tuple(mask)
-            fields["partials"], fields["phi"] = tuple(partials), tuple(filter(None, entries))
+            fill(desc, "word", word)
+            fill(desc, "mask", tuple(mask))
+            fill(desc, "partials", tuple(partials))
+            fill(desc, "phi", tuple(filter(None, entries)))
             yield desc
             continue
         letter = letters[depth]
@@ -274,7 +298,6 @@ class PhiEntry(NamedTuple):
     free: bool
 
 
-@dataclass(frozen=True)
 class CellDescriptor(Subexpression):
     """One nonempty Deodhar cell: its distinguished subexpression and its
     root sequence ``phi``; build it with :func:`cell`.  The rest is derived:
@@ -283,7 +306,18 @@ class CellDescriptor(Subexpression):
     positions that phi skips, where gamma^i(alpha_i) < 0, are J too; the
     test suite checks that they agree."""
 
-    phi: tuple[PhiEntry, ...]
+    __slots__ = ("phi",)
+
+    def __init__(self, word: ReducedWord, mask: tuple[int, ...],
+                 partials: tuple[WeylElement, ...], phi: tuple[PhiEntry, ...]):
+        super().__init__(word, mask, partials)
+        object.__setattr__(self, "phi", phi)
+
+    def _key(self) -> tuple:
+        return self.word, self.mask, self.phi
+
+    def __repr__(self) -> str:
+        return f"CellDescriptor(word={self.word!r}, mask={self.mask!r}, phi={self.phi!r})"
 
     @property
     def dimension(self) -> int:
@@ -557,8 +591,7 @@ _B3_W0 = (3, 2, 1, 2, 3, 2, 1, 2, 1)
 _SIGMA, _TAU = "010101101", "011001011"
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """A named word with its distinguished pair; ``second preceq first``."""
 
     name: str

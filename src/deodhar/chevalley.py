@@ -33,10 +33,9 @@ reduced modulo the prime at every factor; it exports row tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .cells import CLOSURE_OBSTRUCTION, catalog, cell
 from .laurent import LaurentPoly, Monomial
@@ -66,8 +65,7 @@ class LimitError(ValueError):
     """The requested limit does not exist (a coefficient is unbounded)."""
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     root: Root
     coeff: LaurentPoly
 
@@ -75,15 +73,15 @@ class Factor:
         return f"u[{self.root}]({self.coeff})"
 
 
-@dataclass(frozen=True)
 class UnipotentWord:
-    """Ordered product of negative-root factors; zero factors are dropped."""
+    """Ordered product of negative-root factors; zero factors are dropped.
+    Immutable; two words are equal when their factors are."""
 
-    factors: tuple[Factor, ...] = ()
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
+    def __init__(self, factors: tuple[Factor, ...] = ()):
         kept = []
-        for f in self.factors:
+        for f in factors:
             if f.coeff.is_zero():
                 continue
             if not f.root.is_negative:
@@ -92,6 +90,22 @@ class UnipotentWord:
         if len({f.root.system for f in kept}) > 1:
             raise ValueError("factors from different root systems")
         object.__setattr__(self, "factors", tuple(kept))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError("UnipotentWord is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash(self.factors)
+
+    def __repr__(self) -> str:
+        return f"UnipotentWord(factors={self.factors!r})"
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -318,15 +332,13 @@ def evaluate_adjoint(
 # -- the closure witness ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessCheck:
+class WitnessCheck(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class ClosureWitnessReport:
+class ClosureWitnessReport(NamedTuple):
     """Outcome of the symbolic closure-intersection verification at rank n."""
 
     n: int

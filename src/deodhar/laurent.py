@@ -8,13 +8,11 @@ arithmetic is exact; nothing in this package ever touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """Product of named variables with nonzero integer exponents."""
 
     powers: tuple[tuple[str, int], ...]

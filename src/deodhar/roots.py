@@ -54,10 +54,9 @@ table with derivations by root sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import compress
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .linalg import bracket_rows, combine
 
@@ -123,8 +122,7 @@ class Root:
         return self.serialize()
 
 
-@dataclass(frozen=True)
-class CommutatorTerm:
+class CommutatorTerm(NamedTuple):
     """One factor u_{i*beta + j*alpha}(C * (-y)^i x^j) of the commutator formula."""
 
     i: int

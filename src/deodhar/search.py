@@ -11,17 +11,15 @@ endpoints of a word).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import cells
 from .roots import Root
 from .weyl import ReducedWord, WeylElement
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     """An ordered pair related by the closure order whose dimensions forbid
     containment of the second cell in the first cell's closure."""
 
@@ -63,8 +61,7 @@ def _pairs_below(descs: list[cells.CellDescriptor], above: Iterable[int]) -> Ite
     return ((descs[a], descs[d]) for a, deltas in enumerate(below) for d in deltas)
 
 
-@dataclass(frozen=True)
-class DisjointnessCertificate:
+class DisjointnessCertificate(NamedTuple):
     """A negative simple root absent from the first coordinate sequence and
     forced nonzero (free, unique) in the second.
 
@@ -100,8 +97,7 @@ def disjointness_certificate(
     return None
 
 
-@dataclass(frozen=True)
-class CertifiedPair:
+class CertifiedPair(NamedTuple):
     first: cells.CellDescriptor
     second: cells.CellDescriptor
     certificate: DisjointnessCertificate

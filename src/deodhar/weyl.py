@@ -41,7 +41,6 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import compress
 from operator import lt
@@ -300,16 +299,22 @@ class WeylElement:
         return self.serialize()
 
 
-@dataclass(frozen=True)
 class ReducedWord:
-    """A reduced expression; reducedness is checked at construction."""
+    """A reduced expression; reducedness is checked at construction.
+    Immutable; two words are equal when they share a context and letters."""
 
-    ctx: CoxeterContext = field(compare=False, repr=False)
-    letters: tuple[int, ...] = ()
+    __slots__ = ("ctx", "letters")
 
-    def __post_init__(self):
-        if self.ctx.from_word(self.letters).length != len(self.letters):
-            raise ValueError(f"word {self.letters} is not reduced")
+    def __init__(self, ctx: CoxeterContext, letters: tuple[int, ...] = ()):
+        if ctx.from_word(letters).length != len(letters):
+            raise ValueError(f"word {letters} is not reduced")
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "letters", letters)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError("ReducedWord is immutable")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ReducedWord):
@@ -318,6 +323,9 @@ class ReducedWord:
 
     def __hash__(self) -> int:
         return hash(self.letters)
+
+    def __repr__(self) -> str:
+        return f"ReducedWord(letters={self.letters!r})"
 
     def __len__(self) -> int:
         return len(self.letters)

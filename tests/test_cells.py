@@ -3,8 +3,8 @@ import json
 import random
 import re
 from collections import Counter
-from dataclasses import fields
 from functools import cache
+from inspect import signature
 from math import comb
 
 import pytest
@@ -161,7 +161,7 @@ def test_preceq_reflexive_and_catalog_pairs():
 
 
 def test_catalog_entry_reads_its_word_from_the_pair():
-    assert [f.name for f in fields(CatalogEntry)] == ["name", "n", "first", "second"]
+    assert CatalogEntry._fields == ("name", "n", "first", "second")
     entry = catalog(CLOSURE_OBSTRUCTION, 3)
     assert entry.first.word == entry.second.word
 
@@ -266,7 +266,10 @@ def _assert_matches_cell(desc):
     ``cell(desc)`` field for field, partial products and derived values
     included; the positions phi skips are J by the window descent rule."""
     fresh = cell(desc)
-    assert [f.name for f in fields(CellDescriptor)] == ["word", "mask", "partials", "phi"]
+    # the fields, as slots and as the constructor's parameters, in order
+    fields = ["word", "mask", "partials", "phi"]
+    assert [*Subexpression.__slots__, *CellDescriptor.__slots__] == fields
+    assert list(signature(CellDescriptor).parameters) == fields
     assert isinstance(desc, Subexpression) and not hasattr(desc, "sub")
     assert all(type(entry) is PhiEntry for entry in desc.phi)
     derived = ["dimension", "affine_rank", "torus_rank"]

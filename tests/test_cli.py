@@ -2,7 +2,6 @@ import hashlib
 import io
 import json
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -184,7 +183,7 @@ def test_verify_failure_exit_codes(capsys, monkeypatch):
 
 def test_verify_closure_failure_prints_its_report(capsys, monkeypatch):
     passed = chevalley.verify_closure_witness(3)
-    failed = replace(passed, checks=passed.checks + (chevalley.WitnessCheck("forced", False, "x"),))
+    failed = passed._replace(checks=passed.checks + (chevalley.WitnessCheck("forced", False, "x"),))
 
     def failing(n):
         raise chevalley.VerificationError("forced failure", report=failed)

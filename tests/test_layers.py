@@ -4,7 +4,8 @@ Every module of ``src/deodhar`` is parsed, and the package modules it
 imports must equal its row below.  A new module needs a row, and a new
 import shows up as an edit of this table.  Each module is also imported
 alone in a fresh interpreter, which must load its closure in this table
-and nothing else.  Every name that a package or test module imports at
+and nothing else of the package, and neither ``dataclasses`` nor
+``inspect``.  Every name that a package or test module imports at
 module level must be read in that module.
 """
 
@@ -78,11 +79,18 @@ def closure(module: str) -> set[str]:
     return found
 
 
+# Standard modules that no package module may load: dataclasses pulls in
+# inspect, ast, dis and tokenize, and its classes compile their methods at
+# import; the package's records are NamedTuples and __slots__ classes
+UNLOADED = ("dataclasses", "inspect")
+
+
 @pytest.mark.parametrize("module", sorted(set(LAYERS) - {"__init__"}))
 def test_import_loads_only_the_layers_below(module):
     code = (
         f"import sys, deodhar.{module}\n"
-        "print(*[m for m in sys.modules if m.split('.')[0] == 'deodhar'])"
+        "print(*[m for m in sys.modules if m.split('.')[0] == 'deodhar'])\n"
+        f"print(*[m for m in {UNLOADED!r} if m in sys.modules])"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
@@ -90,7 +98,9 @@ def test_import_loads_only_the_layers_below(module):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     expected = {"deodhar" if name == "__init__" else f"deodhar.{name}" for name in closure(module)}
-    assert set(result.stdout.split()) == expected
+    package, unloaded = result.stdout.split("\n")[:2]
+    assert set(package.split()) == expected
+    assert unloaded.split() == []
 
 
 def unused_imports(path: Path) -> list[str]:
