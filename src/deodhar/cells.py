@@ -408,15 +408,16 @@ def endpoint_counts(word: ReducedWord) -> dict[WeylElement, tuple[int, list[int]
     """
     layer = {word.ctx.identity: (1, [1])}
     for letter in word.letters:
-        forced = {x: x.descents >> letter & 1 for x in layer}
-        # counted before the next layer interns its partial products
-        prefixes = sum(masks * (1 if forced[x] else 2) for x, (masks, _) in layer.items())
-        if prefixes > CELLS_BOUND:
-            raise ValueError(f"word has more than {CELLS_BOUND} distinguished masks")
         nxt: dict[WeylElement, tuple[int, list[int]]] = {}
+        prefixes = 0
         for x, (masks, row) in layer.items():
+            forced = x.descents >> letter & 1
+            # counted before this partial product's successor is interned
+            prefixes += masks if forced else 2 * masks
+            if prefixes > CELLS_BOUND:
+                raise ValueError(f"word has more than {CELLS_BOUND} distinguished masks")
             taken = x.succ[letter] or x._successor(letter)
-            if forced[x]:
+            if forced:
                 moves = ((taken, [0, *row]),)
             else:
                 kept = [*row, 0]

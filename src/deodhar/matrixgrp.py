@@ -2,13 +2,15 @@
 
 The Borel subgroup is upper triangular, its opposite lower triangular, and
 the Weyl group is the symmetric group on three letters acting by permutation
-matrices.  Matrices are tuples of row tuples.  The Bruhat word of an
-invertible matrix comes from one column elimination over F_q by the column
-operations of B acting on the right: in each column the lowest nonzero entry
-is the pivot, and the later columns are cleared along its row, so no pivot
-row is used twice.  Below each pivot the column is zero, so permuting the
-columns of the result by w^-1 gives an upper triangular matrix and g lies in
-BwB, where w sends j to the row of the pivot of column j.
+matrices.  Matrices are tuples of row tuples.  Both relative positions of an
+invertible matrix g come from one column elimination over F_q by the column
+operations of B acting on the right: in each column a nonzero entry is the
+pivot, the later columns are cleared along its row, so no pivot row is used
+twice, and the position sends j to the row of the pivot of column j.  With
+the lowest pivot each column is zero below it, so permuting the columns of
+the result by w^-1 gives an upper triangular matrix and g lies in BwB; with
+the topmost pivot it is zero above, the permuted matrix is lower triangular
+and g lies in B*vB, B* the opposite Borel.
 
 ``count_cells`` tallies every flag of F_q^3 by its pair of relative
 positions (w.r.t. the standard and the opposite base flag).  Enumerating the
@@ -28,12 +30,13 @@ MAX_PRIME = 64
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def bruhat_word(g: Matrix, q: int) -> WeylElement:
-    """The unique w with g in BwB, by one column elimination over F_q."""
+def _position(g: Matrix, q: int, pick) -> WeylElement:
+    """The position of g by one column elimination over F_q, with the pivot
+    of each column chosen by ``pick`` among the rows of its nonzero entries."""
     cols = [[v % q for v in col] for col in zip(*g)]
     window = []
     for j, col in enumerate(cols):
-        pivot = max((i for i, v in enumerate(col) if v), default=None)
+        pivot = pick((i for i, v in enumerate(col) if v), default=None)
         if pivot is None:
             raise ValueError("matrix is singular")
         window.append(pivot + 1)
@@ -45,11 +48,15 @@ def bruhat_word(g: Matrix, q: int) -> WeylElement:
     return context("A", 2).from_window(tuple(window))
 
 
+def bruhat_word(g: Matrix, q: int) -> WeylElement:
+    """The unique w with g in BwB: the lowest pivot of each column."""
+    return _position(g, q, max)
+
+
 def opposite_coset(g: Matrix, q: int) -> WeylElement:
-    """The v with g in B*vB, where B* = w_0 B w_0.  The permutation matrix
-    of w_0 is antidiagonal, so w_0 g is g with its rows reversed."""
-    w0 = context("A", 2).longest_element()
-    return w0 * bruhat_word(g[::-1], q)
+    """The v with g in B*vB, B* the lower triangular Borel: the topmost pivot
+    of each column."""
+    return _position(g, q, min)
 
 
 def _canonical_lines(q: int) -> list[tuple[int, ...]]:

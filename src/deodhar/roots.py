@@ -22,7 +22,9 @@ Each root also carries one integer ``code``, its coefficients as signed
 base-16 digits; a root's coefficients lie in [-2, 2], so the code of a sum of
 two roots is the sum of their codes, and a root sum is one dict lookup.  The
 check that the roots are closed under the simple reflections runs on codes
-too: t_i(r) is the lookup of r.code - <r, beta_i-check> beta_i.code.
+too: t_i(r) is the lookup of r.code - <r, beta_i-check> beta_i.code, with
+the pairing read from one table of <r, beta_i-check> for every root r and
+simple root beta_i, computed once and read by ``cartan_pairing`` as well.
 
 Structure constants N(alpha, beta), defined by [e_alpha, e_beta] =
 N(alpha, beta) e_{alpha+beta}, are read off from explicit faithful matrix
@@ -184,40 +186,32 @@ class RootSystem:
     def _self_test(self):
         # The realization must be closed under the simple reflections, and in
         # type B must reproduce s_1(beta_2) = 2 beta_1 + beta_2 and
-        # s_2(beta_1) = beta_1 + beta_2.
-        reflections = [self._reflection(i) for i in range(1, self.rank + 1)]
+        # s_2(beta_1) = beta_1 + beta_2.  Both read the table
+        # _pairings[r.index][i - 1] = <r, beta_i-check>, from the at most two
+        # nonzero ambient entries of beta_i.  A root's digits and the pairing
+        # lie in [-2, 2], so the digits of t_i(r) stay in [-4, 4] and the
+        # difference of codes is the code of the image.
+        simples = [self.simple(i) for i in range(1, self.rank + 1)]
+        reflections = [
+            (i, [(k, v) for k, v in enumerate(b.ambient) if v], self.norm_sq(b), b.code)
+            for i, b in enumerate(simples, start=1)
+        ]
+        self._pairings = []
         for r in self.roots:
-            for i, reflect in enumerate(reflections, start=1):
-                if reflect(r) is None:
+            row = []
+            for i, support, norm, step in reflections:
+                pairing, rem = divmod(2 * sum(r.ambient[k] * v for k, v in support), norm)
+                if rem:
+                    raise AssertionError("non-integral Cartan pairing")
+                if r.code - pairing * step not in self._by_code:
                     raise AssertionError(f"reflection t_{i} breaks root {r}")
+                row.append(pairing)
+            self._pairings.append(tuple(row))
         if self.family == FAMILY_B:
-            beta1, beta2 = self.simple(1), self.simple(2)
-            sum12 = beta1.try_add(beta2)
-            if reflections[1](beta1) is not sum12:
+            if self._pairings[simples[0].index][1] != -1:
                 raise AssertionError("s_2(beta_1) != beta_1 + beta_2")
-            if reflections[0](beta2) is not beta1.try_add(sum12):
+            if self._pairings[simples[1].index][0] != -2:
                 raise AssertionError("s_1(beta_2) != 2 beta_1 + beta_2")
-
-    def _reflection(self, i: int):
-        """t_i on codes: root -> t_i(root), or None if the image is missing
-        from the table.
-
-        <r, beta_i-check> is read from the at most two nonzero ambient entries
-        of beta_i.  A root's digits lie in [-2, 2] and the pairing in [-2, 2],
-        so the digits of r - <r, beta_i-check> beta_i stay in [-4, 4] and the
-        difference of codes is the code of the image."""
-        beta = self.simple(i)
-        support = [(k, v) for k, v in enumerate(beta.ambient) if v]
-        norm, step, by_code = self.norm_sq(beta), beta.code, self._by_code
-
-        def reflect(root: Root) -> Root | None:
-            ambient = root.ambient
-            pairing, rem = divmod(2 * sum(ambient[k] * v for k, v in support), norm)
-            if rem:
-                raise AssertionError("non-integral Cartan pairing")
-            return by_code.get(root.code - pairing * step)
-
-        return reflect
 
     # -- ambient coordinates --------------------------------------------------
 
@@ -236,13 +230,14 @@ class RootSystem:
         return sum(v * v for v in root.ambient)
 
     def cartan_pairing(self, root: Root, i: int) -> int:
-        """<alpha, beta_i-check> = 2 (alpha, beta_i) / (beta_i, beta_i)."""
-        beta = self.simple(i)
-        dot = sum(x * y for x, y in zip(root.ambient, beta.ambient))
-        value, rem = divmod(2 * dot, self.norm_sq(beta))
-        if rem:
-            raise AssertionError("non-integral Cartan pairing")
-        return value
+        """<alpha, beta_i-check> = 2 (alpha, beta_i) / (beta_i, beta_i), read
+        from the table of the self-test by the root's index, so a root of
+        another system is rejected."""
+        if root.system is not self:
+            raise ValueError("root does not belong to this system")
+        if not 1 <= i <= self.rank:
+            raise ValueError(f"simple root index {i} out of range")
+        return self._pairings[root.index][i - 1]
 
     # -- root lookup -------------------------------------------------------------
 

@@ -113,11 +113,9 @@ def scan_disjointness(word: ReducedWord, v: WeylElement) -> list[CertifiedPair]:
     another group."""
     if v.ctx is not word.ctx:
         raise ValueError("endpoint and word from different contexts")
-    descs, relation = _double_cells(word).get(v, ([], []))
-    if len(descs) > cells.PAIRS_BOUND:
+    descs, relation = _double_cells(word, cells.PAIRS_BOUND).get(v, ([], []))
+    if relation is None:
         raise ValueError(f"more than {cells.PAIRS_BOUND} cells end at {v.serialize()}")
-    if relation is None:  # the table was built under a smaller bound
-        relation = cells.closure_relation(descs)
     return [
         CertifiedPair(first, second, certificate)
         for first, second in _pairs_below(descs, relation)
@@ -127,14 +125,15 @@ def scan_disjointness(word: ReducedWord, v: WeylElement) -> list[CertifiedPair]:
 
 # Every caller asks for all endpoints of one word in a row, so one table is kept.
 @lru_cache(maxsize=1)
-def _double_cells(word: ReducedWord) -> dict[WeylElement, tuple[list, list[int] | None]]:
+def _double_cells(
+    word: ReducedWord, bound: int
+) -> dict[WeylElement, tuple[list, list[int] | None]]:
     """For each endpoint, the descriptors of one walk over all distinguished
     masks that end there, in mask order, and their closure relation, or None
-    for an endpoint with more than ``PAIRS_BOUND`` cells."""
+    for an endpoint with more than ``bound`` cells."""
     groups: dict[WeylElement, list[cells.CellDescriptor]] = {}
     for desc in cells.enumerate_subexpressions(word, cells.CELLS_BOUND):
         groups.setdefault(desc.endpoint, []).append(desc)
-    bound = cells.PAIRS_BOUND
     return {
         v: (descs, list(cells.closure_relation(descs)) if len(descs) <= bound else None)
         for v, descs in groups.items()

@@ -13,7 +13,7 @@ Each context interns its elements: an element is built the first time its
 window is reached and every later operation landing there returns it, so
 equality is identity and the hash is the order of first reach (independent
 of ``PYTHONHASHSEED``).  ``from_window`` is the one entry point that checks a
-window, once per new window; the group operations build valid windows.
+window, once per new window; a generator step builds a valid window.
 
 Each element also carries the tables that the walks of :mod:`deodhar.cells`
 read inline instead of calling a method: ``descents``, a bitmask whose bit
@@ -146,12 +146,13 @@ class CoxeterContext:
         layer = {self.identity}
         while layer:
             yield from sorted(layer, key=lambda x: x.window)
-            # the next layer holds the elements one longer, none seen before
+            # the next layer holds the elements one longer, none seen before:
+            # w t_i is longer than w iff t_i is not a right descent of w
             layer = {
-                u
+                w.right_mult_generator(i)
                 for w in layer
-                for u in map(w.right_mult_generator, range(1, self.rank + 1))
-                if u.length == w.length + 1
+                for i in range(1, self.rank + 1)
+                if not w.descents >> i & 1
             }
 
     def parse_element(self, text: str) -> "WeylElement":
@@ -170,7 +171,7 @@ def context(family: str, rank: int, /) -> CoxeterContext:
 
 class WeylElement:
     """A group element in window notation, interned by its context: build
-    one with ``ctx.from_window`` or by the group operations, never directly.
+    one with ``ctx.from_window`` or by generator steps, never directly.
     Its tables (``descents``, ``succ``, ``images``) are described in the
     module docstring.
     """
@@ -207,16 +208,6 @@ class WeylElement:
 
     def __repr__(self) -> str:
         return f"<WeylElement {self.ctx.family}{self.ctx.rank}: {self}>"
-
-    def apply(self, value: int) -> int:
-        """Image of the signed index ``value`` in ``{+-1, ..., +-n}``."""
-        image = self.window[abs(value) - 1]
-        return image if value > 0 else -image
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        if self.ctx is not other.ctx:
-            raise ValueError("elements from different contexts")
-        return self.ctx._intern(tuple(self.apply(v) for v in other.window))
 
     def right_mult_generator(self, i: int) -> "WeylElement":
         """``self * t_i``, read from ``succ``."""

@@ -157,7 +157,7 @@ def test_csv_output_shape():
     assert total == 21
 
 
-# -- the lower-left rank profile, as an independent reference ------------------
+# -- the lower-left and upper-left rank profiles, as independent references ----
 
 
 def _rank_mod(rows, q):
@@ -198,23 +198,51 @@ def rank_profile_word(g, q):
     return A2.from_window(tuple(window))
 
 
-def test_bruhat_word_matches_rank_profile_over_f2():
+def nw_rank_profile_word(g, q):
+    """The v with g in B*vB from the ranks of the upper-left submatrices
+    (rows 1..i, columns 1..j), which are constant on B* x B orbits; None for
+    a singular matrix."""
+
+    def r(i, j):
+        if i < 1 or j < 1:
+            return 0
+        return _rank_mod([row[:j] for row in g[:i]], q)
+
+    if r(3, 3) != 3:
+        return None
+    window = [0, 0, 0]
+    for j in range(1, 4):
+        for i in range(1, 4):
+            if r(i, j) - r(i - 1, j) - r(i, j - 1) + r(i - 1, j - 1) == 1:
+                window[j - 1] = i
+                break
+    return A2.from_window(tuple(window))
+
+
+def _check_every_matrix_over_f2(position, reference):
     invertible = 0
     for entries in product(range(2), repeat=9):
         g = (entries[0:3], entries[3:6], entries[6:9])
-        expected = rank_profile_word(g, 2)
+        expected = reference(g, 2)
         if expected is None:
             with pytest.raises(ValueError):
-                bruhat_word(g, 2)
+                position(g, 2)
         else:
             invertible += 1
-            assert bruhat_word(g, 2) == expected, g
+            assert position(g, 2) == expected, g
     assert invertible == 168  # the order of GL_3(F_2)
 
 
-@pytest.mark.parametrize("q", [3, 5, 7])
+def test_bruhat_word_matches_rank_profile_over_f2():
+    _check_every_matrix_over_f2(bruhat_word, rank_profile_word)
+
+
+def test_opposite_coset_matches_nw_rank_profile_over_f2():
+    _check_every_matrix_over_f2(opposite_coset, nw_rank_profile_word)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
 def test_flag_positions_match_rank_profile(q):
-    w0 = A2.longest_element()
     for g in enumerate_flags(q):
         assert bruhat_word(g, q) == rank_profile_word(g, q), g
-        assert opposite_coset(g, q) == w0 * rank_profile_word(g[::-1], q), g
+        assert opposite_coset(g, q) == nw_rank_profile_word(g, q), g

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from operator import add
 from pathlib import Path
 
@@ -507,6 +508,33 @@ def test_cartan_pairing_values():
     assert system.cartan_pairing(b2, 1) == -2
     assert system.cartan_pairing(b1, 2) == -1
     assert system.cartan_pairing(b1, 1) == 2
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("A", n) for n in range(1, 17)] + [("B", n) for n in range(2, 17)]
+)
+def test_cartan_pairings_match_ambient_inner_products(family, rank):
+    # the table read by cartan_pairing against 2 (alpha, beta_i) / (beta_i,
+    # beta_i), computed from the ambient vectors
+    system = root_system(family, rank)
+    for i in range(1, rank + 1):
+        beta = system.simple(i).ambient
+        norm = sum(v * v for v in beta)
+        for r in system.roots:
+            dot = sum(x * y for x, y in zip(r.ambient, beta))
+            assert system.cartan_pairing(r, i) == Fraction(2 * dot, norm), (r, i)
+    for i in (0, rank + 1):
+        with pytest.raises(ValueError, match=f"simple root index {i} out of range"):
+            system.cartan_pairing(system.roots[0], i)
+
+
+def test_cartan_pairing_rejects_a_foreign_root():
+    # the table is read by root index: a root of another system, even one of
+    # the same family and rank built outside root_system(), must not read it
+    system = root_system("B", 3)
+    for foreign in (root_system("B", 4).roots[5], RootSystem("B", 3).roots[5]):
+        with pytest.raises(ValueError, match="root does not belong to this system"):
+            system.cartan_pairing(foreign, 1)
 
 
 def test_serialization():

@@ -135,9 +135,9 @@ def test_pairwise_bound(monkeypatch):
     word = catalog(DISJOINTNESS, 3).first.word
     v = context("B", 3).from_word([2])
     pairs = scan_disjointness(word, v)
-    size = len(search._double_cells(word)[v][0])
+    size = len(search._double_cells(word, cells.PAIRS_BOUND)[v][0])
     # one binding: every pairwise consumer reads cells.PAIRS_BOUND when called,
-    # also against a table built under a larger bound
+    # also after a table was built under a larger bound
     monkeypatch.setattr(cells, "PAIRS_BOUND", size - 1)
     with pytest.raises(ValueError, match=f"^more than {size - 1} cells end at 2,1,3$"):
         scan_disjointness(word, v)
@@ -145,12 +145,10 @@ def test_pairwise_bound(monkeypatch):
         with pytest.raises(ValueError, match="distinguished masks"):
             scan(word)
     # a table built under a smaller bound holds no relation for v, and a
-    # scan under a larger one reads the relation anew
-    search._double_cells.cache_clear()
-    assert search._double_cells(word)[v][1] is None
+    # scan under a larger one reads the table of its own bound
+    assert search._double_cells(word, size - 1)[v][1] is None
     monkeypatch.setattr(cells, "PAIRS_BOUND", size)
     assert scan_disjointness(word, v) == pairs
-    search._double_cells.cache_clear()
 
 
 def test_find_obstructions_equal_dimension_boundary():
@@ -304,7 +302,7 @@ def test_double_cell_relations_restrict_closure_pairs(word):
     descs, above = closure_pairs(word)
     above = list(above)
     index = {d.mask: a for a, d in enumerate(descs)}
-    table = search._double_cells(word)
+    table = search._double_cells(word, cells.PAIRS_BOUND)
     assert sorted(index[d.mask] for group, _ in table.values() for d in group) == list(
         range(len(descs))
     )
@@ -350,7 +348,7 @@ def test_scan_disjointness_builds_one_descriptor_per_mask(monkeypatch):
     # all 48 endpoints read one table, built by one walk over the 200 masks
     assert walks == [200]
     by_mask = {}
-    table = search._double_cells(word)
+    table = search._double_cells(word, cells.PAIRS_BOUND)
     for v in endpoints:
         for desc in table.get(v, ([], None))[0]:
             assert by_mask.setdefault(desc.mask, desc) is desc

@@ -18,6 +18,13 @@ B3 = context("B", 3)
 A2 = context("A", 2)
 
 
+def _product(u, v):
+    """The element u v, composed from the two windows: (u v)(a) = u(v(a)),
+    with u(-a) = -u(a)."""
+    window = tuple(u.window[b - 1] if b > 0 else -u.window[-b - 1] for b in v.window)
+    return u.ctx.from_window(window)
+
+
 def test_identity_and_generators():
     assert B3.from_word([]).window == (1, 2, 3)
     assert B3.from_word([1]).window == (-1, 2, 3)
@@ -47,21 +54,14 @@ def test_length_examples():
     assert ctx4.from_word(block + block).length == 12
 
 
-def test_group_law():
-    u = B3.from_word([2, 1])
-    assert u * B3.identity == u
-    assert B3.from_word([1]) * B3.from_word([1]) == B3.identity
-    w = B3.from_word([2, 1, 2])
-    assert w * w is B3.identity
+def test_word_then_its_reverse_is_identity():
     for word in ([1, 2], [3, 1, 2], [2, 3, 2, 1]):
         # the inverse of a product of generators reads its word backwards
-        assert B3.from_word(word) * B3.from_word(word[::-1]) is B3.identity
+        assert B3.from_word(word + word[::-1]) is B3.identity
 
 
 def test_elements_of_two_contexts_do_not_mix():
     u, v = B3.from_word([1]), A2.from_word([1])
-    with pytest.raises(ValueError, match="elements from different contexts"):
-        u * v
     with pytest.raises(ValueError, match="elements from different contexts"):
         bruhat_leq(u, v)
 
@@ -101,7 +101,7 @@ def test_elements_are_interned():
         inverse = [0] * len(w.window)
         for i, v in enumerate(w.window, start=1):
             inverse[abs(v) - 1] = i if v > 0 else -i
-        assert w * ctx.from_window(inverse) is ctx.identity
+        assert _product(w, ctx.from_window(inverse)) is ctx.identity
     assert ctx.from_word([]) is ctx.identity
 
 
@@ -149,7 +149,10 @@ def test_bruhat_agrees_with_lifting_walk_at_rank_bound(family):
     w0 = ctx.longest_element()
 
     def near_top():
-        return w0 * ctx.from_word(rng.choices(range(1, 17), k=rng.randint(0, 12)))
+        w = w0
+        for i in rng.choices(range(1, 17), k=rng.randint(0, 12)):
+            w = w.right_mult_generator(i)
+        return w
 
     pairs = [(near_top(), near_top()) for _ in range(100)]
     for _ in range(100):
@@ -245,8 +248,9 @@ def test_length_additivity_iff_concatenation_reduced():
     elements = list(ctx.elements())
     for u in elements:
         for v in elements:
-            additive = (u * v).length == u.length + v.length
-            assert (u * v).length <= u.length + v.length
+            uv = _product(u, v)
+            additive = uv.length == u.length + v.length
+            assert uv.length <= u.length + v.length
             word = all_reduced_words(u)[0].letters + all_reduced_words(v)[0].letters
             concatenation_reduced = ctx.from_word(word).length == len(word)
             assert additive == concatenation_reduced
