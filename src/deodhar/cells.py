@@ -76,7 +76,7 @@ from operator import add, ne, or_, sub
 from typing import Iterator, NamedTuple
 
 from .laurent import LaurentPoly, Monomial
-from .roots import Root
+from .roots import Root, root_system
 from .weyl import ReducedWord, WeylElement, bruhat_leq, context
 
 # Most distinguished masks a linear consumer walks: the cells command,
@@ -122,17 +122,13 @@ class Subexpression:
 
     __delattr__ = __setattr__
 
-    def _key(self) -> tuple:
-        """The fields that equality and the hash read."""
-        return self.word, self.mask
-
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._key() == other._key()
+        return self.word == other.word and self.mask == other.mask
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash((self.word, self.mask))
 
     def __repr__(self) -> str:
         return f"Subexpression(word={self.word!r}, mask={self.mask!r})"
@@ -231,6 +227,7 @@ def enumerate_below(gamma: Subexpression, bound: int) -> Iterator[CellDescriptor
         )
     ]
     identity = word.ctx.identity
+    image_table = root_system(word.ctx.family, word.ctx.rank).simple_image_table
     # the parts of the current prefix, by depth: its bits, its partial
     # products and its phi entries (None on J)
     mask = [0] * length
@@ -250,9 +247,9 @@ def enumerate_below(gamma: Subexpression, bound: int) -> Iterator[CellDescriptor
             if ascent:
                 entries[k] = None
             else:
-                last = letters[k]
-                image = here.images[last] or here._simple_image(last)
-                entries[k] = PhiEntry(depth, -image, not bit)
+                p, q, grid = image_table[letters[k]]
+                window = here.window
+                entries[k] = PhiEntry(depth, -grid[window[p]][window[q]], not bit)
         if depth == length:
             count += 1
             if count > bound:
@@ -313,9 +310,6 @@ class CellDescriptor(Subexpression):
         super().__init__(word, mask, partials)
         object.__setattr__(self, "phi", phi)
 
-    def _key(self) -> tuple:
-        return self.word, self.mask, self.phi
-
     def __repr__(self) -> str:
         return f"CellDescriptor(word={self.word!r}, mask={self.mask!r}, phi={self.phi!r})"
 
@@ -337,15 +331,17 @@ def cell(sub: Subexpression) -> CellDescriptor:
     ``ValueError`` if the mask is not distinguished (:func:`is_distinguished`),
     as its cell is empty.
 
-    The root sequence is computed by acting on simple roots, independently of
-    the window descent rule of ``descent_positions()``, which is J; the test
-    suite checks that the positions ``phi`` skips are that J.
+    The root sequence is read from ``RootSystem.simple_image_table``,
+    independently of ``descent_positions()``, the window descent rule for J;
+    the test suite checks that the positions ``phi`` skips are that J.
     """
     if not is_distinguished(sub):
         raise ValueError(f"mask {sub.mask_string} is not distinguished: its cell is empty")
+    image_table = root_system(sub.word.ctx.family, sub.word.ctx.rank).simple_image_table
     phi = []
     for i, (partial, letter) in enumerate(zip(sub.partials[1:], sub.word.letters), start=1):
-        image = partial.images[letter] or partial._simple_image(letter)
+        p, q, grid = image_table[letter]
+        image = grid[partial.window[p]][partial.window[q]]
         if image.is_positive:
             phi.append(PhiEntry(i, -image, not sub.mask[i - 1]))
     return CellDescriptor(sub.word, sub.mask, sub.partials, tuple(phi))
@@ -603,7 +599,7 @@ class CatalogEntry(NamedTuple):
 
 def catalog(name: str, n: int = 3) -> CatalogEntry:
     """Exact transliterations of the known counterexample words and masks;
-    the rank is checked against ``RANK_BOUND`` before any letter is built."""
+    the rank is checked against ``weyl.RANK_BOUND`` before any letter is built."""
     if name == CLOSURE_OBSTRUCTION:
         if n < 3:
             raise ValueError("closure-obstruction needs n >= 3")

@@ -131,7 +131,7 @@ class UnipotentWord:
 
     @staticmethod
     def from_obj(ctx, obj: Iterable[dict]) -> "UnipotentWord":
-        system = ctx.system
+        system = root_system(ctx.family, ctx.rank)
         factors = []
         try:
             for item in obj:
@@ -235,9 +235,8 @@ class AdjointRep:
     MAX_NILPOTENCY = 5
 
     def __init__(self, ctx):
-        system = ctx.system
         self.ctx = ctx
-        self.system = system
+        self.system = system = root_system(ctx.family, ctx.rank)
         self.dim = ctx.rank + len(system.roots)
         self._divided = [self._build_divided(r) for r in system.roots]
 

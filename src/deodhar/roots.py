@@ -18,6 +18,9 @@ so the positive roots are exactly the vectors ``e_j`` and ``e_j +- e_k``
 For type A_n we take ``beta_i = e_i - e_{i+1}`` inside R^{n+1}, which matches
 the upper-triangular Borel of SL_{n+1} used by the matrix cross-checks.
 
+The module sits above :mod:`deodhar.weyl`, whose check validates a system,
+and owns the Weyl group's action on roots, ``simple_image_table``.
+
 Each root also carries one integer ``code``, its coefficients as signed
 base-16 digits; a root's coefficients lie in [-2, 2], so the code of a sum of
 two roots is the sum of their codes, and a root sum is one dict lookup.  The
@@ -57,18 +60,11 @@ table with derivations by root sums.
 from __future__ import annotations
 
 from functools import cache, cached_property
-from itertools import compress
+from itertools import accumulate, compress
 from typing import NamedTuple, Sequence
 
 from .linalg import bracket_rows, combine
-
-FAMILY_A = "A"
-FAMILY_B = "B"
-
-# Largest rank of a root system; B_16 builds its structure-constant table in
-# 0.08-0.12 s (verify closure --n 16 takes 0.25-0.39 s at 21.5 MB; 2-vCPU
-# Xeon, Python 3.11), and every rank the command line accepts goes through here.
-RANK_BOUND = 16
+from .weyl import FAMILY_A, FAMILY_B, check_family_rank
 
 # -- roots -------------------------------------------------------------------
 
@@ -141,14 +137,7 @@ class RootSystem:
     """
 
     def __init__(self, family: str, rank: int):
-        if family not in (FAMILY_A, FAMILY_B):
-            raise ValueError(f"unknown family {family!r}")
-        if family == FAMILY_A and rank < 1:
-            raise ValueError("type A needs rank >= 1")
-        if family == FAMILY_B and rank < 2:
-            raise ValueError("type B needs rank >= 2")
-        if rank > RANK_BOUND:
-            raise ValueError(f"rank {rank} exceeds {RANK_BOUND}")
+        check_family_rank(family, rank)
         self.family = family
         self.rank = rank
         positive = self._generate_positive()
@@ -157,8 +146,8 @@ class RootSystem:
         self.positive_roots = self.roots[: len(positive)]
         self._by_coeffs = {r.coeffs: r for r in self.roots}
         self._by_code = {r.code: r for r in self.roots}
-        self.by_ambient = {r.ambient: r for r in self.roots}
         self._self_test()
+        self.simple_image_table = self._simple_images()
 
     # -- generation ----------------------------------------------------------
 
@@ -212,6 +201,27 @@ class RootSystem:
                 raise AssertionError("s_2(beta_1) != beta_1 + beta_2")
             if self._pairings[simples[1].index][0] != -2:
                 raise AssertionError("s_1(beta_2) != 2 beta_1 + beta_2")
+
+    def _simple_images(self) -> tuple:
+        """``simple_image_table[i] = (p, q, grid)``: w(beta_i) is
+        ``grid[w.window[p]][w.window[q]]``, as w sends e_k to sign(w(k))
+        e_|w(k)| and beta_i is supported on e_{p+1} and e_{q+1} (p = q for
+        beta_1 = e_1 of type B).  A grid is indexed by window entries, a
+        negative one from the end, and is shared by the beta_i of one shape:
+        O(rank^2) roots, looked up by sums of codes, which are linear."""
+        sums = [*accumulate(self.simple(i).code for i in range(1, self.rank + 1))]
+        if self.family == FAMILY_B:  # units[k]: the code of e_k = beta_1 + ... + beta_k
+            units = [0, *sums, *(-u for u in reversed(sums))]
+        else:  # the code of e_k - e_1, as e_1 cancels in a root
+            units = [0, 0, *(-u for u in sums)]
+        get, table, grids = self._by_code.get, [None], {}
+        for i in range(1, self.rank + 1):
+            (p, c), *rest = [(k, v) for k, v in enumerate(self.simple(i).ambient) if v]
+            q, d = rest[0] if rest else (p, 0)
+            if (c, d) not in grids:
+                grids[c, d] = tuple(tuple([get(c * x + d * y) for y in units]) for x in units)
+            table.append((p, q, grids[c, d]))
+        return tuple(table)
 
     # -- ambient coordinates --------------------------------------------------
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 from . import cells
-from .roots import Root
+from .roots import Root, root_system
 from .weyl import ReducedWord, WeylElement
 
 
@@ -85,9 +85,8 @@ def disjointness_certificate(
         raise ValueError("certificate needs cells of one word")
     if first.endpoint != second.endpoint:
         raise ValueError("certificate needs equal endpoints")
-    ctx = first.word.ctx
-    system = ctx.system
-    for b in range(1, ctx.rank + 1):
+    system = root_system(first.word.ctx.family, first.word.ctx.rank)
+    for b in range(1, system.rank + 1):
         target = -system.simple(b)
         if any(entry.root == target for entry in first.phi):
             continue

@@ -1,4 +1,5 @@
 import random
+from functools import cache
 from itertools import product
 
 import pytest
@@ -28,6 +29,26 @@ def reduced_letters(v: WeylElement) -> list[int]:
         letters.append(i)
         v = v.right_mult_generator(i)
     return letters[::-1]
+
+
+@cache
+def by_ambient(system) -> dict:
+    """The roots of ``system`` by their ambient vectors."""
+    return {r.ambient: r for r in system.roots}
+
+
+def act_on_root(w: WeylElement, root):
+    """The image of ``root`` under ``w``, by the linear action on ambient
+    coordinates: e_k goes to sign(w(k)) e_|w(k)|.  The oracle of the
+    simple-image table of ``roots``, which reads only two window entries."""
+    system = root.system
+    assert (w.ctx.family, w.ctx.rank) == (system.family, system.rank)
+    moved = [0] * len(root.ambient)
+    for k, v in enumerate(root.ambient):
+        if v:
+            image = w.window[k]
+            moved[abs(image) - 1] += v if image > 0 else -v
+    return by_ambient(system)[tuple(moved)]
 
 
 def subword_lower_set(v: WeylElement) -> set[WeylElement]:

@@ -8,8 +8,7 @@ import pytest
 
 from deodhar import chevalley
 from deodhar.cli import main
-from deodhar.roots import RANK_BOUND
-from deodhar.weyl import context, parse_word
+from deodhar.weyl import RANK_BOUND, context, parse_word
 
 
 GOLDEN = Path(__file__).parent / "golden"

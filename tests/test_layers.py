@@ -23,8 +23,8 @@ TESTS = Path(__file__).resolve().parent
 LAYERS = {
     "linalg": set(),
     "laurent": set(),
-    "roots": {"linalg"},
-    "weyl": {"roots"},
+    "roots": {"linalg", "weyl"},
+    "weyl": set(),
     "cells": {"laurent", "roots", "weyl"},
     "search": {"cells", "roots", "weyl"},
     "matrixgrp": {"weyl"},
@@ -85,6 +85,16 @@ def closure(module: str) -> set[str]:
 UNLOADED = ("dataclasses", "inspect")
 
 
+def fresh_stdout(code: str) -> str:
+    """The standard output of ``code`` run in a fresh interpreter that
+    imports the package from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
 @pytest.mark.parametrize("module", sorted(set(LAYERS) - {"__init__"}))
 def test_import_loads_only_the_layers_below(module):
     code = (
@@ -92,15 +102,22 @@ def test_import_loads_only_the_layers_below(module):
         "print(*[m for m in sys.modules if m.split('.')[0] == 'deodhar'])\n"
         f"print(*[m for m in {UNLOADED!r} if m in sys.modules])"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
     expected = {"deodhar" if name == "__init__" else f"deodhar.{name}" for name in closure(module)}
-    package, unloaded = result.stdout.split("\n")[:2]
+    package, unloaded = fresh_stdout(code).split("\n")[:2]
     assert set(package.split()) == expected
     assert unloaded.split() == []
+
+
+def test_context_builds_no_root_system():
+    # a Weyl group reads no root: its largest context, in a fresh
+    # interpreter, loads only weyl of the package
+    code = (
+        "import sys\n"
+        "from deodhar.weyl import context\n"
+        "context('B', 16).longest_element()\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'deodhar'))\n"
+    )
+    assert fresh_stdout(code).split() == ["deodhar", "deodhar.weyl"]
 
 
 def unused_imports(path: Path) -> list[str]:

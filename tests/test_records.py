@@ -97,14 +97,15 @@ def test_slots_records_keep_their_equality():
     sub = subexpression(word, "01")
     other = Subexpression(word=word, mask=sub.mask, partials=())
     assert sub == other and hash(sub) == hash(other) == hash((word, sub.mask))
-    # a descriptor equals descriptors only, on word, mask and phi
+    # a descriptor equals descriptors only, on word and mask, of which phi
+    # is a function
     desc = cell(sub)
     assert desc != sub and sub != desc
-    assert desc == CellDescriptor(word, sub.mask, (), desc.phi)
-    assert desc != CellDescriptor(word, sub.mask, sub.partials, ())
-    assert hash(desc) == hash((word, sub.mask, desc.phi))
+    assert desc == CellDescriptor(word, sub.mask, (), ())
+    assert desc != cell(subexpression(word, "11"))
+    assert hash(desc) == hash(sub) == hash((word, sub.mask))
     # a unipotent word drops zero factors and compares by the rest
-    root = -b3.system.simple(1)
+    root = -root_system("B", 3).simple(1)
     x = chevalley.Factor(root, LaurentPoly.variable("x"))
     zero = chevalley.Factor(root, LaurentPoly.zero())
     assert chevalley.UnipotentWord((zero, x, zero)) == chevalley.UnipotentWord(factors=(x,))

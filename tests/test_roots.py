@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,10 +11,11 @@ from pathlib import Path
 import pytest
 
 import deodhar
+from conftest import act_on_root
 from deodhar import roots as roots_module
 from deodhar.linalg import bracket_rows, combine, mat_mul
 from deodhar.roots import CommutatorTerm, RootSystem, _StructureConstants, _steps, root_system
-from deodhar.weyl import context
+from deodhar.weyl import RANK_BOUND, context
 
 
 @pytest.mark.parametrize("rank", range(2, 9))
@@ -81,7 +83,7 @@ def test_roots_are_interned():
     # at the rank bound every ordered pair agrees with the sum of coefficient
     # tuples looked up by tuple
     for family in ("A", "B"):
-        system = root_system(family, roots_module.RANK_BOUND)
+        system = root_system(family, RANK_BOUND)
         by_coeffs = {r.coeffs: r for r in system.roots}
         for a in system.roots:
             for b in system.roots:
@@ -122,12 +124,72 @@ def test_dropped_root_breaks_reflection_closure(monkeypatch):
         RootSystem("B", 3)
 
 
+@pytest.mark.parametrize(
+    "labels,message",
+    [((1, 3, 2), "s_2(beta_1) != beta_1 + beta_2"), ((3, 2, 1), "s_1(beta_2) != 2 beta_1 + beta_2")],
+)
+def test_mislabeled_type_b_diagram_is_rejected(labels, message, monkeypatch):
+    # the simple roots of B_3 relabeled: the reflections, and so the closure
+    # check, are unchanged, but the double bond no longer joins nodes 1 and 2
+    # the right way round; (1, 3, 2) separates beta_1 from beta_2, and
+    # (3, 2, 1) puts the single bond (beta_3, beta_2) first
+    simple = RootSystem.simple
+    monkeypatch.setattr(RootSystem, "simple", lambda self, i: simple(self, labels[i - 1]))
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        RootSystem("B", 3)
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_non_integral_cartan_pairing_is_rejected(family, monkeypatch):
+    # squared lengths read three times too large: 2 (r, beta_i) / (beta_i,
+    # beta_i) is then 2/3 or -2/3 for every pair of adjacent simple roots
+    norm_sq = RootSystem.norm_sq
+    monkeypatch.setattr(RootSystem, "norm_sq", lambda self, root: 3 * norm_sq(self, root))
+    with pytest.raises(AssertionError, match="non-integral Cartan pairing"):
+        RootSystem(family, 3)
+
+
 def test_roots_closed_under_weyl_action():
     system = root_system("B", 3)
     ctx = context("B", 3)
     for w in ctx.elements():
         for r in system.all_roots():
-            w.act_on_root(r)  # raises if the image is not a root
+            act_on_root(w, r)  # raises if the image is not a root
+
+
+@pytest.mark.parametrize(
+    "family,rank,sample",
+    [("A", 3, None), ("B", 3, None), ("A", 4, None), ("A", 16, 200), ("B", 16, 200)],
+)
+def test_simple_image_table_matches_ambient_action(family, rank, sample):
+    # w(beta_i), read from the window entries at the support of beta_i,
+    # against the action on the whole ambient vector: every element and
+    # letter of the small groups, and sample seeded elements of the rank-16
+    # ones
+    ctx = context(family, rank)
+    system = root_system(family, rank)
+    table = system.simple_image_table
+    if sample is None:
+        elements = list(ctx.elements())
+    else:
+        rng = random.Random(f"{family}{rank}")
+        size = ctx.window_size
+        elements = []
+        for _ in range(sample):
+            window = rng.sample(range(1, size + 1), size)
+            if family == "B":
+                window = [rng.choice((1, -1)) * a for a in window]
+            elements.append(ctx.from_window(window))
+    for w in elements:
+        for i in range(1, rank + 1):
+            p, q, grid = table[i]
+            assert grid[w.window[p]][w.window[q]] is act_on_root(w, system.simple(i)), (w, i)
+    # one grid per shape of support (e_1 and e_i - e_{i-1} in type B), with a
+    # row and a column per window entry and one for 0: O(rank^2) roots
+    grids = {id(grid): grid for _, _, grid in table[1:]}
+    side = (2 if family == "B" else 1) * ctx.window_size + 1
+    assert len(grids) == (2 if family == "B" else 1)
+    assert all(len(row) == side for grid in grids.values() for row in (grid, *grid))
 
 
 def root_string(system, alpha, beta):
