@@ -84,7 +84,7 @@ class UnipotentWord:
         for f in factors:
             if f.coeff.is_zero():
                 continue
-            if not f.root.is_negative:
+            if f.root.is_positive:
                 raise ValueError(f"factor root {f.root} is not negative")
             kept.append(f)
         if len({f.root.system for f in kept}) > 1:
@@ -114,7 +114,7 @@ class UnipotentWord:
         return {f.root for f in self.factors}
 
     def coefficient(self, root: Root) -> LaurentPoly:
-        total = LaurentPoly.zero()
+        total = LaurentPoly()
         for f in self.factors:
             if f.root == root:
                 total = total + f.coeff
@@ -144,10 +144,6 @@ class UnipotentWord:
         return UnipotentWord(tuple(factors))
 
 
-def word_from_pairs(pairs: Iterable[tuple[Root, LaurentPoly]]) -> UnipotentWord:
-    return UnipotentWord(tuple(Factor(r, c) for r, c in pairs))
-
-
 def _append(out: list[Factor], f: Factor) -> None:
     """Append ``f`` to ``out``, merged into the last factor if that has the
     same root; a zero coefficient leaves no factor."""
@@ -166,7 +162,8 @@ def collect(word: UnipotentWord) -> UnipotentWord:
 
     >>> A2 = root_system("A", 2)
     >>> x, y = LaurentPoly.variable("x"), LaurentPoly.variable("y")
-    >>> print(collect(word_from_pairs([(A2.root((-1, 0)), x), (A2.root((0, -1)), y)])))
+    >>> print(collect(UnipotentWord((Factor(A2.root((-1, 0)), x),
+    ...                              Factor(A2.root((0, -1)), y)))))
     u[0,-1](y) u[-1,0](x) u[-1,-1](x*y)
     """
     out: list[Factor] = []
@@ -175,7 +172,6 @@ def collect(word: UnipotentWord) -> UnipotentWord:
     while todo:
         mine = todo.pop()
         y = mine.coeff
-        passed: list[Factor] = []
         while out and out[-1].root.index > mine.root.index:
             left = out.pop()
             x = left.coeff
@@ -191,9 +187,10 @@ def collect(word: UnipotentWord) -> UnipotentWord:
                 coeff = ((-y) ** term.i) * (x ** term.j) * term.constant
                 if not coeff.is_zero():
                     out.append(Factor(term.root, coeff))
-            passed.append(left)
+            # the passed factors go back on the stack, the leftmost last, so
+            # the leftmost is inserted first
+            todo.append(left)
         _append(out, mine)
-        todo += passed  # the leftmost passed factor is inserted first
     return UnipotentWord(tuple(out))
 
 
@@ -246,7 +243,7 @@ class AdjointRep:
         # [e_alpha, h_j] = -<alpha, beta_j-check> e_alpha is nonzero for some j
         pairings = ((j, system.cartan_pairing(alpha, j + 1)) for j in range(n))
         out: Matrix = {n + alpha.index: {j: -c for j, c in pairings if c}}
-        for j, c in enumerate(system.coroot_coords(alpha)):
+        for j, c in enumerate(system.structure.coroot_coords[alpha.index]):
             if c:
                 out[j] = {n + (-alpha).index: c}
         for j, (total, c) in system.structure.sums[alpha.index].items():
@@ -389,14 +386,11 @@ def build_closure_witness_words(n: int):
             "coordinate pairing mismatch: free pattern of the deeper cell is "
             f"{free_pattern}, expected {expected_pattern}"
         )
-    y_values = (
-        [_variable("y", k) for k in range(1, n + 1)]
-        + [-_variable("y", k) for k in range(n - 1, 1, -1)]
-        + [LaurentPoly.zero()] * (n - 1)
-    )
-    u_y = word_from_pairs(
-        (e.root, v) for e, v in zip(phi_delta, y_values) if not v.is_zero()
-    )
+    # the last n - 1 coordinates are fixed, and zip stops before them
+    y_values = [_variable("y", k) for k in range(1, n + 1)] + [
+        -_variable("y", k) for k in range(n - 1, 1, -1)
+    ]
+    u_y = UnipotentWord(tuple(Factor(e.root, v) for e, v in zip(phi_delta, y_values)))
     phi_gamma = cell(gamma).phi
     if len(phi_gamma) != 2 * n:
         raise VerificationError(
@@ -410,7 +404,7 @@ def build_closure_witness_words(n: int):
         + [LaurentPoly.variable("t", -2), -_variable("z", 1) * t]
         + [-_variable("z", k) * t2 for k in range(2, n)]
     )
-    u_z = word_from_pairs(zip((e.root for e in phi_gamma), z_values))
+    u_z = UnipotentWord(tuple(Factor(e.root, v) for e, v in zip(phi_gamma, z_values)))
     return u_y, u_z, witness_psi(n)
 
 

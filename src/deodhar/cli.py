@@ -18,8 +18,8 @@ from . import chevalley, matrixgrp, search
 from .weyl import ReducedWord, context, parse_integers
 
 
-def _add_context_flags(parser, default_family="B"):
-    parser.add_argument("--family", choices=["A", "B"], default=default_family)
+def _add_context_flags(parser):
+    parser.add_argument("--family", choices=["A", "B"], default="B")
     parser.add_argument("--rank", type=int, default=None)
 
 
@@ -101,8 +101,6 @@ def _cmd_hasse(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    if args.family != "A" or (args.rank not in (None, 2)):
-        raise ValueError("matrix counting is implemented for --family A --rank 2")
     sys.stdout.write(matrixgrp.count_cells_csv(args.q))
     return 0
 
@@ -213,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hasse)
 
     p = sub.add_parser("count", help="finite-field double cell counts (CSV)")
-    _add_context_flags(p, default_family="A")
     p.add_argument("--q", type=int, required=True)
     p.set_defaults(func=_cmd_count)
 

@@ -82,16 +82,8 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly()
-
-    @staticmethod
     def constant(value) -> "LaurentPoly":
         return LaurentPoly({ONE_MONOMIAL: value})
-
-    @staticmethod
-    def one() -> "LaurentPoly":
-        return LaurentPoly.constant(1)
 
     @staticmethod
     def variable(name: str, exp: int = 1) -> "LaurentPoly":
@@ -164,7 +156,7 @@ class LaurentPoly:
             raise ValueError("negative powers of general polynomials are not defined")
         # the witness raises to the first and second power only: k - 1
         # products, with no squaring of the base that goes unused
-        out = self if k else LaurentPoly.one()
+        out = self if k else LaurentPoly.constant(1)
         for _ in range(k - 1):
             out = out * self
         return out
@@ -177,8 +169,10 @@ class LaurentPoly:
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, *value):
         raise AttributeError("LaurentPoly is immutable")
+
+    __delattr__ = __setattr__
 
     # -- evaluation and slicing --------------------------------------------
 

@@ -101,10 +101,6 @@ class Root:
     def is_positive(self) -> bool:
         return self.index < len(self.system.positive_roots)
 
-    @property
-    def is_negative(self) -> bool:
-        return not self.is_positive
-
     def __neg__(self) -> "Root":
         # the negatives follow the positives in the same order
         roots = self.system.roots
@@ -268,18 +264,11 @@ class RootSystem:
                 f"{tuple(coeffs)} is not a root of {self.family}_{self.rank}"
             ) from None
 
-    def _check_independent(self, alpha: Root, beta: Root):
-        if beta is alpha or beta is -alpha:
-            raise ValueError("roots are proportional")
-
     # -- structure constants ------------------------------------------------------
 
     @cached_property
     def structure(self) -> "_StructureConstants":
         return _StructureConstants(self)
-
-    def coroot_coords(self, alpha: Root) -> tuple[int, ...]:
-        return self.structure.coroot_coords[alpha.index]
 
     def commutator_terms(self, alpha: Root, beta: Root) -> list[CommutatorTerm]:
         """Terms of [u_alpha(x); u_beta(y)] = prod u_{i beta + j alpha}(C_ij (-y)^i x^j).
@@ -289,7 +278,8 @@ class RootSystem:
         structure constants; in types A and B only (1,1), (1,2) and (2,1)
         can occur.
         """
-        self._check_independent(alpha, beta)
+        if beta is alpha or beta is -alpha:
+            raise ValueError("roots are proportional")
         sums = self.structure.sums
         a, b = alpha.index, beta.index
         entry = sums[a].get(b)

@@ -41,7 +41,7 @@ True
 from __future__ import annotations
 
 from functools import cache
-from itertools import compress
+from itertools import combinations, compress
 from operator import lt
 from typing import Iterable, Iterator, Sequence
 
@@ -248,17 +248,9 @@ class WeylElement:
     def _inversions(self) -> int:
         """Number of positive roots made negative (= minimal word length)."""
         w = self.window
-        n = len(w)
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j]
-        )
-        if self.ctx.family == FAMILY_A:
-            return inversions
-        negatives = sum(1 for v in w if v < 0)
-        negative_pairs = sum(
-            1 for i in range(n) for j in range(i + 1, n) if w[i] + w[j] < 0
-        )
-        return inversions + negatives + negative_pairs
+        # inversions, negative entries and negative pairs: a type A window is
+        # unsigned, so it counts its inversions only
+        return sum(v < 0 for v in w) + sum((a > b) + (a + b < 0) for a, b in combinations(w, 2))
 
     def _bruhat_key(self) -> int:
         """The counts of the tableau criterion, one field each (see
@@ -268,9 +260,6 @@ class WeylElement:
         if self.ctx.family == FAMILY_B:
             pairs += [(-a, -b) for a, b in pairs]
         return sum(rows[a] * cols[b] for a, b in pairs)
-
-    def is_identity(self) -> bool:
-        return self is self.ctx.identity
 
     def right_descents(self) -> list[int]:
         d = self.descents
@@ -373,7 +362,7 @@ def all_reduced_words(w: WeylElement) -> list[ReducedWord]:
     # across calls would grow without bound
     @cache
     def rec(u: WeylElement) -> tuple[tuple[int, ...], ...]:
-        if u.is_identity():
+        if u is u.ctx.identity:
             return ((),)
         words = []
         for i in u.right_descents():

@@ -24,7 +24,7 @@ def pytest_terminal_summary(terminalreporter):
 def reduced_letters(v: WeylElement) -> list[int]:
     """A reduced word of v, found by peeling its lowest right descent."""
     letters = []
-    while not v.is_identity():
+    while v is not v.ctx.identity:
         i = v.right_descents()[0]
         letters.append(i)
         v = v.right_mult_generator(i)
@@ -70,8 +70,8 @@ def lifting_bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
     u <= v iff u t_i <= v t_i, otherwise iff u <= v t_i; and u <= e iff
     u = e.  No length is compared, so no step computes one.
     """
-    while not (u is v or u.is_identity()):
-        if v.is_identity():
+    while not (u is v or u is u.ctx.identity):
+        if v is v.ctx.identity:
             return False
         i = v.right_descents()[0]
         v = v.right_mult_generator(i)
@@ -114,7 +114,7 @@ def all_subexpressions(word) -> list[Subexpression]:
 
 def random_unipotent_word(ctx, rng: random.Random, max_factors: int = 8) -> UnipotentWord:
     """A random word with integer coefficients in {-3..3} \\ {0}."""
-    negatives = [r for r in root_system(ctx.family, ctx.rank).all_roots() if r.is_negative]
+    negatives = [r for r in root_system(ctx.family, ctx.rank).all_roots() if not r.is_positive]
     factors = []
     for _ in range(rng.randint(1, max_factors)):
         coeff = rng.choice([c for c in range(-3, 4) if c])

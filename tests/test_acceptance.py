@@ -138,7 +138,7 @@ def test_criterion_5_extended_dimension_as_stated():
 def test_criterion_6_finite_field_point_counts():
     with _Budget(6, "finite-field point counts q=2,3,5,7", 30.0):
         w0 = A2.longest_element()
-        one = LaurentPoly.one()
+        one = LaurentPoly.constant(1)
         q_poly = LaurentPoly.variable("q")
         open_cell = (q_poly - one) ** 3 + q_poly * (q_poly - one)
         assert point_count_polynomial(STS, A2.identity) == open_cell

@@ -1,16 +1,19 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import random_unipotent_word, reduce_mod
 from deodhar import chevalley, linalg
+from deodhar.cells import CLOSURE_OBSTRUCTION, catalog, cell
 from deodhar.chevalley import (
     COLLECT_BOUND,
     AdjointRep,
     Factor,
     LimitError,
     UnipotentWord,
+    VerificationError,
     adjoint_rep,
     build_closure_witness_words,
     collect,
@@ -38,8 +41,14 @@ def neg(coeffs):
 def test_word_validation():
     with pytest.raises(ValueError):
         UnipotentWord((Factor(SYS3.simple(1), X),))
-    word = UnipotentWord((Factor(neg((1, 0, 0)), LaurentPoly.zero()),))
+    word = UnipotentWord((Factor(neg((1, 0, 0)), LaurentPoly()),))
     assert len(word) == 0
+
+
+def test_word_rejects_factors_of_two_systems():
+    a2 = root_system("A", 2)
+    with pytest.raises(ValueError, match="factors from different root systems"):
+        UnipotentWord((Factor(-SYS3.simple(1), X), Factor(-a2.simple(1), Y)))
 
 
 def test_collect_merges_adjacent():
@@ -143,7 +152,7 @@ def test_integer_words_stay_in_int(rng):
 
 def test_collect_symbolic_then_specialize(rng):
     # collecting with symbolic coefficients commutes with numeric substitution
-    negatives = [r for r in SYS3.all_roots() if r.is_negative]
+    negatives = [r for r in SYS3.all_roots() if not r.is_positive]
     names = ["x", "y", "z", "u", "v", "w"]
     for _ in range(10):
         factors = tuple(
@@ -161,7 +170,7 @@ def test_collect_long_symbolic_word_matches_adjoint(rng):
     # 20-30 symbolic factors in B_5, with equal-root neighbours: collection
     # re-inserts the passed factors many levels deep
     ctx = context("B", 5)
-    negatives = [r for r in root_system("B", 5).roots if r.is_negative]
+    negatives = [r for r in root_system("B", 5).roots if not r.is_positive]
     names = ["x", "y", "z", "u", "v", "w"]
     for _ in range(3):
         factors, length = [], rng.randint(20, 30)
@@ -182,7 +191,7 @@ def test_collection_order_is_root_index_order():
     # then the coefficients of the opposite positive root, lex ascending
     systems = [("A", r) for r in range(1, 8)] + [("B", r) for r in range(2, 10)]
     for family, rank in systems:
-        negatives = [r for r in root_system(family, rank).roots if r.is_negative]
+        negatives = [r for r in root_system(family, rank).roots if not r.is_positive]
         by_depth_lex = sorted(negatives, key=lambda r: (-sum(r.coeffs), (-r).coeffs))
         assert by_depth_lex == negatives
 
@@ -232,7 +241,7 @@ def test_collect_bound_counts_swaps():
     # a seeded integer word of B_16: 85,499 swaps but only 1,550 monomial
     # products, so a bound on products alone lets it through
     system = root_system("B", 16)
-    negatives = [r for r in system.roots if r.is_negative]
+    negatives = [r for r in system.roots if not r.is_positive]
     rng = random.Random(1)
     word = UnipotentWord(
         tuple(
@@ -268,6 +277,7 @@ def test_adjoint_is_lie_homomorphism():
         ctx = context(family, rank)
         rep = adjoint_rep(ctx)
         system = root_system(family, rank)
+        coroots = system.structure.coroot_coords
         ad = {r: rep.divided_powers(r)[1] for r in system.all_roots()}
         for a in system.all_roots():
             for b in system.all_roots():
@@ -280,7 +290,7 @@ def test_adjoint_is_lie_homomorphism():
                 elif all(x + y == 0 for x, y in zip(a.coeffs, b.coeffs)):
                     rhs = combine(
                         (coord, ad_cartan(rep, j))
-                        for j, coord in enumerate(system.coroot_coords(a), start=1)
+                        for j, coord in enumerate(coroots[a.index], start=1)
                     )
                 else:
                     rhs = {}
@@ -296,6 +306,21 @@ def test_adjoint_nilpotency_bound():
         rep.divided_powers(foreign)
     with pytest.raises(ValueError, match="is not in"):
         evaluate_adjoint(B3, UnipotentWord((Factor(-foreign, LaurentPoly.constant(1)),)))
+
+
+@pytest.mark.parametrize(
+    "ad,message",
+    [
+        # 60^k / k! is an integer for k <= 5, and no power of 60 vanishes
+        ({0: {0: 60}}, "not nilpotent of index <= 5"),
+        ({0: {0: 1}}, "divided power is not integral"),
+    ],
+    ids=["not-nilpotent", "not-integral"],
+)
+def test_bad_divided_powers_are_rejected(ad, message, monkeypatch):
+    monkeypatch.setattr(AdjointRep, "_build_ad", lambda self, alpha: ad)
+    with pytest.raises(AssertionError, match=message):
+        AdjointRep(context("A", 2))
 
 
 def test_divided_powers_are_stored_once(rng):
@@ -333,7 +358,7 @@ def reference_adjoint(ctx, word, assignment=None, prime=None):
 
 
 def random_symbolic_word(ctx, rng):
-    negatives = [r for r in root_system(ctx.family, ctx.rank).all_roots() if r.is_negative]
+    negatives = [r for r in root_system(ctx.family, ctx.rank).all_roots() if not r.is_positive]
     coeffs = [X, -Y, X * Y, LaurentPoly.variable("y", -1), X + LaurentPoly.constant(2)]
     return UnipotentWord(
         tuple(Factor(rng.choice(negatives), rng.choice(coeffs)) for _ in range(rng.randint(1, 8)))
@@ -399,6 +424,27 @@ def test_finite_field_evaluation(rng):
             assert reduced == modular
 
 
+@pytest.mark.parametrize(
+    "deeper,message",
+    [(True, "free pattern of the deeper cell"), (False, "expected 2n coordinates")],
+    ids=["deeper", "shallower"],
+)
+def test_witness_coordinate_mismatch_is_reported(deeper, message, monkeypatch):
+    # the coordinate roots of one cell of the catalog pair lose their last
+    # entry: a deeper cell with a shorter free pattern, or a shallower one
+    # with 2n - 1 coordinates
+    entry = catalog(CLOSURE_OBSTRUCTION, 3)
+    target = entry.second if deeper else entry.first
+
+    def cut(sub):
+        phi = cell(sub).phi
+        return SimpleNamespace(phi=phi[:-1] if sub == target else phi)
+
+    monkeypatch.setattr(chevalley, "cell", cut)
+    with pytest.raises(VerificationError, match=f"coordinate pairing mismatch: .*{message}"):
+        build_closure_witness_words(3)
+
+
 def test_witness_psi_shape():
     psi3 = witness_psi(3)
     assert {r.coeffs for r in psi3} == {(-2, -2, -1), (0, -1, -1), (0, 0, -1)}
@@ -409,7 +455,7 @@ def test_witness_psi_shape():
 def test_witness_words_shape():
     for n in (3, 4):
         u_y, u_z, psi = build_closure_witness_words(n)
-        assert len(u_y) == 2 * n - 2  # the n-1 zero coordinates are dropped
+        assert len(u_y) == 2 * n - 2  # the n-1 fixed coordinates get no factor
         assert len(u_z) == 2 * n
         assert len(psi) == n
     with pytest.raises(ValueError):

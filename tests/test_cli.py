@@ -115,6 +115,22 @@ def test_count_csv(capsys):
     assert '2,"3,2,1","1,2,3",3' in out
 
 
+@pytest.mark.parametrize("option", [["--family", "A"], ["--rank", "2"]])
+def test_count_takes_no_family_or_rank(capsys, option):
+    # count tallies SL_3 only: a context flag is an unknown argument
+    with pytest.raises(SystemExit) as exit_:
+        main(["count", *option, "--q", "7"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_count_help_lists_only_q(capsys):
+    with pytest.raises(SystemExit):
+        main(["count", "--help"])
+    out = capsys.readouterr().out
+    assert "--q" in out and "--family" not in out and "--rank" not in out
+
+
 def test_collect_roundtrip(tmp_path, capsys):
     payload = [
         {"root": [0, -1, 0], "coeff": [{"mono": {"x": 1}, "num": 1, "den": 1}]},
@@ -272,7 +288,7 @@ def alternating_b2(m):
 @pytest.mark.parametrize(
     "argv,payload",
     [
-        (["count", "--family", "B", "--q", "2"], None),
+        (["count", "--q", "4"], None),
         (["collect", "--input", "PATH"], []),
         (["collect", "--input", "PATH"], [{"coeff": []}]),
         (["collect", "--input", "PATH"], {"factors": [{"root": [0, -1, 0], "coeff": []}, {"coeff": []}]}),

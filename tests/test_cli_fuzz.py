@@ -98,7 +98,7 @@ def _argv(rng, paths):
     elif command == "hasse":
         argv = _choice_args(rng, [family, rank, word, ("--dot", ["-", *paths["dot"]])], chance)
     elif command == "count":
-        argv = _choice_args(rng, [family, ("--rank", ["2", "3", "-1"]), ("--q", QS)])
+        argv = _choice_args(rng, [("--q", QS)])
     elif command == "collect":
         argv = _choice_args(rng, [family, rank, ("--input", ["-", *paths["input"]])])
     else:

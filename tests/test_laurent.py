@@ -34,8 +34,8 @@ def test_power_makes_no_unused_product(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(LaurentPoly, "__mul__", counted)
-    x = LaurentPoly.variable("x") + LaurentPoly.one()
-    expected = LaurentPoly.one()
+    x = LaurentPoly.variable("x") + LaurentPoly.constant(1)
+    expected = LaurentPoly.constant(1)
     for k in range(4):
         calls.clear()
         assert x ** k == expected
@@ -68,7 +68,7 @@ def test_single_term_and_constants():
     value, mono = z.single_term()
     assert value == -1 and mono == Monomial.of(z1=2)
     with pytest.raises(ValueError):
-        (z + LaurentPoly.one()).single_term()
+        (z + LaurentPoly.constant(1)).single_term()
 
 
 def test_json_roundtrip():
@@ -95,8 +95,8 @@ def test_coefficients_are_int_when_integral():
         [{"mono": {"x": 1}, "num": 6, "den": 3}, {"mono": {}, "num": 5, "den": 1}]
     )
     assert _coefficient_types(parsed) == [int, int]
-    assert parsed == 2 * x + 5 * LaurentPoly.one()
-    one = LaurentPoly.one()
+    assert parsed == 2 * x + 5 * LaurentPoly.constant(1)
+    one = LaurentPoly.constant(1)
     assert _coefficient_types(((x + one) * (x - 2 * one)) ** 3) == [int] * 7
 
 
@@ -156,9 +156,9 @@ def test_int_and_fraction_built_polynomials_agree():
 
 def test_str_forms():
     q = LaurentPoly.variable("q")
-    poly = q ** 3 - 2 * q ** 2 + 2 * q - LaurentPoly.one()
+    poly = q ** 3 - 2 * q ** 2 + 2 * q - LaurentPoly.constant(1)
     assert str(poly) == "-1 + 2*q - 2*q^2 + q^3"
-    assert str(LaurentPoly.zero()) == "0"
+    assert str(LaurentPoly()) == "0"
 
 
 def test_ring_axioms_randomized():

@@ -2,9 +2,10 @@
 or define their own equality keep it.
 
 A plain record is a ``typing.NamedTuple``; a record that checks its input at
-construction (``ReducedWord``, ``UnipotentWord``) or compares on part of its
-fields (``Subexpression``, ``CellDescriptor``) is a ``__slots__`` class whose
-``__setattr__`` raises.
+construction (``ReducedWord``, ``UnipotentWord``), normalizes it
+(``LaurentPoly``) or compares on part of its fields (``Subexpression``,
+``CellDescriptor``) is a ``__slots__`` class whose ``__setattr__`` and
+``__delattr__`` raise.
 """
 
 import importlib
@@ -26,7 +27,9 @@ from deodhar.roots import root_system
 from deodhar.weyl import ReducedWord, context
 
 MODULES = ["laurent", "roots", "weyl", "cells", "chevalley", "search"]
-SLOTS_RECORDS = {"ReducedWord", "UnipotentWord", "Subexpression", "CellDescriptor"}
+SLOTS_RECORDS = {
+    "ReducedWord", "UnipotentWord", "Subexpression", "CellDescriptor", "LaurentPoly"
+}
 
 
 def records() -> list:
@@ -44,6 +47,7 @@ def records() -> list:
         Monomial.of(x=1), term, factor, chevalley.UnipotentWord((factor,)),
         report.checks[0], report, word, entry.first, cell(entry.first),
         cell(entry.first).phi[0], entry, obstruction, pair.certificate, pair,
+        factor.coeff,
     ]
 
 
@@ -107,7 +111,7 @@ def test_slots_records_keep_their_equality():
     # a unipotent word drops zero factors and compares by the rest
     root = -root_system("B", 3).simple(1)
     x = chevalley.Factor(root, LaurentPoly.variable("x"))
-    zero = chevalley.Factor(root, LaurentPoly.zero())
+    zero = chevalley.Factor(root, LaurentPoly())
     assert chevalley.UnipotentWord((zero, x, zero)) == chevalley.UnipotentWord(factors=(x,))
     with pytest.raises(ValueError, match="not negative"):
-        chevalley.UnipotentWord((chevalley.Factor(-root, LaurentPoly.one()),))
+        chevalley.UnipotentWord((chevalley.Factor(-root, LaurentPoly.constant(1)),))

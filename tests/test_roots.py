@@ -426,6 +426,54 @@ def test_unnormalized_extraspecial_sign_is_rejected(monkeypatch):
         RootSystem("A", 2).structure
 
 
+def _b2_string_pair(system):
+    """alpha = -beta_1 short and beta = -beta_2 long in ``system`` = B_2, whose
+    alpha-string through beta is beta, alpha + beta, 2 alpha + beta; and the
+    table ``sums`` with the roots alpha + beta and 2 alpha + beta."""
+    alpha, beta = -system.simple(1), -system.simple(2)
+    sums = system.structure.sums
+    ab = sums[alpha.index][beta.index][0]
+    aab = sums[alpha.index][ab.index][0]
+    return alpha, beta, sums, ab, aab
+
+
+def test_longer_alpha_string_is_rejected():
+    # the table of a fresh B_2 made to claim 3 alpha + beta = 2 alpha + beta
+    # + alpha a root: an alpha-string of four roots, which types A and B lack
+    system = RootSystem("B", 2)
+    alpha, beta, sums, _, aab = _b2_string_pair(system)
+    sums[aab.index][alpha.index] = (aab, 1)
+    with pytest.raises(AssertionError, match="unexpected commutator support"):
+        system.commutator_terms(alpha, beta)
+
+
+def test_odd_doubled_commutator_constant_is_rejected():
+    # |N(alpha, alpha + beta)| = 2 read as 1 makes the constant of the (1, 2)
+    # term N(alpha, beta) N(alpha, alpha + beta) / 2 a half
+    system = RootSystem("B", 2)
+    alpha, beta, sums, ab, aab = _b2_string_pair(system)
+    assert abs(sums[alpha.index][ab.index][1]) == 2
+    sums[alpha.index][ab.index] = (aab, 1)
+    message = re.escape("non-integral commutator constant for (1, 2)")
+    with pytest.raises(AssertionError, match=message):
+        system.commutator_terms(alpha, beta)
+
+
+def test_non_integral_coroot_coordinates_are_rejected(monkeypatch):
+    # squared lengths of the non-simple roots read twice too large: the first
+    # root of height two, beta_2 + beta_3, would get the coroot coordinates
+    # (0, 1/2, 1/2); the simple roots, read first, keep theirs
+    system = RootSystem("A", 3)
+    norm_sq = RootSystem.norm_sq
+    monkeypatch.setattr(
+        RootSystem,
+        "norm_sq",
+        lambda self, root: norm_sq(self, root) * (2 if sum(root.coeffs) > 1 else 1),
+    )
+    with pytest.raises(AssertionError, match="non-integral coroot coordinates for 0,1,1"):
+        system.structure
+
+
 def _reference_extraspecial(system):
     # for each positive sum, the pair (r, s) of positive roots with r + s =
     # total and r earliest in Carter's total order, by a scan over r
@@ -468,7 +516,7 @@ def test_sums_table_matches_references(family, rank):
             a * system.norm_sq(system.simple(i)) // norm
             for i, a in enumerate(alpha.coeffs, start=1)
         )
-        assert system.coroot_coords(alpha) == closed_form
+        assert system.structure.coroot_coords[alpha.index] == closed_form
         for beta in system.roots:
             total = alpha.try_add(beta)
             if total is None:

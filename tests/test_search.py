@@ -36,7 +36,7 @@ def test_closure_obstruction_catalog(n):
     first, second = cell(entry.first), cell(entry.second)
     assert first.dimension == 2 * n
     assert second.dimension == 3 * n - 3
-    assert first.endpoint.is_identity() and second.endpoint.is_identity()
+    assert first.endpoint is second.endpoint is first.endpoint.ctx.identity
     assert [-e.root for e in first.phi] == expected_neg_phi_first(n)
     assert [-e.root for e in second.phi] == expected_neg_phi_second(n)
     # the deeper cell has its 2n-2 punctured-line coordinates first
